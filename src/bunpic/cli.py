@@ -4,6 +4,9 @@ engines, and emit deterministic text or JSON reports.
 Exit codes: 0 success, 1 input error, 2 hypothesis failure (unconditional
 results are still emitted).  JSON output is byte-deterministic: canonical
 forms everywhere and sorted keys.
+
+Batch mode runs the lines of its file in order and prints, for each, the
+report or, for a line that is not a valid run config, one error record.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .exact_algebra import FGAbelianGroup
@@ -85,6 +87,12 @@ class RunConfig:
 
 class InputError(ValueError):
     pass
+
+
+# input errors: ``main`` reports them with exit code 1, batch mode per line
+INPUT_ERRORS = (InputError, ParseError, InvalidSpec, InvalidPreset, InvalidParams,
+                UnknownTheorem, OSError, json.JSONDecodeError, ValueError)
+BATCH_LINE_ERRORS = INPUT_ERRORS + (KeyError, TypeError)
 
 
 def load_group(text: str) -> ReductiveGroupData:
@@ -286,13 +294,7 @@ def render_text(report: dict) -> str:
 
 
 def _describe(grp: dict) -> str:
-    parts = []
-    if grp["free_rank"] == 1:
-        parts.append("Z")
-    elif grp["free_rank"] > 1:
-        parts.append(f"Z^{grp['free_rank']}")
-    parts.extend(f"Z/{d}" for d in grp["torsion"])
-    return " + ".join(parts) if parts else "0"
+    return FGAbelianGroup(grp["free_rank"], tuple(grp["torsion"])).describe()
 
 
 def emit(report: dict, fmt: str) -> str:
@@ -339,20 +341,32 @@ def _run_single(args) -> int:
     return code
 
 
+def _error_record(line: int, exc: Exception, fmt: str) -> str:
+    message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    if fmt == "json":
+        return json.dumps({"error": message, "line": line}, sort_keys=True, separators=(",", ":"))
+    return f"error: line {line}: {message}"
+
+
 def _run_batch(path: str, fmt: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    cfgs = [RunConfig.from_json(json.loads(ln)) for ln in lines]
-
-    def work(cfg):
-        return run_report(cfg)
-
+    """Run the non-blank lines of ``path`` in order, printing one report or
+    error record per line as it finishes.  Returns 1 if any line was bad,
+    otherwise the worst report exit code."""
     worst = 0
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cfgs)))) as pool:
-        for code, report in pool.map(work, cfgs):
+    bad = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                code, report = run_report(RunConfig.from_json(json.loads(line)))
+            except BATCH_LINE_ERRORS as exc:
+                bad = True
+                print(_error_record(number, exc, fmt), flush=True)
+                continue
             worst = max(worst, code)
-            print(emit(report, fmt))
-    return worst
+            print(emit(report, fmt), flush=True)
+    return 1 if bad else worst
 
 
 def main(argv=None) -> int:
@@ -363,8 +377,7 @@ def main(argv=None) -> int:
         if not args.group or not args.family:
             raise InputError("--group and --family are required (or use --batch)")
         return _run_single(args)
-    except (InputError, ParseError, InvalidSpec, InvalidPreset, InvalidParams,
-            UnknownTheorem, OSError, json.JSONDecodeError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +147,6 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(row) for row in self.entries]
-
-
-def _content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +284,19 @@ def smith_normal_form(m: IntMatrix):
     um = IntMatrix.from_rows(u) if u else IntMatrix.identity(0)
     vm = IntMatrix.from_rows(v) if v else IntMatrix.identity(0)
     return s, um, vm
+
+
+def unimodular_inverse(u: IntMatrix) -> IntMatrix:
+    """Integer inverse of a unimodular matrix.
+
+    The column HNF of a unimodular ``u`` is the identity, so its transform
+    ``w`` satisfies ``u * w = I``; raises ``ValueError`` when ``u`` is not
+    unimodular.
+    """
+    h, w = hermite_normal_form(u)
+    if h != IntMatrix.identity(u.rows):
+        raise ValueError("matrix is not unimodular")
+    return w
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -502,35 +508,21 @@ class FGAbelianGroup:
 
 
 def _canonical_from_factors(free_rank: int, factors) -> FGAbelianGroup:
-    """Canonicalize an arbitrary list of cyclic orders into invariant factors."""
-    primary: dict = {}
-    for d in factors:
-        d = abs(d)
-        if d in (0, 1):
-            if d == 0:
-                free_rank += 1
-            continue
-        n = d
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primary.setdefault(p, []).append(p ** e)
-            p += 1
-        if n > 1:
-            primary.setdefault(n, []).append(n)
-    chains: list = []
-    for p, powers in primary.items():
-        powers.sort(reverse=True)
-        for i, q in enumerate(powers):
-            if i == len(chains):
-                chains.append(1)
-            chains[i] *= q
-    chains.sort()
-    return FGAbelianGroup(free_rank, tuple(c for c in chains if c > 1))
+    """Canonicalize an arbitrary list of cyclic orders into invariant factors.
+
+    Each order is merged into a divisibility chain by replacing the pair
+    ``Z/c + Z/d`` with ``Z/gcd(c, d) + Z/lcm(c, d)`` along the chain, so no
+    order is ever factored.
+    """
+    chain: list = []
+    for d in map(abs, factors):
+        if d == 0:
+            free_rank += 1
+        elif d > 1:
+            for i, c in enumerate(chain):
+                chain[i], d = gcd(c, d), lcm(c, d)
+            chain.append(d)
+    return FGAbelianGroup(free_rank, tuple(c for c in chain if c > 1))
 
 
 def group_from_relations(rank: int, relations: IntMatrix) -> FGAbelianGroup:
@@ -544,6 +536,33 @@ def group_from_relations(rank: int, relations: IntMatrix) -> FGAbelianGroup:
     nonzero = [d for d in diags if d != 0]
     free = rank - len(nonzero)
     return _canonical_from_factors(free, nonzero)
+
+
+def canonical_generators(rank: int, relations: IntMatrix):
+    """Generators of ``Z^rank`` modulo the columns of ``relations`` matching
+    its canonical form: free generators first, then torsion generators in
+    invariant-factor order.
+
+    Returns ``(group, gens, proj, orders)``: the canonical group, the
+    generator lifts as columns of ``gens``, the coordinate map ``proj`` (so
+    ``proj * gens`` is the identity modulo ``orders``), and the order of each
+    generator (0 for a free one).
+    """
+    if relations.cols:
+        s, u, _ = smith_normal_form(relations)
+    else:
+        s, u = IntMatrix.zero(rank, 0), IntMatrix.identity(rank)
+    diags = [s[i, i] for i in range(min(rank, relations.cols))]
+    uinv = unimodular_inverse(u)
+    free_idx = [i for i in range(rank) if i >= len(diags) or diags[i] == 0]
+    tors_idx = sorted((i for i in range(len(diags)) if diags[i] >= 2), key=lambda i: diags[i])
+    order_idx = free_idx + tors_idx
+    gens = (IntMatrix.from_columns([uinv.column(i) for i in order_idx], rank)
+            if order_idx else IntMatrix.zero(rank, 0))
+    proj = IntMatrix.from_rows([u.row(i) for i in order_idx]) if order_idx else IntMatrix.zero(0, rank)
+    torsion = tuple(diags[i] for i in tors_idx)
+    orders = (0,) * len(free_idx) + torsion
+    return FGAbelianGroup(len(free_idx), torsion), gens, proj, orders
 
 
 def quotient_group(ambient: Lattice, sub: Lattice) -> FGAbelianGroup:
@@ -605,10 +624,6 @@ class Presentation:
     relations: IntMatrix
 
     @staticmethod
-    def free(rank: int) -> "Presentation":
-        return Presentation(rank, IntMatrix.zero(rank, 0))
-
-    @staticmethod
     def of_quotient(rank: int, relation_cols) -> "Presentation":
         cols = [tuple(c) for c in relation_cols]
         m = IntMatrix.from_columns(cols, rank) if cols else IntMatrix.zero(rank, 0)
@@ -628,6 +643,22 @@ class Presentation:
         HNF basis of (generators + relations), comparable across computations."""
         lat = Lattice.from_columns(self.rank, list(generator_cols) + self.relations.columns())
         return lat.basis
+
+    def subgroup(self, generator_cols):
+        """The subgroup generated by the given coset reps.
+
+        Returns ``(pres, embed)``: a presentation of the subgroup and the
+        matrix embedding its generators (the :meth:`subgroup_key` basis) into
+        the coordinates of this presentation.
+        """
+        embed = self.subgroup_key(generator_cols)
+        rel_cols = []
+        for c in self.relations.columns():
+            x = solve(embed, c)
+            if x is None:
+                raise ArithmeticError("relations must lie in the subgroup")
+            rel_cols.append(x)
+        return Presentation.of_quotient(embed.cols, rel_cols), embed
 
 
 def preimage_lattice(m: IntMatrix, target: Presentation) -> Lattice:
@@ -649,17 +680,7 @@ def hom_kernel(m: IntMatrix, source: Presentation, target: Presentation):
     Returns ``(pres, embed)``: a presentation of the kernel and the matrix
     embedding its generators into the source coordinates.
     """
-    pre = preimage_lattice(m, target)
-    gens = pre.sum(source.relation_lattice())
-    embed = gens.basis
-    rel_cols = []
-    for c in source.relations.columns():
-        x = solve(embed, c)
-        if x is None:
-            raise ArithmeticError("source relations must lie in the kernel generators")
-        rel_cols.append(x)
-    pres = Presentation.of_quotient(embed.cols, rel_cols)
-    return pres, embed
+    return source.subgroup(preimage_lattice(m, target).basis.columns())
 
 
 def hom_cokernel(m: IntMatrix, target: Presentation) -> FGAbelianGroup:

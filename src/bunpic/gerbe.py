@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact_algebra import (
     FGAbelianGroup,
@@ -32,12 +32,13 @@ from .invariant_forms import (
     ns_rigidified,
     sc_even_forms,
 )
-from .picard import HypothesisNotSatisfied, PicardReport
+from .picard import HypothesisNotSatisfied, PicardReport, _delta_ab_two_divisible, _test_points
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
     cross_diagram,
     divisibility,
+    generic_lift,
     pi1_presentation,
     with_central_torus,
 )
@@ -187,10 +188,7 @@ def _ev_hat_data(g: ReductiveGroupData, lift):
             row.append(sum(v[a] * Fraction(bf.gram[a, b]) * p[b][j]
                            for a in range(m) for b in range(m)))
         vals.append(row)
-    denom = 1
-    for row in vals:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for row in vals for x in row))
     conds = []
     for j in range(m):
         func = tuple(int(vals[k][j] * denom) for k in range(forms.rank))
@@ -393,39 +391,27 @@ def _bookkeeping(coker_gamma, coker_wt, delta_cs, ab_rank, ev_cok) -> dict:
     return cert
 
 
-def _coker_gamma_bar(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int):
-    """NS(rigidified)/Im(gamma-bar) where the image consists of the forms for
+def _gamma_bar_image(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int) -> Lattice:
+    """Im(gamma-bar) in coefficients on the rigidified NS basis: the forms for
     which some root-lattice character beta repairs the divisibility
     delta | beta(x) + b(d, x) + (g-1) b(x, x) at the basis and pairwise test
     points (the weight class of a line bundle on the rigidification is only
     zero modulo the root lattice, which makes this set lift-independent)."""
-    n = g.cochar_rank
     nroots = g.ss_rank
     rig_forms = [form for _chi, form in rig.generators]
-    fprime = len(rig_forms)
-    test_points = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        test_points.append(tuple(e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i] = 1
-            e[j] = 1
-            test_points.append(tuple(e))
     conds = []
-    for x in test_points:
-        func = []
-        for r in range(nroots):
-            func.append(sum(a * b for a, b in zip(g.simple_roots.column(r), x)))
-        for bf in rig_forms:
-            func.append(bf.value(lift, x) + (genus - 1) * bf.value(x, x))
+    for x in _test_points(g.cochar_rank):
+        func = [sum(a * b for a, b in zip(g.simple_roots.column(r), x)) for r in range(nroots)]
+        func += [bf.value(lift, x) + (genus - 1) * bf.value(x, x) for bf in rig_forms]
         conds.append((tuple(func), delta_cs))
-    sols = solve_congruence_sublattice(nroots + fprime, conds)
-    image_cols = [col[nroots:] for col in sols.basis.columns()]
-    image = Lattice.from_columns(fprime, image_cols)
-    return group_from_relations(fprime, image.basis)
+    sols = solve_congruence_sublattice(nroots + len(rig_forms), conds)
+    return Lattice.from_columns(len(rig_forms), [c[nroots:] for c in sols.basis.columns()])
+
+
+def _coker_gamma_bar(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int):
+    """NS(rigidified)/Im(gamma-bar)."""
+    image = _gamma_bar_image(g, rig, lift, genus, delta_cs)
+    return group_from_relations(image.ambient_rank, image.basis)
 
 
 def _weight_cokernel_genus0(g, delta, f, lift):
@@ -433,8 +419,6 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
     if lift is None:
-        from .root_datum import generic_lift
-
         lift = generic_lift(g, delta)
     _, domain, ev, target = _ev_hat_data(g, lift)
     ev_cok = hom_cokernel(ev, target)
@@ -470,13 +454,6 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     )
 
 
-def _delta_ab_two_divisible(g: ReductiveGroupData, delta: Pi1Element) -> bool:
-    cd = cross_diagram(g)
-    d = pi1_presentation(g).lift(delta.coords)
-    ab = cd.ab_projection.mul_vector(d)
-    return all(x % 2 == 0 for x in ab)
-
-
 # ---------------------------------------------------------------------------
 # rigidified Picard group
 
@@ -493,31 +470,15 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         if lift is None:
             lift = pi1_presentation(g).lift(delta.coords)
         rig = ns_rigidified(g, delta, lift=lift)
-        n = g.cochar_rank
-        nroots = g.ss_rank
-        rig_forms = [form for _chi, form in rig.generators]
-        fprime = len(rig_forms)
-        test_points = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        test_points += [
-            tuple(1 if k in (i, j) else 0 for k in range(n))
-            for i in range(n) for j in range(i + 1, n)
-        ]
-        conds = []
-        for x in test_points:
-            func = [sum(a * b for a, b in zip(g.simple_roots.column(r), x))
-                    for r in range(nroots)]
-            func += [bf.value(lift, x) + (f.genus - 1) * bf.value(x, x) for bf in rig_forms]
-            conds.append((tuple(func), f.delta))
-        sols = solve_congruence_sublattice(nroots + fprime, conds)
-        image = Lattice.from_columns(fprime, [c[nroots:] for c in sols.basis.columns()])
-        cok = group_from_relations(fprime, image.basis)
+        image = _gamma_bar_image(g, rig, lift, f.genus, f.delta)
+        cok = group_from_relations(image.ambient_rank, image.basis)
         return PicardReport(
             theorem_applied="Thm4.3",
             kernel_summand=f"chars(G^ab) (rank {cross_diagram(g).ab_rank}) x RPic^0(C/S) (formal)",
             image_lattice=image,
             image_ambient="coefficients on the rigidified NS basis",
             cokernel=cok,
-            cokernel_generators=tuple(rig_forms),
+            cokernel_generators=tuple(form for _chi, form in rig.generators),
             image_index=cok.order(),
             splitting_known=None,
             notes=("image of the connecting map inside NS(rigidified), divisibility "
@@ -527,8 +488,6 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
     if lift is None:
-        from .root_datum import generic_lift
-
         lift = generic_lift(g, delta)
     forms, domain, ev, target = _ev_hat_data(g, lift)
     kernel = preimage_lattice(ev, target)

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
     Presentation,
+    canonical_generators,
     hom_kernel,
     kernel_basis,
     preimage_lattice,
     rational_inverse,
     solve,
+    solve_congruence_sublattice,
 )
 from .root_datum import (
     Pi1Element,
@@ -142,9 +144,6 @@ class FormLattice:
         return Lattice.from_columns(sym2_dim(self.ambient_rank),
                                     self.coord_matrix().columns())
 
-    def contains_form(self, f: BilinearForm) -> bool:
-        return self.lattice().contains(f.coords())
-
     def contains(self, other: "FormLattice") -> bool:
         return self.lattice().contains_lattice(other.lattice())
 
@@ -180,8 +179,6 @@ def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
     if not coord_cols:
         return []
     k = IntMatrix.from_columns(coord_cols, sym2_dim(n))
-    from .exact_algebra import solve_congruence_sublattice
-
     comp = []
     for func, mod in conditions:
         comp.append((tuple(sum(f * k[r, c] for r, f in enumerate(func))
@@ -304,10 +301,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     inv = rational_inverse(a_d)
     p = [[sum(inv[r][t] * a_ss[t, b] for t in range(m)) for b in range(m)]
          for r in range(m)]
-    denom = 1
-    for row in p:
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for row in p for x in row))
     if denom > 1:
         pairs = sym2_pairs(m)
         for a in range(m):
@@ -365,37 +359,6 @@ class NSGroup:
     certificates: IntMatrix | None = None   # bun_p1: unique (chi, b) witnesses
 
 
-def _subgroup_presentation(ambient: Presentation, generator_cols):
-    gens = Lattice.from_columns(ambient.rank,
-                                list(generator_cols) + ambient.relations.columns())
-    embed = gens.basis
-    rel_cols = []
-    for c in ambient.relations.columns():
-        x = solve(embed, c)
-        if x is None:
-            raise ArithmeticError("ambient relations must lie in the subgroup")
-        rel_cols.append(x)
-    pres = Presentation.of_quotient(embed.cols, rel_cols)
-    return pres, embed
-
-
-def _canonical_generator_columns(pres: Presentation) -> list:
-    """Generator columns of Z^rank matching the canonical decomposition of the
-    presented group: free generators first, then torsion by invariant factor."""
-    from .exact_algebra import smith_normal_form
-
-    rank = pres.rank
-    if pres.relations.cols == 0:
-        return IntMatrix.identity(rank).columns()
-    s, u, _ = smith_normal_form(pres.relations)
-    uinv = IntMatrix.from_rows([[int(x) for x in row] for row in rational_inverse(u)])
-    diags = [s[i, i] for i in range(min(rank, pres.relations.cols))]
-    free_idx = [i for i in range(rank) if i >= len(diags) or diags[i] == 0]
-    tors_idx = sorted((i for i in range(len(diags)) if diags[i] >= 2),
-                      key=lambda i: diags[i])
-    return [uinv.column(i) for i in free_idx + tors_idx]
-
-
 def _root_relations(g: ReductiveGroupData, extra_rank: int) -> IntMatrix:
     """Columns (root, 0) in Z^{n + extra_rank}."""
     n = g.cochar_rank
@@ -441,8 +404,9 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     m = IntMatrix.from_columns(cols, target.rank) if cols else IntMatrix.zero(target.rank, 0)
     source = Presentation(n + f, _root_relations(g, f))
     pres, embed = hom_kernel(m, source, target)
+    group, canonical, _, _ = canonical_generators(pres.rank, pres.relations)
     gens = []
-    for gcol in _canonical_generator_columns(pres):
+    for gcol in canonical.columns():
         col = embed.mul_vector(gcol)
         chi = col[:n]
         form = forms.form_from_coeffs(col[n:])
@@ -453,13 +417,13 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
         gens.append((chi, form))
     return NSGroup(
         kind="bun",
-        group=pres.group(),
+        group=group,
         generators=tuple(gens),
         chi_rank=n,
         form_basis=forms,
         members=embed,
         relations=source.relations,
-        key=source.subgroup_key(embed.columns()),
+        key=embed,
         lift=d,
     )
 
@@ -518,9 +482,7 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
         cinv = rational_inverse(c)
         d_ad = g.adjoint_coordinates(d)
         v = [sum(cinv[r][t] * d_ad[t] for t in range(mm)) for r in range(mm)]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in v))
         rows = []
         at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
         for j in range(mm):
@@ -533,20 +495,21 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     else:
         members_lat = Lattice.full(n + s)
     source = Presentation(n + s, _root_relations(g, s))
-    pres, embed = _subgroup_presentation(source, members_lat.basis.columns())
+    pres, embed = source.subgroup(members_lat.basis.columns())
+    group, canonical, _, _ = canonical_generators(pres.rank, pres.relations)
     gens = []
-    for gcol in _canonical_generator_columns(pres):
+    for gcol in canonical.columns():
         col = embed.mul_vector(gcol)
         gens.append((col[:n], forms.form_from_coeffs(col[n:])))
     return NSGroup(
         kind="bun_p1",
-        group=pres.group(),
+        group=group,
         generators=tuple(gens),
         chi_rank=n,
         form_basis=forms,
         members=embed,
         relations=source.relations,
-        key=source.subgroup_key(embed.columns()),
+        key=embed,
         lift=d,
         certificates=members_lat.basis,
     )

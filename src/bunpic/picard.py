@@ -30,7 +30,7 @@ from .invariant_forms import (
     ns_bun_p1,
     sym2_dim,
 )
-from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram
+from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram, pi1_presentation
 
 
 class WrongGenus(ValueError):
@@ -264,6 +264,13 @@ def torus_picard_genus0(t: ReductiveGroupData, d, f: CurveFamily) -> PicardRepor
     )
 
 
+def _test_points(n: int) -> list:
+    """The basis vectors e_i, then the sums e_i + e_j for i < j."""
+    return ([tuple(int(k == i) for k in range(n)) for i in range(n)]
+            + [tuple(int(k in (i, j)) for k in range(n))
+               for i in range(n) for j in range(i + 1, n)])
+
+
 def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, form_basis):
     """Linear congruence conditions (on chi coordinates + form coefficients)
     expressing: delta(C/S) divides chi(x) - b(d, x) + (g-1) b(x, x) for all x.
@@ -274,19 +281,8 @@ def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, form_basis):
     (g-1)(k^2-k) b(x, x) lies in (2g-2) Z, a multiple of delta(C/S) for every
     valid family (in genus 1 the quadratic part vanishes outright).
     """
-    test_points = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        test_points.append(tuple(e))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = [0] * n
-            e[i] = 1
-            e[j] = 1
-            test_points.append(tuple(e))
     conditions = []
-    for x in test_points:
+    for x in _test_points(n):
         func = list(x)  # chi(x)
         for bf in form_basis:
             b_dx = bf.value(d, x)
@@ -482,9 +478,6 @@ def _reductive_picard_genus0(g, delta, f, lift):
 def _delta_ab_two_divisible(g: ReductiveGroupData, delta: Pi1Element) -> bool:
     """Whether the image of delta in the cocharacter lattice of G^ab is
     2-divisible."""
-    cd = cross_diagram(g)
-    from .root_datum import pi1_presentation
-
     d = pi1_presentation(g).lift(delta.coords)
-    ab = cd.ab_projection.mul_vector(d)
+    ab = cross_diagram(g).ab_projection.mul_vector(d)
     return all(x % 2 == 0 for x in ab)

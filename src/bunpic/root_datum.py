@@ -20,18 +20,20 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
+    canonical_generators,
     group_from_relations,
     kernel_basis,
     rational_inverse,
     saturation,
     smith_normal_form,
     solve,
+    unimodular_inverse,
 )
 
 
@@ -505,22 +507,7 @@ class Pi1Presentation:
 
 
 def pi1_presentation(g: ReductiveGroupData) -> Pi1Presentation:
-    n = g.cochar_rank
-    a = g.simple_coroots
-    s, u, _ = smith_normal_form(a) if a.cols else (IntMatrix.zero(n, 0), IntMatrix.identity(n), None)
-    diags = [s[i, i] for i in range(min(n, a.cols))]
-    uinv = IntMatrix.from_rows(
-        [[int(x) for x in row] for row in rational_inverse(u)]
-    ) if n else IntMatrix.identity(0)
-    free_idx = [i for i in range(n) if i >= len(diags) or diags[i] == 0]
-    tors_idx = [i for i in range(len(diags)) if diags[i] >= 2]
-    tors_idx.sort(key=lambda i: diags[i])
-    order_idx = free_idx + tors_idx
-    gens = IntMatrix.from_columns([uinv.column(i) for i in order_idx], n) if order_idx else IntMatrix.zero(n, 0)
-    proj = IntMatrix.from_rows([u.row(i) for i in order_idx]) if order_idx else IntMatrix.zero(0, n)
-    orders = tuple([0] * len(free_idx) + [diags[i] for i in tors_idx])
-    group = FGAbelianGroup(len(free_idx), tuple(diags[i] for i in tors_idx))
-    return Pi1Presentation(group, gens, proj, orders)
+    return Pi1Presentation(*canonical_generators(g.cochar_rank, g.simple_coroots))
 
 
 def fundamental_group(g: ReductiveGroupData) -> FGAbelianGroup:
@@ -609,9 +596,8 @@ def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
     # split off Lambda(G^ab): complete the (saturated) derived lattice to a
     # basis of Z^n via SNF and project to the complementary coordinates
     if derived.rank:
-        s, u, v = smith_normal_form(derived.basis)
-        uinv_rows = rational_inverse(u)
-        uinv = IntMatrix.from_rows([[int(x) for x in row] for row in uinv_rows])
+        _, u, _ = smith_normal_form(derived.basis)
+        uinv = unimodular_inverse(u)
         comp_idx = list(range(derived.rank, n))
         proj = IntMatrix.from_rows([u.row(i) for i in comp_idx]) if comp_idx else IntMatrix.zero(0, n)
         section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n) \
@@ -663,10 +649,7 @@ def divisibility(d, l: Lattice) -> int:
     coords = l.coordinates(d)
     if coords is None:
         raise NotInLattice(f"{d} is not in the lattice")
-    g = 0
-    for x in coords:
-        g = gcd(g, abs(x))
-    return g
+    return gcd(*coords)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +672,7 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
     s, u, _ = smith_normal_form(c)
     nontrivial = [i for i in range(m) if s[i, i] >= 2]
     k = len(nontrivial)
-    uinv = IntMatrix.from_rows([[int(x) for x in row] for row in rational_inverse(u)])
+    uinv = unimodular_inverse(u)
     cinv = rational_inverse(c)
 
     # generators of Lambda(T_G) in Q^{m+k}: coroots, torus units, and the
@@ -708,10 +691,7 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
         glue.append(vec)
         gens_q.append(vec)
 
-    denom = 1
-    for v in gens_q:
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for v in gens_q for x in v))
     cols = [[int(x * denom) for x in v] for v in gens_q]
     basis = Lattice.from_columns(m + k, cols).basis  # basis of denom * Lambda
 

@@ -148,6 +148,49 @@ def test_batch_mode(tmp_path, capsys):
     assert reports[2]["results"]["poincare"] is False
 
 
+def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
+    good = [
+        {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
+        {"group": "T(1)", "delta": [2], "family": "hyperelliptic:3", "compute": ["poincare"]},
+    ]
+    lines = [
+        json.dumps(good[0]),
+        json.dumps({"group": "SL(2)", "delta": []}),                          # no "family"
+        json.dumps({"group": "SL(2)", "delta": [1, 2], "family": "universal:2,1"}),
+        "{not json",
+        json.dumps(good[1]),
+    ]
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+
+    code = main(["--batch", str(batch), "--format", "json"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == len(lines)
+    for i, obj in ((0, good[0]), (4, good[1])):
+        _, report = run_report(RunConfig.from_json(obj))
+        assert out[i] == emit(report, "json")
+    for i in (1, 2, 3):
+        record = json.loads(out[i])
+        assert sorted(record) == ["error", "line"] and record["line"] == i + 1
+        assert out[i] == json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert "family" in json.loads(out[1])["error"]
+
+    assert main(["--batch", str(batch), "--format", "text"]) == 1
+    errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error: ")]
+    assert [e.split(": ")[1] for e in errors] == ["line 2", "line 3", "line 4"]
+
+
+def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join(json.dumps(l) for l in [
+        {"group": "E8", "delta": [], "family": "universal:2,1", "compute": ["picard"]},
+        {"group": "PGL(2)", "delta": [1], "family": "fixed_curve:2", "compute": ["picard"]},
+    ]))
+    assert main(["--batch", str(batch)]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "bunpic.cli", "--group", "PGL(4)", "--delta", "2",

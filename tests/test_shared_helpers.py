@@ -1,0 +1,137 @@
+"""Property tests for the shared lattice helpers: canonicalization of cyclic
+orders, the integer inverse of a unimodular matrix, and the canonical
+generator choice of a presented group."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bunpic.exact_algebra import (
+    FGAbelianGroup,
+    IntMatrix,
+    _canonical_from_factors,
+    canonical_generators,
+    group_from_relations,
+    unimodular_inverse,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def primary_reference(free_rank, orders):
+    """Invariant factors by primary decomposition: factor every order by trial
+    division, then multiply the i-th largest prime powers of each prime."""
+    powers = {}
+    for d in orders:
+        d = abs(d)
+        if d == 0:
+            free_rank += 1
+        p = 2
+        while d > 1:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(p ** e)
+            p += 1
+    chain = []
+    for qs in powers.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            if i == len(chain):
+                chain.append(1)
+            chain[i] *= q
+    return FGAbelianGroup(free_rank, tuple(sorted(chain)))
+
+
+orders = st.lists(st.integers(min_value=-60, max_value=60), max_size=8)
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=3), orders)
+def test_canonical_from_factors_matches_primary_decomposition(free_rank, factors):
+    assert _canonical_from_factors(free_rank, factors) == primary_reference(free_rank, factors)
+
+
+@SETTINGS
+@given(orders)
+def test_direct_sum_matches_primary_decomposition(factors):
+    parts = [FGAbelianGroup.cyclic(d) for d in factors]
+    assert FGAbelianGroup.direct_sum(*parts) == primary_reference(0, factors)
+
+
+def test_direct_sum_large_prime_needs_no_factoring():
+    p = 2 ** 61 - 1
+    g = FGAbelianGroup.direct_sum(FGAbelianGroup.cyclic(p), FGAbelianGroup.cyclic(2 * p))
+    assert g == FGAbelianGroup(0, (p, 2 * p))
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary matrices: row additions, swaps and negations."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n:
+        index = st.integers(min_value=0, max_value=n - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            i, j = draw(index), draw(index)
+            op = draw(st.sampled_from(("add", "swap", "neg")))
+            if op == "add" and i != j:
+                k = draw(st.integers(min_value=-5, max_value=5))
+                rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            elif op == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif op == "neg":
+                rows[i] = [-a for a in rows[i]]
+    return IntMatrix(n, n, tuple(tuple(r) for r in rows))
+
+
+@SETTINGS
+@given(unimodular_matrices())
+def test_unimodular_inverse_is_the_inverse(u):
+    w = unimodular_inverse(u)
+    assert w.mul(u) == IntMatrix.identity(u.rows)
+    assert u.mul(w) == IntMatrix.identity(u.rows)
+
+
+@SETTINGS
+@given(unimodular_matrices().filter(lambda u: u.rows > 0))
+def test_unimodular_inverse_rejects_determinant_two(u):
+    double_first_row = IntMatrix.from_rows(
+        [[2 * x for x in u.row(0)]] + [u.row(i) for i in range(1, u.rows)]
+    )
+    assert abs(double_first_row.det()) == 2
+    with pytest.raises(ValueError):
+        unimodular_inverse(double_first_row)
+
+
+@st.composite
+def relation_matrices(draw):
+    rank = draw(st.integers(min_value=0, max_value=4))
+    ncols = draw(st.integers(min_value=0, max_value=4))
+    entry = st.integers(min_value=-6, max_value=6)
+    cols = [tuple(draw(entry) for _ in range(rank)) for _ in range(ncols)]
+    return rank, (IntMatrix.from_columns(cols, rank) if cols else IntMatrix.zero(rank, 0))
+
+
+def congruent(x, y, order):
+    return (x - y) % order == 0 if order else x == y
+
+
+@SETTINGS
+@given(relation_matrices())
+def test_canonical_generators_present_the_canonical_group(rank_rel):
+    rank, rel = rank_rel
+    group, gens, proj, orders = canonical_generators(rank, rel)
+    assert group == group_from_relations(rank, rel)
+    assert orders == (0,) * group.free_rank + group.torsion
+    assert (gens.rows, gens.cols, proj.rows, proj.cols) == (rank, group.ngens, group.ngens, rank)
+    # proj * gens is the identity modulo the generator orders ...
+    pg = proj.mul(gens)
+    for i, order in enumerate(orders):
+        for j in range(group.ngens):
+            assert congruent(pg[i, j], int(i == j), order)
+    # ... and proj kills every relation, so it is well defined on the group
+    for c in rel.columns():
+        image = proj.mul_vector(c)
+        assert all(congruent(x, 0, order) for x, order in zip(image, orders))

@@ -3,7 +3,10 @@
 Forms are handled in exact Sym^2 coordinates: a symmetric form on ``Z^n`` is
 the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  Invariance is
 imposed only at the simple reflections (they generate the Weyl group), so no
-Weyl group is ever enumerated; rational extensions across finite-index
+Weyl group is ever enumerated.  The reflection of a (coroot, root) pair
+fixes b iff ``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis
+vector e_k, which is n linear rows on the Sym^2 coordinates per reflection;
+no reflection matrix is built.  Rational extensions across finite-index
 inclusions are handled with exact fractions and turned into congruence
 conditions on the Sym^2 coordinates.
 """
@@ -65,22 +68,6 @@ def coords_to_gram(n: int, coords) -> IntMatrix:
     return IntMatrix.from_rows(g)
 
 
-def sym2_action(s: IntMatrix) -> IntMatrix:
-    """Matrix of ``G -> S^T G S`` on Sym^2 coordinates."""
-    n = s.rows
-    pairs = sym2_pairs(n)
-    cols = []
-    for (i, j) in pairs:
-        e = [[0] * n for _ in range(n)]
-        e[i][j] += 1
-        e[j][i] += 1
-        if i == j:
-            e[i][j] = 1  # unit diagonal coordinate
-        m = s.transpose().mul(IntMatrix.from_rows(e)).mul(s)
-        cols.append(gram_to_coords(m))
-    return IntMatrix.from_columns(cols, len(pairs))
-
-
 # ---------------------------------------------------------------------------
 # forms and form lattices
 
@@ -95,10 +82,6 @@ class BilinearForm:
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
 
-    @property
-    def rank_space(self) -> int:
-        return self.gram.rows
-
     def value(self, x, y) -> int:
         return sum(xi * v for xi, v in zip(tuple(x), self.gram.mul_vector(tuple(y))))
 
@@ -108,10 +91,6 @@ class BilinearForm:
     def pair_with(self, d) -> tuple:
         """The character b(d, -) as a vector in the dual basis."""
         return self.gram.mul_vector(tuple(d))
-
-    def restrict(self, basis: IntMatrix) -> "BilinearForm":
-        """Gram matrix on a sublattice given by basis columns."""
-        return BilinearForm(basis.transpose().mul(self.gram).mul(basis))
 
     def coords(self) -> tuple:
         return gram_to_coords(self.gram)
@@ -157,20 +136,20 @@ class FormLattice:
         return BilinearForm(IntMatrix.from_rows(total))
 
 
-def _invariant_coord_columns(n: int, reflections) -> list:
-    """Kernel of the reflection constraints on Sym^2 coordinates."""
-    if not reflections:
+def _invariant_coord_columns(n: int, roots) -> list:
+    """Sym^2 coordinates of the forms fixed by the reflections of the given
+    (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
+    for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows."""
+    if not roots:
         return IntMatrix.identity(sym2_dim(n)).columns()
-    nsym = sym2_dim(n)
+    units = IntMatrix.identity(n).columns()
     rows = []
-    for s in reflections:
-        phi = sym2_action(s)
-        for r in range(nsym):
-            row = list(phi.row(r))
-            row[r] -= 1
-            rows.append(tuple(row))
-    ker = kernel_basis(IntMatrix.from_rows(rows))
-    return ker.columns()
+    for coroot, root in roots:
+        norm = _value_functional(n, coroot)
+        for e_k, a_k in zip(units, root):
+            rows.append(tuple(2 * x - a_k * y
+                              for x, y in zip(_value_functional(n, coroot, e_k), norm)))
+    return kernel_basis(IntMatrix.from_rows(rows)).columns()
 
 
 def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
@@ -188,12 +167,7 @@ def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
 
 
 def _diagonal_even_conditions(n: int) -> list:
-    conds = []
-    for i in range(n):
-        func = [0] * sym2_dim(n)
-        func[sym2_pairs(n).index((i, i))] = 1
-        conds.append((tuple(func), 2))
-    return conds
+    return [(_value_functional(n, e), 2) for e in IntMatrix.identity(n).columns()]
 
 
 def _value_functional(n: int, u, w=None) -> tuple:
@@ -212,18 +186,21 @@ def _value_functional(n: int, u, w=None) -> tuple:
 # the form lattices of the theory
 
 
+def _coroot_root_pairs(g: ReductiveGroupData) -> list:
+    """The simple (coroot, root) pairs of G on Lambda(T_G)."""
+    return list(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
+
+
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
     n = g.cochar_rank
-    refl = [g.reflection(i) for i in range(g.ss_rank)]
-    return FormLattice.from_coord_columns(n, _invariant_coord_columns(n, refl))
+    return FormLattice.from_coord_columns(n, _invariant_coord_columns(n, _coroot_root_pairs(g)))
 
 
 def even_invariant_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms with even diagonal (b(x,x) in 2Z)."""
     n = g.cochar_rank
-    refl = [g.reflection(i) for i in range(g.ss_rank)]
-    cols = _invariant_coord_columns(n, refl)
+    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))
     return FormLattice.from_coord_columns(
         n, _restrict_by_congruences(n, cols, _diagonal_even_conditions(n))
     )
@@ -240,43 +217,15 @@ def basic_inner_product(t: SimpleType) -> BilinearForm:
     return BilinearForm(IntMatrix.from_rows(gram))
 
 
-def _sc_reflections(g: ReductiveGroupData) -> list:
-    """Simple reflections on the coroot lattice, in simple-coroot coordinates."""
-    m = g.ss_rank
-    c = g.simple_roots.transpose().mul(g.simple_coroots)
-    out = []
-    for i in range(m):
-        rows = [
-            tuple((1 if r == j else 0) - (c[i, j] if r == i else 0) for j in range(m))
-            for r in range(m)
-        ]
-        out.append(IntMatrix.from_rows(rows))
-    return out
-
-
 def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
     """(Sym^2 of the weight lattice)^W: even invariant forms on the coroot
     lattice of G^sc, in simple-coroot coordinates."""
     m = g.ss_rank
-    cols = _invariant_coord_columns(m, _sc_reflections(g))
+    c = g.simple_roots.transpose().mul(g.simple_coroots)
+    cols = _invariant_coord_columns(m, list(zip(IntMatrix.identity(m).columns(), c.entries)))
     return FormLattice.from_coord_columns(
         m, _restrict_by_congruences(m, cols, _diagonal_even_conditions(m))
     )
-
-
-def _derived_reflections(g: ReductiveGroupData, d_basis: IntMatrix) -> list:
-    """Simple reflections written in the basis of Lambda(T_D(G))."""
-    out = []
-    for i in range(g.ss_rank):
-        s = g.reflection(i)
-        cols = []
-        for j in range(d_basis.cols):
-            x = solve(d_basis, s.mul_vector(d_basis.column(j)))
-            if x is None:
-                raise ArithmeticError("derived lattice is not reflection stable")
-            cols.append(x)
-        out.append(IntMatrix.from_columns(cols, d_basis.cols))
-    return out
 
 
 def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
@@ -288,7 +237,14 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     if m == 0:
         return FormLattice(0, ())
     d_basis = cd.derived_lattice.basis
-    cols = _invariant_coord_columns(m, _derived_reflections(g, d_basis))
+    res = d_basis.transpose()
+    pairs = []
+    for coroot, root in _coroot_root_pairs(g):
+        x = solve(d_basis, coroot)
+        if x is None:
+            raise ArithmeticError("derived lattice does not contain the coroots")
+        pairs.append((x, res.mul_vector(root)))
+    cols = _invariant_coord_columns(m, pairs)
     conditions = list(_diagonal_even_conditions(m))
 
     # integrality of b against Lambda(T_Gss): express the ss basis rationally
@@ -323,8 +279,7 @@ def d_even_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms on Lambda(T_G) whose restriction to the
     derived lattice is even."""
     n = g.cochar_rank
-    refl = [g.reflection(i) for i in range(g.ss_rank)]
-    cols = _invariant_coord_columns(n, refl)
+    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))
     cd = cross_diagram(g)
     conditions = [
         (_value_functional(n, u), 2) for u in cd.derived_lattice.basis.columns()

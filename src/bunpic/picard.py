@@ -25,10 +25,9 @@ from .invariant_forms import (
     BilinearForm,
     NSGroup,
     conditional_form_lattice,
-    coords_to_gram,
+    invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
-    sym2_dim,
 )
 from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram, pi1_presentation
 
@@ -301,9 +300,8 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
         raise WrongGenus("torus_picard needs a family of positive genus")
     n = t.cochar_rank
     d = tuple(d)
-    nsym = sym2_dim(n)
-    basis_forms = [BilinearForm(coords_to_gram(n, [1 if k == i else 0 for k in range(nsym)]))
-                   for i in range(nsym)]
+    basis_forms = invariant_sym_forms(t).basis_forms
+    nsym = len(basis_forms)
     conds = _divisibility_conditions(n, d, f.genus, f.delta, basis_forms)
     image = solve_congruence_sublattice(n + nsym, conds)
     cok = group_from_relations(n + nsym, image.basis)

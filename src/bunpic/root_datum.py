@@ -219,11 +219,6 @@ class ReductiveGroupData:
     def coroot_lattice(self) -> Lattice:
         return Lattice.from_columns(self.cochar_rank, self.simple_coroots.columns())
 
-    def root_lattice_dual(self) -> Lattice:
-        """Z-span of the roots inside the character lattice; this is the
-        character lattice of the adjoint torus."""
-        return Lattice.from_columns(self.cochar_rank, self.simple_roots.columns())
-
     def adjoint_coordinates(self, v) -> tuple:
         """Image of a cocharacter in Lambda(T_Gad) = Z^ss_rank, written in the
         fundamental-coweight basis: the vector of pairings <alpha_i, v>."""

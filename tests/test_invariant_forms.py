@@ -1,22 +1,38 @@
 import random
 
-from bunpic.exact_algebra import FGAbelianGroup, IntMatrix
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bunpic import invariant_forms
+from bunpic.exact_algebra import (
+    FGAbelianGroup,
+    IntMatrix,
+    kernel_basis,
+    solve,
+    solve_congruence_sublattice,
+)
 from bunpic.invariant_forms import (
     BilinearForm,
+    FormLattice,
     basic_inner_product,
     conditional_form_lattice,
     d_even_forms,
     even_invariant_forms,
+    gram_to_coords,
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
     ns_rigidified,
     sc_even_forms,
+    sym2_dim,
+    sym2_pairs,
 )
 from bunpic.root_datum import (
     Pi1Element,
     SimpleType,
     build_group,
+    cross_diagram,
     pi1_presentation,
     with_central_torus,
 )
@@ -329,3 +345,95 @@ def test_with_central_torus_conditional_lattice_is_basic_span():
     g, _ = with_central_torus(build_group("Sp(4)"))
     fl = conditional_form_lattice(g)
     assert fl.rank == 1
+
+
+# ---------------------------------------------------------------------------
+# the linear invariance kernel against the full Sym^2 conjugation action
+
+
+def sym2_conjugation_kernel(n, reflections):
+    """Reference kernel: Sym^2 coordinates of the Gram matrices G with
+    s^T G s = G for every given reflection s, from the action of each s on the
+    n(n+1)/2 unit Gram matrices."""
+    if not reflections:
+        return IntMatrix.identity(sym2_dim(n)).columns()
+    rows = []
+    for s in reflections:
+        images = []
+        for i, j in sym2_pairs(n):
+            unit = IntMatrix.from_rows(
+                [[int((r, c) in ((i, j), (j, i))) for c in range(n)] for r in range(n)])
+            images.append(gram_to_coords(s.transpose().mul(unit).mul(s)))
+        phi = IntMatrix.from_columns(images, sym2_dim(n))
+        rows += [tuple(x - int(r == c) for c, x in enumerate(phi.row(r)))
+                 for r in range(phi.rows)]
+    return kernel_basis(IntMatrix.from_rows(rows)).columns()
+
+
+def even_part(n, coord_cols):
+    """The forms with even diagonal inside the lattice spanned by coord_cols."""
+    if not coord_cols:
+        return []
+    k = IntMatrix.from_columns(coord_cols, sym2_dim(n))
+    conds = [(k.row(sym2_pairs(n).index((i, i))), 2) for i in range(n)]
+    return [k.mul_vector(c)
+            for c in solve_congruence_sublattice(k.cols, conds).basis.columns()]
+
+
+def sc_reflections(g):
+    """Simple reflections on the coroot lattice in simple-coroot coordinates:
+    s_i(e_j) = e_j - <alpha_i, alpha_j^vee> e_i."""
+    m = g.ss_rank
+    c = g.simple_roots.transpose().mul(g.simple_coroots)
+    return [IntMatrix.from_rows([[int(r == j) - (c[i, j] if r == i else 0) for j in range(m)]
+                                 for r in range(m)])
+            for i in range(m)]
+
+
+def derived_reflections(g):
+    """Simple reflections written in the basis of Lambda(T_D(G))."""
+    d_basis = cross_diagram(g).derived_lattice.basis
+    return [IntMatrix.from_columns([solve(d_basis, g.reflection(i).mul_vector(col))
+                                    for col in d_basis.columns()], d_basis.cols)
+            for i in range(g.ss_rank)]
+
+
+def assert_kernel_matches_sym2_reference(g):
+    n, m = g.cochar_rank, g.ss_rank
+    refl = [g.reflection(i) for i in range(m)]
+    inv = sym2_conjugation_kernel(n, refl)
+    assert invariant_sym_forms(g) == FormLattice.from_coord_columns(n, inv)
+    assert even_invariant_forms(g) == FormLattice.from_coord_columns(n, even_part(n, inv))
+    sc = sym2_conjugation_kernel(m, sc_reflections(g))
+    assert sc_even_forms(g) == FormLattice.from_coord_columns(m, even_part(m, sc))
+    # the conditional lattice adds integrality congruences to the kernel on
+    # Lambda(T_D); rebuild it with the reference kernel in place of the linear one
+    derived = derived_reflections(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariant_forms, "_invariant_coord_columns",
+                   lambda k, roots: sym2_conjugation_kernel(k, derived))
+        reference = conditional_form_lattice(g)
+    assert conditional_form_lattice(g) == reference
+
+
+@pytest.mark.parametrize("name", [
+    "T(1)", "T(3)", "GL(2)", "GL(4)", "SL(2)*SL(3)", "GL(3)*T(1)", "PGL(2)*Sp(4)",
+    "E8", "F4", "G2", "PSO(8)", "SO(10)*PGL(4)",
+])
+def test_invariant_kernel_matches_sym2_conjugation(name):
+    assert_kernel_matches_sym2_reference(build_group(name))
+
+
+def test_invariant_kernel_matches_sym2_conjugation_central_torus():
+    g, _ = with_central_torus(build_group("SL(3)*Sp(4)"))
+    assert_kernel_matches_sym2_reference(g)
+
+
+SMALL_FACTORS = ["T(1)", "SL(2)", "GL(2)", "PGL(2)", "SL(3)", "GL(3)", "PGL(3)", "Sp(4)",
+                 "PSp(4)", "SO(5)", "SO(6)", "PSO(6)", "Spin(7)", "G2"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3))
+def test_invariant_kernel_matches_sym2_conjugation_on_random_products(factors):
+    assert_kernel_matches_sym2_reference(build_group("*".join(factors)))

@@ -1,15 +1,18 @@
 """Exact integer linear algebra: normal forms, lattices, and finitely
 generated abelian groups.
 
-Everything here is computed over Python's arbitrary-precision integers (and
-``fractions.Fraction`` where a rational solve is unavoidable), so results are
-exact and canonical:
+Everything here is computed over Python's arbitrary-precision integers, so
+results are exact and canonical:
 
 * matrices are immutable row-major integer matrices (:class:`IntMatrix`);
 * lattices are stored in column Hermite normal form, so two equal sublattices
   of ``Z^n`` have identical representations;
 * finitely generated abelian groups are stored as invariant factors
-  ``d_1 | d_2 | ... | d_k`` plus a free rank, so isomorphism is equality.
+  ``d_1 | d_2 | ... | d_k`` plus a free rank, so isomorphism is equality;
+* rational coordinates are integer numerators over one common denominator
+  (:func:`rational_coordinates`, solved through the Smith normal form);
+  ``fractions.Fraction`` appears only in :func:`rational_solve`, the
+  Gaussian-elimination reference.
 """
 
 from __future__ import annotations
@@ -692,25 +695,29 @@ def hom_cokernel(m: IntMatrix, target: Presentation) -> FGAbelianGroup:
 # exact rational helpers
 
 
-def rational_inverse(m: IntMatrix):
-    """Inverse of a nonsingular integer matrix, as rows of Fractions."""
+def rational_coordinates(m: IntMatrix, b: IntMatrix):
+    """``m^-1 * b`` for a nonsingular square ``m``, as integer numerators over
+    one common denominator.
+
+    Returns ``(x, d)`` with ``x`` an integer matrix and ``d >= 1`` the least
+    integer with ``m * x = d * b``.  With ``s = u * m * v`` the Smith normal
+    form and ``e`` its last invariant factor, ``e * m^-1 = v * diag(e/s_i) * u``
+    is integral, so ``x`` is that times ``b`` divided through by the gcd of
+    ``e`` and its entries.  Raises ``ValueError`` when ``m`` is singular.
+    """
     n = m.rows
     if n != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+        raise ValueError("rational coordinates need a square matrix")
+    s, u, v = smith_normal_form(m)
+    diag = [s[i, i] for i in range(n)]
+    if 0 in diag:
+        raise ValueError("matrix is singular")
+    e = diag[-1] if n else 1
+    ub = u.mul(b)
+    x = v.mul(IntMatrix(n, b.cols, tuple(tuple(e // si * a for a in row)
+                                          for si, row in zip(diag, ub.entries))))
+    g = gcd(e, *(a for row in x.entries for a in row))
+    return IntMatrix(n, b.cols, tuple(tuple(a // g for a in row) for row in x.entries)), e // g
 
 
 def rational_solve(m: IntMatrix, b):

@@ -11,8 +11,7 @@ means exact vanishing throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exact_algebra import (
     FGAbelianGroup,
@@ -22,7 +21,7 @@ from .exact_algebra import (
     hom_cokernel,
     preimage_lattice,
     quotient_group,
-    rational_inverse,
+    rational_coordinates,
     solve_congruence_sublattice,
 )
 from .family import CurveFamily, hypothesis_check
@@ -103,19 +102,6 @@ class GerbeReport:
 # evaluation homomorphism
 
 
-def _dss_in_derived_coords(g: ReductiveGroupData, d) -> tuple:
-    """Rational coordinates of the image of d in Lambda(T_Gss), written with
-    respect to the images of the derived-lattice basis vectors."""
-    cd = cross_diagram(g)
-    m = g.ss_rank
-    a_d = IntMatrix.from_columns(
-        [g.adjoint_coordinates(c) for c in cd.derived_lattice.basis.columns()], m
-    )
-    inv = rational_inverse(a_d)
-    d_ad = g.adjoint_coordinates(d)
-    return tuple(sum(inv[r][t] * d_ad[t] for t in range(m)) for r in range(m))
-
-
 def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> FGAbelianGroup:
     """Cokernel of the evaluation map: conditional forms on the derived
     lattice evaluated against (a lift of) delta^ss, landing in
@@ -125,17 +111,17 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     if lift is None:
         lift = pi1_presentation(g).lift(delta.coords)
     cfl = conditional_form_lattice(g)
-    _, _, target = _derived_quotient(g)
-    v = _dss_in_derived_coords(g, lift)
+    cd, _, target = _derived_quotient(g)
+    # d^ss = v / denom in the images of the derived basis vectors inside Lambda(T_Gss)
+    a_d = g.simple_roots.transpose().mul(cd.derived_lattice.basis)
+    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], g.ss_rank)
+    v, denom = rational_coordinates(a_d, d_ad)
     cols = []
     for bf in cfl.basis_forms:
-        vals = []
-        for j in range(target.rank):
-            x = sum(Fraction(bf.gram[j, t]) * v[t] for t in range(target.rank))
-            if x.denominator != 1:
-                raise ArithmeticError("conditional form fails integrality against delta^ss")
-            vals.append(int(x))
-        cols.append(tuple(vals))
+        vals = bf.gram.mul_vector(v.column(0))
+        if any(x % denom for x in vals):
+            raise ArithmeticError("conditional form fails integrality against delta^ss")
+        cols.append(tuple(x // denom for x in vals))
     m = (IntMatrix.from_columns(cols, target.rank)
          if cols else IntMatrix.zero(target.rank, 0))
     return hom_cokernel(m, target)
@@ -170,40 +156,25 @@ def _ev_hat_data(g: ReductiveGroupData, lift):
     cd, _, target = _derived_quotient(g)
     if m == 0:
         return forms, Lattice.full(0), IntMatrix.zero(0, 0), target
+    # d^ss (column 0) and the derived basis u_j (the other columns) in sc
+    # coordinates, as numerators over e
     c = g.simple_roots.transpose().mul(g.simple_coroots)
-    cinv = rational_inverse(c)
-    d_ad = g.adjoint_coordinates(lift)
-    v = [sum(cinv[r][t] * d_ad[t] for t in range(m)) for r in range(m)]
-    # derived basis in rational sc coordinates
-    a_d = IntMatrix.from_columns(
-        [g.adjoint_coordinates(col) for col in cd.derived_lattice.basis.columns()], m
-    )
-    p = [[sum(cinv[r][t] * a_d[t, j] for t in range(m)) for j in range(m)]
-         for r in range(m)]
-    # value of b(d^ss, u_j) for b = sum c_k G_k: sum_k c_k (v^T G_k p_j)
-    vals = []
-    for bf in forms.basis_forms:
-        row = []
-        for j in range(m):
-            row.append(sum(v[a] * Fraction(bf.gram[a, b]) * p[b][j]
-                           for a in range(m) for b in range(m)))
-        vals.append(row)
-    denom = lcm(*(x.denominator for row in vals for x in row))
-    conds = []
-    for j in range(m):
-        func = tuple(int(vals[k][j] * denom) for k in range(forms.rank))
-        conds.append((func, denom))
-    domain = solve_congruence_sublattice(forms.rank, conds) if denom > 1 \
+    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], m)
+    x, e = rational_coordinates(
+        c, d_ad.hstack(g.simple_roots.transpose().mul(cd.derived_lattice.basis)))
+    u_rows = IntMatrix.from_rows(x.columns()[1:])
+    # b(d^ss, u_j) for b = sum_k c_k G_k is sum_k c_k vals[k][j] / denom
+    vals = [u_rows.mul_vector(bf.gram.mul_vector(x.column(0))) for bf in forms.basis_forms]
+    denom = e * e
+    conds = [(tuple(row[j] for row in vals), denom) for j in range(m)]
+    domain = solve_congruence_sublattice(forms.rank, conds) if e > 1 \
         else Lattice.full(forms.rank)
     ev_cols = []
     for col in domain.basis.columns():
-        out = []
-        for j in range(m):
-            x = sum(col[k] * vals[k][j] for k in range(forms.rank))
-            if x.denominator != 1:
-                raise ArithmeticError("evaluation of a domain form is not integral")
-            out.append(int(x))
-        ev_cols.append(tuple(out))
+        out = [sum(col[k] * vals[k][j] for k in range(forms.rank)) for j in range(m)]
+        if any(y % denom for y in out):
+            raise ArithmeticError("evaluation of a domain form is not integral")
+        ev_cols.append(tuple(y // denom for y in out))
     ev = (IntMatrix.from_columns(ev_cols, m) if ev_cols else IntMatrix.zero(m, 0))
     return forms, domain, ev, target
 
@@ -218,15 +189,10 @@ def poincare_bundle_exists(d: int, f: CurveFamily) -> bool:
     return gcd(f.delta, d + 1 - f.genus) == 1
 
 
-def _ab_lift_matrix(g: ReductiveGroupData) -> IntMatrix:
-    """Fixed splitting of Lambda(T_G) ->> Lambda(G^ab), as columns."""
-    return cross_diagram(g).ab_section
-
-
 def _partial_matrix(g: ReductiveGroupData, lift, genus: int, forms) -> IntMatrix:
     """The connecting map on forms: b -> (x -> b(d, x~) + (1-g) b(x~, x~))
     over the fixed lifts x~ of a basis of Lambda(G^ab)."""
-    section = _ab_lift_matrix(g)
+    section = cross_diagram(g).ab_section   # fixed lifts of a basis of Lambda(G^ab)
     cols = []
     for bf in forms:
         out = []

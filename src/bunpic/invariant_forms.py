@@ -7,15 +7,14 @@ Weyl group is ever enumerated.  The reflection of a (coroot, root) pair
 fixes b iff ``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis
 vector e_k, which is n linear rows on the Sym^2 coordinates per reflection;
 no reflection matrix is built.  Rational extensions across finite-index
-inclusions are handled with exact fractions and turned into congruence
-conditions on the Sym^2 coordinates.
+inclusions are written as integer numerators over one common denominator
+(``rational_coordinates``) and turned into congruence conditions on the Sym^2
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .exact_algebra import (
     FGAbelianGroup,
@@ -26,7 +25,7 @@ from .exact_algebra import (
     hom_kernel,
     kernel_basis,
     preimage_lattice,
-    rational_inverse,
+    rational_coordinates,
     solve,
     solve_congruence_sublattice,
 )
@@ -248,30 +247,16 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     conditions = list(_diagonal_even_conditions(m))
 
     # integrality of b against Lambda(T_Gss): express the ss basis rationally
-    # in the images of the derived basis vectors (the Gram's own basis), both
-    # inside the adjoint coweight lattice
-    a_d = IntMatrix.from_columns(
-        [g.adjoint_coordinates(c) for c in d_basis.columns()], m
-    )
-    a_ss = cd.ss_in_adjoint.basis
-    inv = rational_inverse(a_d)
-    p = [[sum(inv[r][t] * a_ss[t, b] for t in range(m)) for b in range(m)]
-         for r in range(m)]
-    denom = lcm(*(x.denominator for row in p for x in row))
+    # (numerators p over denom) in the images of the derived basis vectors (the
+    # Gram's own basis), both inside the adjoint coweight lattice
+    a_d = g.simple_roots.transpose().mul(d_basis)
+    p, denom = rational_coordinates(a_d, cd.ss_in_adjoint.basis)
     if denom > 1:
-        pairs = sym2_pairs(m)
-        for a in range(m):
-            for b in range(m):
-                func = []
-                for (i, j) in pairs:
-                    val = Fraction(0)
-                    if a == i:
-                        val += p[j][b]
-                    if a == j and i != j:
-                        val += p[i][b]
-                    func.append(int(val * denom))
+        for e_a in IntMatrix.identity(m).columns():
+            for p_b in p.columns():
+                func = _value_functional(m, e_a, p_b)
                 if any(func):
-                    conditions.append((tuple(func), denom))
+                    conditions.append((func, denom))
     return FormLattice.from_coord_columns(m, _restrict_by_congruences(m, cols, conditions))
 
 
@@ -434,18 +419,12 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     s = forms.rank
     if mm:
         c = g.simple_roots.transpose().mul(g.simple_coroots)
-        cinv = rational_inverse(c)
-        d_ad = g.adjoint_coordinates(d)
-        v = [sum(cinv[r][t] * d_ad[t] for t in range(mm)) for r in range(mm)]
-        denom = lcm(*(x.denominator for x in v))
-        rows = []
+        d_ad = IntMatrix.from_columns([g.adjoint_coordinates(d)], mm)
+        v, denom = rational_coordinates(c, d_ad)      # d^ss = v / denom in sc coordinates
+        vals = [bf.gram.mul_vector(v.column(0)) for bf in forms.basis_forms]
         at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
-        for j in range(mm):
-            row = [denom * at[j, i] for i in range(n)]
-            for k, bf in enumerate(forms.basis_forms):
-                val = sum(Fraction(bf.gram[j, t]) * v[t] for t in range(mm))
-                row.append(int(-denom * val))
-            rows.append(tuple(row))
+        rows = [tuple(denom * x for x in at.row(j)) + tuple(-val[j] for val in vals)
+                for j in range(mm)]
         members_lat = Lattice.from_columns(n + s, kernel_basis(IntMatrix.from_rows(rows)).columns())
     else:
         members_lat = Lattice.full(n + s)

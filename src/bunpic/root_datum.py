@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exact_algebra import (
     FGAbelianGroup,
@@ -29,7 +28,6 @@ from .exact_algebra import (
     canonical_generators,
     group_from_relations,
     kernel_basis,
-    rational_inverse,
     saturation,
     smith_normal_form,
     solve,
@@ -286,13 +284,33 @@ class GroupSpec:
         return "*".join(str(f) for f in self.factors)
 
 
+# Largest cocharacter rank accepted from outside input (named specs and raw
+# data).  Report time grows about as rank^5 (a full T(20) report takes seconds
+# on a small machine), so a larger rank fails fast instead of stalling a run.
+MAX_COCHAR_RANK = 20
+
 _PARAM_NAMES = {"SL", "GL", "PGL", "Sp", "PSp", "Spin", "SO", "PSO", "T"}
-_EXC_NAMES = {"E6sc", "E6ad", "E7sc", "E7ad", "E8", "F4", "G2"}
+_EXC_RANKS = {"E6sc": 6, "E6ad": 6, "E7sc": 7, "E7ad": 7, "E8": 8, "F4": 4, "G2": 2}
+
+
+def _check_cochar_rank(n: int) -> None:
+    if n > MAX_COCHAR_RANK:
+        raise InvalidSpec(f"cocharacter rank {n} exceeds the limit "
+                          f"MAX_COCHAR_RANK = {MAX_COCHAR_RANK}")
+
+
+def _cochar_rank(f: GroupFactor) -> int:
+    """Cocharacter rank of a named factor, read off without building it."""
+    if f.param is None:
+        return _EXC_RANKS[f.name]
+    return {"T": f.param, "GL": f.param, "SL": f.param - 1, "PGL": f.param - 1}.get(
+        f.name, f.param // 2)
 
 
 def parse_group_spec(s: str) -> GroupSpec:
     """Parse ``FACTOR ("*" FACTOR)*`` where FACTOR is NAME(INT) or an
-    exceptional name; whitespace insensitive. Rank constraints are validated."""
+    exceptional name; whitespace insensitive. Rank constraints are validated,
+    and a total cocharacter rank above ``MAX_COCHAR_RANK`` raises InvalidSpec."""
     text = s
     pos = 0
 
@@ -309,7 +327,7 @@ def parse_group_spec(s: str) -> GroupSpec:
             raise ParseError("expected a group name", pos)
         name = m.group(0)
         pos += len(name)
-        if name in _EXC_NAMES:
+        if name in _EXC_RANKS:
             return GroupFactor(name)
         if name not in _PARAM_NAMES:
             raise ParseError(f"unknown group name {name!r}", pos - len(name))
@@ -338,6 +356,7 @@ def parse_group_spec(s: str) -> GroupSpec:
         pos += 1
         factors.append(parse_factor())
         skip_ws()
+    _check_cochar_rank(sum(_cochar_rank(f) for f in factors))
     return GroupSpec(tuple(factors))
 
 
@@ -453,6 +472,7 @@ def group_from_json(obj) -> ReductiveGroupData:
     if isinstance(obj, str):
         obj = json.loads(obj)
     n = int(obj["cochar_rank"])
+    _check_cochar_rank(n)
     coroots = [tuple(c) for c in obj["simple_coroots"]]
     roots = [tuple(c) for c in obj["simple_roots"]]
     types = tuple(SimpleType.parse(t) for t in obj["factor_types"])
@@ -664,61 +684,40 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
         raise InvalidSpec("with_central_torus expects a simply connected group")
     m = g_sc.cochar_rank
     c = g_sc.simple_roots.transpose().mul(g_sc.simple_coroots)  # Cartan matrix
-    s, u, _ = smith_normal_form(c)
+    s, _, v = smith_normal_form(c)
     nontrivial = [i for i in range(m) if s[i, i] >= 2]
     k = len(nontrivial)
-    uinv = unimodular_inverse(u)
-    cinv = rational_inverse(c)
+    denom = s[m - 1, m - 1] if m else 1      # last invariant factor: lcm of the d_j
 
-    # generators of Lambda(T_G) in Q^{m+k}: coroots, torus units, and the
-    # glue vectors (w_j, e_j/d_j) with w_j a coweight generating the j-th
-    # cyclic piece of pi_1(G^ad)
-    gens_q = []
-    for i in range(m):
-        gens_q.append([Fraction(int(i == r)) for r in range(m)] + [Fraction(0)] * k)
-    for j in range(k):
-        gens_q.append([Fraction(0)] * m + [Fraction(int(j == r)) for r in range(k)])
-    glue = []
-    for j, idx in enumerate(nontrivial):
-        y = uinv.column(idx)
-        w = [sum(cinv[r][t] * y[t] for t in range(m)) for r in range(m)]
-        vec = w + [Fraction(int(j == r), s[nontrivial[r], nontrivial[r]]) for r in range(k)]
-        glue.append(vec)
-        gens_q.append(vec)
+    # generators of denom * Lambda(T_G) in Z^{m+k}: coroots, torus units, and
+    # the glue vectors (w_j, e_j/d_j) with w_j = v_j/d_j the coweight generating
+    # the j-th cyclic piece of pi_1(G^ad) (c v_j = d_j u^-1 e_j as c = u^-1 s v^-1)
+    def unit(i):
+        return tuple(denom * int(i == r) for r in range(m + k))
 
-    denom = lcm(*(x.denominator for v in gens_q for x in v))
-    cols = [[int(x * denom) for x in v] for v in gens_q]
+    glue = [tuple(denom // s[idx, idx] * x
+                  for x in v.column(idx) + tuple(int(j == r) for r in range(k)))
+            for j, idx in enumerate(nontrivial)]
+    cols = [unit(i) for i in range(m + k)] + glue
     basis = Lattice.from_columns(m + k, cols).basis  # basis of denom * Lambda
 
-    def to_new_coords(vec_q):
-        scaled = [x * denom for x in vec_q]
-        target = [int(x) for x in scaled]
+    def to_new_coords(target):
         x = solve(basis, tuple(target))
         if x is None:
             raise ArithmeticError("vector not in the glued lattice")
         return x
 
-    new_coroots = IntMatrix.from_columns(
-        [to_new_coords([Fraction(int(i == r)) for r in range(m)] + [Fraction(0)] * k)
-         for i in range(m)],
-        m + k,
-    )
+    new_coroots = IntMatrix.from_columns([to_new_coords(unit(i)) for i in range(m)], m + k)
     # roots become functionals on the new basis: old root paired with basis columns
-    root_rows = []
-    for i in range(m):
-        old = list(g_sc.simple_roots.column(i)) + [0] * k
-        vals = []
-        for j in range(m + k):
-            col = basis.column(j)
-            num = sum(o * x for o, x in zip(old, col))
-            if num % denom:
-                raise ArithmeticError("root not integral on the glued lattice")
-            vals.append(num // denom)
-        root_rows.append(vals)
-    new_roots = IntMatrix.from_columns(root_rows, m + k)
+    old_roots = g_sc.simple_roots.transpose().hstack(IntMatrix.zero(m, k))
+    paired = old_roots.mul(basis)
+    if any(x % denom for row in paired.entries for x in row):
+        raise ArithmeticError("root not integral on the glued lattice")
+    new_roots = IntMatrix.from_columns([[x // denom for x in row] for row in paired.entries],
+                                       m + k)
     group = ReductiveGroupData(
         m + k, new_coroots, new_roots, g_sc.factor_types,
         label=label or f"({g_sc}xT{k})/Z",
     )
-    gen_cochars = [tuple(to_new_coords(v)) for v in glue]
+    gen_cochars = [tuple(to_new_coords(vec)) for vec in glue]
     return group, gen_cochars

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,9 @@ def test_cli_main_input_errors(capsys):
                  "--delta", "1,2"]) == 1
     assert main(["--group", "SL(2)", "--family", "universal:2,1",
                  "--compute", "todo"]) == 1
+    capsys.readouterr()
+    assert main(["--group", "T(21)", "--family", "universal:2,1"]) == 1
+    assert "MAX_COCHAR_RANK = 20" in capsys.readouterr().err
 
 
 def test_cli_lift_d_flag(capsys):
@@ -158,6 +162,7 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
         json.dumps({"group": "SL(2)", "delta": []}),                          # no "family"
         json.dumps({"group": "SL(2)", "delta": [1, 2], "family": "universal:2,1"}),
         "{not json",
+        json.dumps({"group": "T(21)", "delta": [0] * 21, "family": "universal:2,1"}),
         json.dumps(good[1]),
     ]
     batch = tmp_path / "runs.jsonl"
@@ -167,18 +172,19 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert len(out) == len(lines)
-    for i, obj in ((0, good[0]), (4, good[1])):
+    for i, obj in ((0, good[0]), (5, good[1])):
         _, report = run_report(RunConfig.from_json(obj))
         assert out[i] == emit(report, "json")
-    for i in (1, 2, 3):
+    for i in (1, 2, 3, 4):
         record = json.loads(out[i])
         assert sorted(record) == ["error", "line"] and record["line"] == i + 1
         assert out[i] == json.dumps(record, sort_keys=True, separators=(",", ":"))
     assert "family" in json.loads(out[1])["error"]
+    assert "MAX_COCHAR_RANK" in json.loads(out[4])["error"]
 
     assert main(["--batch", str(batch), "--format", "text"]) == 1
     errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error: ")]
-    assert [e.split(": ")[1] for e in errors] == ["line 2", "line 3", "line 4"]
+    assert [e.split(": ")[1] for e in errors] == ["line 2", "line 3", "line 4", "line 5"]
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
@@ -189,6 +195,26 @@ def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
     ]))
     assert main(["--batch", str(batch)]) == 2
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_batch_output_does_not_depend_on_hash_seed(tmp_path):
+    every = ["pi1", "forms", "ns", "picard", "rigidified", "gerbe"]
+    lines = [
+        {"group": "T(1)", "delta": [3], "family": "universal:2,1", "compute": every + ["poincare"]},
+        {"group": "GL(2)*T(1)", "delta": [1, 2], "family": "universal:3,2", "compute": every},
+        {"group": "PSO(8)", "delta": [1, 1], "family": "universal:2,1", "compute": every},
+        {"group": "GL(3)", "delta": [1], "family": "genus0_nontrivial", "compute": every},
+    ]
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "bunpic.cli", "--batch", str(batch)],
+                              capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == len(lines)
+    assert outputs[0] == outputs[1]
 
 
 def test_console_script_subprocess():

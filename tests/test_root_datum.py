@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bunpic.exact_algebra import FGAbelianGroup, Lattice
+from bunpic.exact_algebra import FGAbelianGroup, Lattice, group_from_relations
 from bunpic.root_datum import (
+    MAX_COCHAR_RANK,
     InvalidSpec,
     NotInLattice,
     ParseError,
@@ -241,3 +244,52 @@ def test_with_central_torus_spin8():
     cd = cross_diagram(g)
     assert cd.ss_in_adjoint == Lattice.full(4)
     assert len(gens) == 2
+
+
+SC_FACTORS = ["SL(2)", "SL(3)", "SL(4)", "Sp(4)", "Spin(7)", "Spin(8)", "G2", "E6sc"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(SC_FACTORS), min_size=1, max_size=3))
+def test_with_central_torus_contract(factors):
+    g_sc = build_group("*".join(factors))
+    m = g_sc.cochar_rank
+    cartan = g_sc.simple_roots.transpose().mul(g_sc.simple_coroots)
+    pi1_ad = group_from_relations(m, cartan)          # pi_1(G^ad) = Z^m / coroots
+    k = len(pi1_ad.torsion)
+    g, gens = with_central_torus(g_sc)
+    cd = cross_diagram(g)
+    assert g.cochar_rank == m + k and len(gens) == k
+    assert cd.derived_lattice == g.coroot_lattice()   # D(G) is simply connected
+    assert cd.ss_in_adjoint == Lattice.full(m)        # G^ss = G^ad
+    assert fundamental_group(g) == FGAbelianGroup.free(k)
+    ads = [g.adjoint_coordinates(gen) for gen in gens]
+    for ad, d_j in zip(ads, pi1_ad.torsion):
+        order = next(t for t in range(1, d_j + 1)
+                     if cd.sc_in_adjoint.contains([t * x for x in ad]))
+        assert order == d_j
+    assert cd.sc_in_adjoint.sum(Lattice.from_columns(m, ads)) == Lattice.full(m)
+
+
+AT_RANK_LIMIT = ["T(20)", "GL(20)", "SL(21)", "PGL(21)", "Sp(40)", "PSp(40)", "Spin(40)",
+                 "Spin(41)", "SO(40)", "SO(41)", "PSO(40)", "E8*E8*G2*G2"]
+OVER_RANK_LIMIT = ["T(21)", "GL(21)", "SL(22)", "PGL(22)", "Sp(42)", "PSp(42)", "Spin(42)",
+                   "Spin(43)", "SO(42)", "SO(43)", "PSO(42)", "E8*E8*E6sc", "GL(10)*GL(11)",
+                   "T(1000000000)"]
+
+
+@pytest.mark.parametrize("spec", AT_RANK_LIMIT)
+def test_rank_limit_admits_cochar_rank_twenty(spec):
+    assert build_group(spec).cochar_rank == MAX_COCHAR_RANK == 20
+
+
+@pytest.mark.parametrize("spec", OVER_RANK_LIMIT)
+def test_rank_limit_rejects_larger_named_specs(spec):
+    with pytest.raises(InvalidSpec, match="MAX_COCHAR_RANK = 20"):
+        parse_group_spec(spec)
+
+
+def test_rank_limit_rejects_larger_raw_datum():
+    with pytest.raises(InvalidSpec, match="MAX_COCHAR_RANK = 20"):
+        group_from_json({"cochar_rank": 21, "simple_coroots": [], "simple_roots": [],
+                         "factor_types": []})

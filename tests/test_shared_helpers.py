@@ -1,9 +1,13 @@
 """Property tests for the shared lattice helpers: canonicalization of cyclic
-orders, the integer inverse of a unimodular matrix, and the canonical
-generator choice of a presented group."""
+orders, the integer inverse of a unimodular matrix, the canonical generator
+choice of a presented group, and rational coordinates over one common
+denominator."""
+
+from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bunpic.exact_algebra import (
@@ -12,6 +16,8 @@ from bunpic.exact_algebra import (
     _canonical_from_factors,
     canonical_generators,
     group_from_relations,
+    rational_coordinates,
+    rational_solve,
     unimodular_inverse,
 )
 
@@ -135,3 +141,40 @@ def test_canonical_generators_present_the_canonical_group(rank_rel):
     for c in rel.columns():
         image = proj.mul_vector(c)
         assert all(congruent(x, 0, order) for x, order in zip(image, orders))
+
+
+@st.composite
+def square_systems(draw):
+    """A square integer matrix m and a right-hand side b with 0-3 columns."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    k = draw(st.integers(min_value=0, max_value=3))
+    entry = st.integers(min_value=-9, max_value=9)
+    m = IntMatrix(n, n, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n)))
+    b = IntMatrix(n, k, tuple(tuple(draw(entry) for _ in range(k)) for _ in range(n)))
+    return m, b
+
+
+@SETTINGS
+@given(square_systems())
+def test_rational_coordinates_are_least_numerators_of_the_solution(system):
+    m, b = system
+    assume(m.det() != 0)
+    x, d = rational_coordinates(m, b)
+    assert d >= 1 and (x.rows, x.cols) == (b.rows, b.cols)
+    assert m.mul(x) == IntMatrix(b.rows, b.cols, tuple(tuple(d * a for a in row)
+                                                       for row in b.entries))
+    assert gcd(d, *(a for row in x.entries for a in row)) == 1
+    for xj, bj in zip(x.columns(), b.columns()):
+        assert tuple(Fraction(a, d) for a in xj) == rational_solve(m, bj)
+
+
+@SETTINGS
+@given(square_systems().filter(lambda mb: mb[0].rows > 0), st.integers(-3, 3))
+def test_rational_coordinates_reject_a_singular_matrix(system, k):
+    m, b = system
+    # last row = k * first row (a zero row when m has one row)
+    rows = list(m.entries[:-1]) + [tuple(k * a if m.rows > 1 else 0 for a in m.row(0))]
+    singular = IntMatrix(m.rows, m.cols, tuple(rows))
+    assert singular.det() == 0
+    with pytest.raises(ValueError):
+        rational_coordinates(singular, b)

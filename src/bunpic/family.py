@@ -278,7 +278,6 @@ def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> Hyp
     if theorem not in THEOREMS:
         raise UnknownTheorem(f"unknown theorem {theorem!r}; known: {THEOREMS}")
     missing = []
-    dsc = _derived_simply_connected(g)
     if theorem == "Thm3.9":
         if f.genus <= 0:
             missing.append("family of positive genus")
@@ -289,9 +288,8 @@ def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> Hyp
     elif theorem in ("ThmB", "CorC"):
         if f.genus <= 0:
             missing.append("family of positive genus")
-        alt_a = dsc
         alt_b = f.end_jacobian_trivial and f.rpic_surjective and f.rpic0_torsion_free
-        if not (alt_a or alt_b):
+        if not (alt_b or _derived_simply_connected(g)):
             missing.append(
                 "(a) D(G) simply connected, or (b) End(J) = Z, Pic(C) ->> "
                 "Pic_{C/S}(S) and RPic^0(C/S) torsion-free"
@@ -301,11 +299,11 @@ def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> Hyp
             missing.append("family of positive genus")
         if not (f.end_jacobian_trivial and f.rpic_surjective):
             missing.append("End(J) = Z and Pic(C) ->> Pic_{C/S}(S)")
-        if not (f.rpic0_torsion_free or dsc):
+        if not (f.rpic0_torsion_free or _derived_simply_connected(g)):
             missing.append("RPic^0(C/S) torsion-free or D(G) simply connected")
     elif theorem == "Thm4.6":
         if f.genus != 0:
             missing.append("family of genus zero")
-        if not (f.zariski_locally_trivial or dsc):
+        if not (f.zariski_locally_trivial or _derived_simply_connected(g)):
             missing.append("(a) Zariski-locally trivial family or (b) D(G) simply connected")
     return HypothesisResult(theorem, not missing, tuple(missing))

@@ -102,6 +102,13 @@ class GerbeReport:
 # evaluation homomorphism
 
 
+def _divide_exactly(m: IntMatrix, denom: int, failure: str) -> IntMatrix:
+    """``m / denom``, raising ``ArithmeticError(failure)`` unless it is integral."""
+    if any(x % denom for row in m.entries for x in row):
+        raise ArithmeticError(failure)
+    return IntMatrix(m.rows, m.cols, tuple(tuple(x // denom for x in row) for row in m.entries))
+
+
 def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> FGAbelianGroup:
     """Cokernel of the evaluation map: conditional forms on the derived
     lattice evaluated against (a lift of) delta^ss, landing in
@@ -116,15 +123,10 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     a_d = g.simple_roots.transpose().mul(cd.derived_lattice.basis)
     d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], g.ss_rank)
     v, denom = rational_coordinates(a_d, d_ad)
-    cols = []
-    for bf in cfl.basis_forms:
-        vals = bf.gram.mul_vector(v.column(0))
-        if any(x % denom for x in vals):
-            raise ArithmeticError("conditional form fails integrality against delta^ss")
-        cols.append(tuple(x // denom for x in vals))
-    m = (IntMatrix.from_columns(cols, target.rank)
-         if cols else IntMatrix.zero(target.rank, 0))
-    return hom_cokernel(m, target)
+    vals = cfl.values([(e, v.column(0)) for e in IntMatrix.identity(cfl.ambient_rank).columns()])
+    return hom_cokernel(
+        _divide_exactly(vals, denom, "conditional form fails integrality against delta^ss"),
+        target)
 
 
 def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> FGAbelianGroup:
@@ -162,20 +164,12 @@ def _ev_hat_data(g: ReductiveGroupData, lift):
     d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], m)
     x, e = rational_coordinates(
         c, d_ad.hstack(g.simple_roots.transpose().mul(cd.derived_lattice.basis)))
-    u_rows = IntMatrix.from_rows(x.columns()[1:])
-    # b(d^ss, u_j) for b = sum_k c_k G_k is sum_k c_k vals[k][j] / denom
-    vals = [u_rows.mul_vector(bf.gram.mul_vector(x.column(0))) for bf in forms.basis_forms]
+    # b(d^ss, u_j) for b = sum_k c_k b_k is (vals c)_j / denom
+    vals = forms.values([(u, x.column(0)) for u in x.columns()[1:]])
     denom = e * e
-    conds = [(tuple(row[j] for row in vals), denom) for j in range(m)]
-    domain = solve_congruence_sublattice(forms.rank, conds) if e > 1 \
-        else Lattice.full(forms.rank)
-    ev_cols = []
-    for col in domain.basis.columns():
-        out = [sum(col[k] * vals[k][j] for k in range(forms.rank)) for j in range(m)]
-        if any(y % denom for y in out):
-            raise ArithmeticError("evaluation of a domain form is not integral")
-        ev_cols.append(tuple(y // denom for y in out))
-    ev = (IntMatrix.from_columns(ev_cols, m) if ev_cols else IntMatrix.zero(m, 0))
+    domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries]) \
+        if e > 1 else Lattice.full(forms.rank)
+    ev = _divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
     return forms, domain, ev, target
 
 
@@ -189,19 +183,14 @@ def poincare_bundle_exists(d: int, f: CurveFamily) -> bool:
     return gcd(f.delta, d + 1 - f.genus) == 1
 
 
-def _partial_matrix(g: ReductiveGroupData, lift, genus: int, forms) -> IntMatrix:
-    """The connecting map on forms: b -> (x -> b(d, x~) + (1-g) b(x~, x~))
-    over the fixed lifts x~ of a basis of Lambda(G^ab)."""
-    section = cross_diagram(g).ab_section   # fixed lifts of a basis of Lambda(G^ab)
-    cols = []
-    for bf in forms:
-        out = []
-        for j in range(section.cols):
-            xt = section.column(j)
-            out.append(bf.value(lift, xt) + (1 - genus) * bf.value(xt, xt))
-        cols.append(tuple(out))
-    return (IntMatrix.from_columns(cols, section.cols)
-            if cols else IntMatrix.zero(section.cols, 0))
+def _partial_matrix(g: ReductiveGroupData, rig, lift, genus: int) -> IntMatrix:
+    """The connecting map on the rigidified NS basis: b -> (x -> b(d, x~) +
+    (1-g) b(x~, x~)), read off as b(x~, d + (1-g) x~) by bilinearity, over
+    the fixed lifts x~ of a basis of Lambda(G^ab)."""
+    section = cross_diagram(g).ab_section
+    pairs = [(xt, tuple(a + (1 - genus) * b for a, b in zip(lift, xt)))
+             for xt in section.columns()]
+    return rig.form_basis.values(pairs).mul(rig.key)
 
 
 def _mod_delta_cokernel(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
@@ -313,8 +302,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     # general reductive group, positive genus
     rig = ns_rigidified(g, delta, lift=lift)
     coker_gamma = _coker_gamma_bar(g, rig, lift, f.genus, delta_cs)
-    rig_forms = [form for _chi, form in rig.generators]
-    pmat = _partial_matrix(g, lift, f.genus, rig_forms)
+    pmat = _partial_matrix(g, rig, lift, f.genus)
     ab_rank = pmat.rows
     sub = _mod_delta_cokernel(pmat, delta_cs)      # Hom(Lambda(G^ab), Z/delta)/Im(partial)
     certificate = _bookkeeping(coker_gamma, None, delta_cs, ab_rank, ev_cok)
@@ -362,16 +350,15 @@ def _gamma_bar_image(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int
     which some root-lattice character beta repairs the divisibility
     delta | beta(x) + b(d, x) + (g-1) b(x, x) at the basis and pairwise test
     points (the weight class of a line bundle on the rigidification is only
-    zero modulo the root lattice, which makes this set lift-independent)."""
-    nroots = g.ss_rank
-    rig_forms = [form for _chi, form in rig.generators]
-    conds = []
-    for x in _test_points(g.cochar_rank):
-        func = [sum(a * b for a, b in zip(g.simple_roots.column(r), x)) for r in range(nroots)]
-        func += [bf.value(lift, x) + (genus - 1) * bf.value(x, x) for bf in rig_forms]
-        conds.append((tuple(func), delta_cs))
-    sols = solve_congruence_sublattice(nroots + len(rig_forms), conds)
-    return Lattice.from_columns(len(rig_forms), [c[nroots:] for c in sols.basis.columns()])
+    zero modulo the root lattice, which makes this set lift-independent).
+    The form part is read off as b(x, d + (g-1) x), by bilinearity."""
+    nroots, nforms = g.ss_rank, rig.key.cols
+    points = _test_points(g.cochar_rank)
+    vals = rig.form_basis.values(
+        [(x, tuple(a + (genus - 1) * b for a, b in zip(lift, x))) for x in points])
+    funcs = IntMatrix.from_rows(points).mul(g.simple_roots).hstack(vals.mul(rig.key))
+    sols = solve_congruence_sublattice(nroots + nforms, [(f, delta_cs) for f in funcs.entries])
+    return Lattice.from_columns(nforms, [c[nroots:] for c in sols.basis.columns()])
 
 
 def _coker_gamma_bar(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int):
@@ -458,8 +445,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     forms, domain, ev, target = _ev_hat_data(g, lift)
     kernel = preimage_lattice(ev, target)
     kernel_cols = [domain.basis.mul_vector(c) for c in kernel.basis.columns()]
-    kernel_in_forms = Lattice.from_columns(forms.rank if forms.rank else 0, kernel_cols) \
-        if kernel_cols else Lattice.from_columns(max(forms.rank, 0), [])
+    kernel_in_forms = Lattice.from_columns(forms.rank, kernel_cols)
     ev_cok = hom_cokernel(ev, target)
     return PicardReport(
         theorem_applied="Thm4.6",

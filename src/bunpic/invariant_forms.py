@@ -1,12 +1,16 @@
 """Weyl-invariant symmetric bilinear form lattices and Neron-Severi groups.
 
 Forms are handled in exact Sym^2 coordinates: a symmetric form on ``Z^n`` is
-the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  Invariance is
-imposed only at the simple reflections (they generate the Weyl group), so no
-Weyl group is ever enumerated.  The reflection of a (coroot, root) pair
-fixes b iff ``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis
-vector e_k, which is n linear rows on the Sym^2 coordinates per reflection;
-no reflection matrix is built.  Rational extensions across finite-index
+the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  A
+``FormLattice`` is the column HNF basis of its Sym^2 coordinates, and every
+computation evaluates forms through ``FormLattice.values`` (value functionals
+on Sym^2 coordinates times that matrix); ``BilinearForm``, a Gram matrix, is
+the output type.  Invariance is imposed only at the simple reflections (they
+generate the Weyl group), so no Weyl group is ever enumerated.  The
+reflection of a (coroot, root) pair fixes b iff
+``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis vector e_k,
+which is n linear rows on the Sym^2 coordinates per reflection; no
+reflection matrix is built.  Rational extensions across finite-index
 inclusions are written as integer numerators over one common denominator
 (``rational_coordinates``) and turned into congruence conditions on the Sym^2
 coordinates.
@@ -73,7 +77,8 @@ def coords_to_gram(n: int, coords) -> IntMatrix:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Integer symmetric bilinear form, stored by its Gram matrix."""
+    """Integer symmetric bilinear form, stored by its Gram matrix (the output
+    type; computations use ``FormLattice.values``)."""
 
     gram: IntMatrix
 
@@ -81,15 +86,8 @@ class BilinearForm:
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
 
-    def value(self, x, y) -> int:
-        return sum(xi * v for xi, v in zip(tuple(x), self.gram.mul_vector(tuple(y))))
-
     def is_even(self) -> bool:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.gram.rows))
-
-    def pair_with(self, d) -> tuple:
-        """The character b(d, -) as a vector in the dual basis."""
-        return self.gram.mul_vector(tuple(d))
 
     def coords(self) -> tuple:
         return gram_to_coords(self.gram)
@@ -97,42 +95,44 @@ class BilinearForm:
 
 @dataclass(frozen=True)
 class FormLattice:
-    """Z-basis of a lattice of symmetric forms, canonical in Sym^2 coordinates."""
+    """A lattice of symmetric forms on ``Z^ambient_rank``: ``coords`` is the
+    column HNF basis of its Sym^2 coordinates, one column per basis form."""
 
     ambient_rank: int
-    basis_forms: tuple
+    coords: IntMatrix
 
     @staticmethod
     def from_coord_columns(n: int, cols) -> "FormLattice":
-        lat = Lattice.from_columns(sym2_dim(n), cols)
-        forms = tuple(BilinearForm(coords_to_gram(n, c)) for c in lat.basis.columns())
-        return FormLattice(n, forms)
+        return FormLattice(n, Lattice.from_columns(sym2_dim(n), cols).basis)
 
     @property
     def rank(self) -> int:
-        return len(self.basis_forms)
+        return self.coords.cols
 
-    def coord_matrix(self) -> IntMatrix:
-        if not self.basis_forms:
-            return IntMatrix.zero(sym2_dim(self.ambient_rank), 0)
-        return IntMatrix.from_columns([f.coords() for f in self.basis_forms],
-                                      sym2_dim(self.ambient_rank))
+    @property
+    def basis_forms(self) -> tuple:
+        """The basis forms as Gram matrices, for output."""
+        return tuple(BilinearForm(coords_to_gram(self.ambient_rank, c))
+                     for c in self.coords.columns())
 
     def lattice(self) -> Lattice:
-        return Lattice.from_columns(sym2_dim(self.ambient_rank),
-                                    self.coord_matrix().columns())
+        return Lattice(sym2_dim(self.ambient_rank), self.coords)
 
     def contains(self, other: "FormLattice") -> bool:
         return self.lattice().contains_lattice(other.lattice())
 
+    def values(self, pairs) -> IntMatrix:
+        """The matrix with one row per pair (u, w) and one column per basis
+        form b_k, holding b_k(u, w)."""
+        pairs = list(pairs)
+        if not pairs:
+            return IntMatrix.zero(0, self.rank)
+        return IntMatrix.from_rows(
+            [_value_functional(self.ambient_rank, u, w) for u, w in pairs]).mul(self.coords)
+
     def form_from_coeffs(self, coeffs) -> BilinearForm:
-        n = self.ambient_rank
-        total = [ [0]*n for _ in range(n)]
-        for c, f in zip(coeffs, self.basis_forms):
-            for i in range(n):
-                for j in range(n):
-                    total[i][j] += c * f.gram[i, j]
-        return BilinearForm(IntMatrix.from_rows(total))
+        return BilinearForm(coords_to_gram(self.ambient_rank,
+                                           self.coords.mul_vector(tuple(coeffs))))
 
 
 def _invariant_coord_columns(n: int, roots) -> list:
@@ -234,7 +234,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     cd = cross_diagram(g)
     m = cd.derived_lattice.rank
     if m == 0:
-        return FormLattice(0, ())
+        return FormLattice(0, IntMatrix.zero(0, 0))
     d_basis = cd.derived_lattice.basis
     res = d_basis.transpose()
     pairs = []
@@ -338,23 +338,18 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     forms = d_even_forms(g)
     f = forms.rank
     cd, res, target = _derived_quotient(g)
-    cols = [res.mul_vector(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-    for bf in forms.basis_forms:
-        cols.append(tuple(-x for x in res.mul_vector(bf.pair_with(d))))
-    m = IntMatrix.from_columns(cols, target.rank) if cols else IntMatrix.zero(target.rank, 0)
+    pair_d = forms.values([(d, e) for e in IntMatrix.identity(n).columns()])   # b_k(d, -)
+    m = res.hstack(res.mul(pair_d).neg())          # (chi, b) -> res(chi - b(d, -))
     source = Presentation(n + f, _root_relations(g, f))
     pres, embed = hom_kernel(m, source, target)
     group, canonical, _, _ = canonical_generators(pres.rank, pres.relations)
     gens = []
     for gcol in canonical.columns():
         col = embed.mul_vector(gcol)
-        chi = col[:n]
-        form = forms.form_from_coeffs(col[n:])
-        # certificate check: the defining compatibility holds exactly
-        diff = res.mul_vector(tuple(a - b for a, b in zip(chi, form.pair_with(d))))
-        if not target.is_zero(diff):
+        # certificate check: the defining compatibility res(chi - b(d, -)) = 0 holds exactly
+        if not target.is_zero(m.mul_vector(col)):
             raise ArithmeticError("NS generator fails the compatibility condition")
-        gens.append((chi, form))
+        gens.append((col[:n], forms.form_from_coeffs(col[n:])))
     return NSGroup(
         kind="bun",
         group=group,
@@ -372,23 +367,18 @@ def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGrou
     """NS of the rigidification: D-even invariant forms b on Lambda(T_G) with
     b(d x -) restricting to zero in Lambda^*(T_D)/Lambda^*(T_Gad)."""
     d = _default_lift(g, delta, lift, generic=False)
+    n = g.cochar_rank
     forms = d_even_forms(g)
     _, res, target = _derived_quotient(g)
-    cols = [res.mul_vector(bf.pair_with(d)) for bf in forms.basis_forms]
-    m = (IntMatrix.from_columns(cols, target.rank)
-         if cols else IntMatrix.zero(target.rank, 0))
+    m = res.mul(forms.values([(d, e) for e in IntMatrix.identity(n).columns()]))
     sub = preimage_lattice(m, target)
     gens = []
     member_cols = []
-    n = g.cochar_rank
-    for j in range(sub.rank):
-        coeffs = sub.basis.column(j)
-        form = forms.form_from_coeffs(coeffs)
-        diff = res.mul_vector(form.pair_with(d))
-        if not target.is_zero(diff):
+    for coeffs in sub.basis.columns():
+        if not target.is_zero(m.mul_vector(coeffs)):
             raise ArithmeticError("rigidified NS generator fails condition (zero weight)")
-        gens.append((None, form))
-        member_cols.append((0,) * n + tuple(coeffs))
+        gens.append((None, forms.form_from_coeffs(coeffs)))
+        member_cols.append((0,) * n + coeffs)
     members = (IntMatrix.from_columns(member_cols, n + forms.rank)
                if member_cols else IntMatrix.zero(n + forms.rank, 0))
     return NSGroup(
@@ -421,9 +411,9 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
         c = g.simple_roots.transpose().mul(g.simple_coroots)
         d_ad = IntMatrix.from_columns([g.adjoint_coordinates(d)], mm)
         v, denom = rational_coordinates(c, d_ad)      # d^ss = v / denom in sc coordinates
-        vals = [bf.gram.mul_vector(v.column(0)) for bf in forms.basis_forms]
+        vals = forms.values([(e, v.column(0)) for e in IntMatrix.identity(mm).columns()])
         at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
-        rows = [tuple(denom * x for x in at.row(j)) + tuple(-val[j] for val in vals)
+        rows = [tuple(denom * x for x in at.row(j)) + tuple(-x for x in vals.row(j))
                 for j in range(mm)]
         members_lat = Lattice.from_columns(n + s, kernel_basis(IntMatrix.from_rows(rows)).columns())
     else:

@@ -23,6 +23,7 @@ from .exact_algebra import (
 from .family import CurveFamily, hypothesis_check
 from .invariant_forms import (
     BilinearForm,
+    FormLattice,
     NSGroup,
     conditional_form_lattice,
     invariant_sym_forms,
@@ -270,9 +271,10 @@ def _test_points(n: int) -> list:
                for i in range(n) for j in range(i + 1, n)])
 
 
-def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, form_basis):
+def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, forms: FormLattice):
     """Linear congruence conditions (on chi coordinates + form coefficients)
     expressing: delta(C/S) divides chi(x) - b(d, x) + (g-1) b(x, x) for all x.
+    The form part is read off as b(x, (g-1) x - d), by bilinearity.
 
     It is enough to impose the condition at the basis vectors e_i and the
     sums e_i + e_j: the defect c(x+y) - c(x) - c(y) = 2(g-1) b(x, y) is
@@ -280,15 +282,9 @@ def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, form_basis):
     (g-1)(k^2-k) b(x, x) lies in (2g-2) Z, a multiple of delta(C/S) for every
     valid family (in genus 1 the quadratic part vanishes outright).
     """
-    conditions = []
-    for x in _test_points(n):
-        func = list(x)  # chi(x)
-        for bf in form_basis:
-            b_dx = bf.value(d, x)
-            b_xx = bf.value(x, x)
-            func.append(-b_dx + (genus - 1) * b_xx)
-        conditions.append((tuple(func), delta_cs))
-    return conditions
+    points = _test_points(n)
+    vals = forms.values([(x, tuple((genus - 1) * a - b for a, b in zip(x, d))) for x in points])
+    return [(x + vals.row(i), delta_cs) for i, x in enumerate(points)]
 
 
 def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
@@ -300,11 +296,10 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
         raise WrongGenus("torus_picard needs a family of positive genus")
     n = t.cochar_rank
     d = tuple(d)
-    basis_forms = invariant_sym_forms(t).basis_forms
-    nsym = len(basis_forms)
-    conds = _divisibility_conditions(n, d, f.genus, f.delta, basis_forms)
-    image = solve_congruence_sublattice(n + nsym, conds)
-    cok = group_from_relations(n + nsym, image.basis)
+    forms = invariant_sym_forms(t)
+    conds = _divisibility_conditions(n, d, f.genus, f.delta, forms)
+    image = solve_congruence_sublattice(n + forms.rank, conds)
+    cok = group_from_relations(n + forms.rank, image.basis)
     complete = hypothesis_check(f, t, "Thm3.9")
     rows = (
         ExtensionRow("char lattice x RPic^0(C/S)", "RPic^taut",
@@ -336,15 +331,14 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
 # reductive groups
 
 
-def _ns_image_sublattice(ns: NSGroup, g: ReductiveGroupData, genus: int, delta_cs: int) -> Lattice:
+def _ns_image_sublattice(ns: NSGroup, genus: int, delta_cs: int) -> Lattice:
     """Members of NS(Bun) satisfying the divisibility condition, computed in
     the ambient (chi, form-coefficient) coordinates.  The weight entry of an
     NS class is only a class modulo the root lattice, so the condition is
     intersected after adjoining the root-lattice directions: a class belongs
     to the image iff some representative satisfies the congruences."""
     n = ns.chi_rank
-    conds = _divisibility_conditions(n, ns.lift, genus, delta_cs,
-                                     [bf for bf in ns.form_basis.basis_forms])
+    conds = _divisibility_conditions(n, ns.lift, genus, delta_cs, ns.form_basis)
     cond_lat = solve_congruence_sublattice(n + ns.form_basis.rank, conds)
     rel_lat = Lattice.from_columns(cond_lat.ambient_rank, ns.relations.columns())
     ns_members = Lattice.from_columns(cond_lat.ambient_rank, ns.key.columns())
@@ -405,7 +399,7 @@ def _reductive_picard_positive(g, delta, f, lift):
     ns_hyp = hypothesis_check(f, g, "Thm4.3")  # same hypotheses as Thm 3.18
     if ns_hyp:
         ns = ns_bun(g, delta, lift=lift)
-        image = _ns_image_sublattice(ns, g, f.genus, f.delta)
+        image = _ns_image_sublattice(ns, f.genus, f.delta)
         ambient = ("NS(Bun) coordinates: characters then d-even form coefficients, "
                    "classes taken modulo the root lattice")
         img_cok = _subgroup_cokernel(ns, image)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from bunpic.cli import RunConfig, emit, main, parse_family, run_report
 
@@ -232,3 +234,37 @@ def test_family_inline_json():
     fam = parse_family('{"genus": 2, "delta": 2, "end_jacobian_trivial": true, '
                        '"rpic_surjective": true, "rpic0_torsion_free": true}')
     assert fam.genus == 2 and fam.delta == 2
+
+
+# SHA-256 of `bunpic --format json` stdout and the exit code for all six
+# computations, pinned from the implementation that evaluated forms through
+# their Gram matrices: a change to how forms are stored or evaluated must
+# leave every report byte unchanged.
+PINNED_REPORTS = [
+    ("E8", "", "universal:2,1", 0,
+     "9b9d436ecd0da4c73c51aa3201d366f7420c7fcd8e23b5d20b14ba0813c5a806"),
+    ("SO(10)*PGL(4)", "1,1", "universal:3,1", 0,
+     "0655df3b94c12e7a1a464b3c8400561ff2f1bb8eebb45b625b9782f19fbac590"),
+    ("GL(2)*SL(2)*T(1)", "1,1", "universal:2,0", 0,
+     "b51a5687e3d7e5fe33aaffc71c531ae273c2027a40cc82eda33413b6cba5262f"),
+    ("GL(4)*PGL(2)", "3,1", "universal:3,0", 0,
+     "d5c4292f40fde474f6a1c32bee4f25ad8d7bd408a60cbda2353b0bc4661f093b"),
+    ("GL(3)*T(2)", "1,2,1", "genus0_nontrivial", 0,
+     "55fbc653647a222e3c33b4f5e742c49cef3497e02848c98af188712247af1b1c"),
+    ("PGL(4)*T(1)", "1,2", "genus0_trivial", 0,
+     "a0420c9eba7845eedd0fd3bafbfa8d3baf7f9462c7aae1547c8bdca5126f0a89"),
+    ("T(3)", "1,2,3", "universal:2,1", 0,
+     "4f9e956907ecbe0f0936a18270fce17567616e33203df7882f1387099c13e292"),
+    ("T(3)", "1,2,3", "universal:3,0", 0,
+     "44f7cbd7efd7dddfeb6406b8bbb9398bbacd006b68e8eed2d205eec07eb16757"),
+    ("PGL(2)*T(1)", "1,1", "hyperelliptic:3", 2,
+     "5b5cddeff9df9af38a73eebdc45c11a10c840e1e228e349f6094ad6cc4d52523"),
+]
+
+
+@pytest.mark.parametrize("group,delta,family,code,digest", PINNED_REPORTS)
+def test_reports_match_pinned_digests(capsys, group, delta, family, code, digest):
+    assert main(["--group", group, "--delta", delta, "--family", family,
+                 "--compute", "pi1,forms,ns,picard,rigidified,gerbe", "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

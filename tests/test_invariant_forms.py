@@ -437,3 +437,34 @@ SMALL_FACTORS = ["T(1)", "SL(2)", "GL(2)", "PGL(2)", "SL(3)", "GL(3)", "PGL(3)",
 @given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3))
 def test_invariant_kernel_matches_sym2_conjugation_on_random_products(factors):
     assert_kernel_matches_sym2_reference(build_group("*".join(factors)))
+
+
+# ---------------------------------------------------------------------------
+# FormLattice.values against evaluation through the Gram matrices
+
+FORM_LATTICES = [invariant_sym_forms, even_invariant_forms, d_even_forms, sc_even_forms,
+                 conditional_form_lattice]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3),
+       st.sampled_from(FORM_LATTICES), st.data())
+def test_form_values_match_gram_evaluation_on_random_products(factors, lattice_of, data):
+    fl = lattice_of(build_group("*".join(factors)))
+    n = fl.ambient_rank
+    grams = [f.gram for f in fl.basis_forms]
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    pairs = [(data.draw(vector), data.draw(vector)) for _ in range(3)]
+    vals = fl.values(pairs)
+    assert (vals.rows, vals.cols) == (len(pairs), fl.rank)
+    for i, (u, w) in enumerate(pairs):
+        assert vals.row(i) == tuple(sum(a * b for a, b in zip(u, gk.mul_vector(w)))
+                                    for gk in grams)
+    assert fl.values([]) == IntMatrix.zero(0, fl.rank)
+    coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=fl.rank, max_size=fl.rank))
+    total = [[0] * n for _ in range(n)]
+    for c, gk in zip(coeffs, grams):
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += c * gk[i, j]
+    assert fl.form_from_coeffs(coeffs).gram == IntMatrix.from_rows(total)

@@ -14,6 +14,12 @@ reflection matrix is built.  Rational extensions across finite-index
 inclusions are written as integer numerators over one common denominator
 (``rational_coordinates``) and turned into congruence conditions on the Sym^2
 coordinates.
+
+Each form lattice of a group, and its derived quotient, is computed once per
+``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
+the values are immutable.  The even and D-even lattices cut the invariant
+lattice, so the Weyl kernel on Lambda(T_G) is solved once.  The CLI builds one
+group per report, so these values live for one report.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .root_datum import (
     coroot_lengths,
     cross_diagram,
     generic_lift,
+    once_per_group,
     pi1_presentation,
 )
 
@@ -190,16 +197,18 @@ def _coroot_root_pairs(g: ReductiveGroupData) -> list:
     return list(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
 
 
+@once_per_group
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
     n = g.cochar_rank
     return FormLattice.from_coord_columns(n, _invariant_coord_columns(n, _coroot_root_pairs(g)))
 
 
+@once_per_group
 def even_invariant_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms with even diagonal (b(x,x) in 2Z)."""
     n = g.cochar_rank
-    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))
+    cols = invariant_sym_forms(g).coords.columns()
     return FormLattice.from_coord_columns(
         n, _restrict_by_congruences(n, cols, _diagonal_even_conditions(n))
     )
@@ -216,6 +225,7 @@ def basic_inner_product(t: SimpleType) -> BilinearForm:
     return BilinearForm(IntMatrix.from_rows(gram))
 
 
+@once_per_group
 def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
     """(Sym^2 of the weight lattice)^W: even invariant forms on the coroot
     lattice of G^sc, in simple-coroot coordinates."""
@@ -227,6 +237,7 @@ def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
     )
 
 
+@once_per_group
 def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     """Invariant even forms on Lambda(T_D(G)) whose rational extension is
     integral on Lambda(T_D(G)) x Lambda(T_Gss); Gram matrices are on the
@@ -260,11 +271,12 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     return FormLattice.from_coord_columns(m, _restrict_by_congruences(m, cols, conditions))
 
 
+@once_per_group
 def d_even_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms on Lambda(T_G) whose restriction to the
     derived lattice is even."""
     n = g.cochar_rank
-    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))
+    cols = invariant_sym_forms(g).coords.columns()
     cd = cross_diagram(g)
     conditions = [
         (_value_functional(n, u), 2) for u in cd.derived_lattice.basis.columns()
@@ -307,6 +319,7 @@ def _root_relations(g: ReductiveGroupData, extra_rank: int) -> IntMatrix:
             if cols else IntMatrix.zero(n + extra_rank, 0))
 
 
+@once_per_group
 def _derived_quotient(g: ReductiveGroupData):
     """Lambda^*(T_D)/Lambda^*(T_Gad) as a presentation, with the restriction
     matrix Lambda^*(T_G) -> Lambda^*(T_D)."""

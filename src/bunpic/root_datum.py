@@ -16,6 +16,7 @@ Conventions, fixed once for determinism:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -224,6 +225,26 @@ class ReductiveGroupData:
 
     def __str__(self):
         return self.label or "*".join(str(t) for t in self.factor_types) or f"T({self.cochar_rank})"
+
+
+def once_per_group(fn):
+    """Compute ``fn(g)`` once per group object and keep it on the object.
+
+    A ``ReductiveGroupData`` is immutable, so a value computed from the group
+    alone stays valid for the object's life.  It is stored in the instance
+    ``__dict__`` under the function's dotted name, which no field can shadow;
+    ``==``, ``hash`` and ``group_to_json`` read only the declared fields.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def once(g: ReductiveGroupData):
+        memo = g.__dict__
+        if key not in memo:
+            memo[key] = fn(g)
+        return memo[key]
+
+    return once
 
 
 def _block_cartan(types) -> IntMatrix:

@@ -268,3 +268,32 @@ def test_reports_match_pinned_digests(capsys, group, delta, family, code, digest
                  "--compute", "pi1,forms,ns,picard,rigidified,gerbe", "--format", "json"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group,delta", [
+    ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)), ("T(2)", (1, 2)),
+])
+def test_report_computes_each_form_lattice_once(monkeypatch, group, delta):
+    # one Weyl-invariance kernel each for Lambda(T_G), the sc coroot lattice and
+    # Lambda(T_D(G)); the values are kept on the group without changing it
+    from bunpic import cli, invariant_forms
+    from bunpic.root_datum import build_group, group_to_json
+
+    kernel = invariant_forms._invariant_coord_columns
+    kernel_ranks = []
+    monkeypatch.setattr(invariant_forms, "_invariant_coord_columns",
+                        lambda n, roots: kernel_ranks.append(n) or kernel(n, roots))
+    load = cli.load_group
+    loaded = []
+    monkeypatch.setattr(cli, "load_group", lambda text: loaded.append(load(text)) or loaded[-1])
+    code, _ = run(dict(
+        group_text=group, delta=delta, family=parse_family("universal:2,1"),
+        compute=("pi1", "forms", "ns", "picard", "rigidified", "gerbe"),
+    ))
+    assert code == 0
+    assert len(kernel_ranks) <= 3, kernel_ranks
+    [g] = loaded
+    fresh = build_group(group)
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert group_to_json(g) == group_to_json(fresh)

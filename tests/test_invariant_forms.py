@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from bunpic.exact_algebra import (
 from bunpic.invariant_forms import (
     BilinearForm,
     FormLattice,
+    _derived_quotient,
     basic_inner_product,
     conditional_form_lattice,
     d_even_forms,
@@ -407,12 +410,13 @@ def assert_kernel_matches_sym2_reference(g):
     sc = sym2_conjugation_kernel(m, sc_reflections(g))
     assert sc_even_forms(g) == FormLattice.from_coord_columns(m, even_part(m, sc))
     # the conditional lattice adds integrality congruences to the kernel on
-    # Lambda(T_D); rebuild it with the reference kernel in place of the linear one
+    # Lambda(T_D); rebuild it with the reference kernel in place of the linear
+    # one, on a copy of g, since the lattice is kept on the group it was built on
     derived = derived_reflections(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariant_forms, "_invariant_coord_columns",
                    lambda k, roots: sym2_conjugation_kernel(k, derived))
-        reference = conditional_form_lattice(g)
+        reference = conditional_form_lattice(dataclasses.replace(g))
     assert conditional_form_lattice(g) == reference
 
 
@@ -468,3 +472,18 @@ def test_form_values_match_gram_evaluation_on_random_products(factors, lattice_o
             for j in range(n):
                 total[i][j] += c * gk[i, j]
     assert fl.form_from_coeffs(coeffs).gram == IntMatrix.from_rows(total)
+
+
+# ---------------------------------------------------------------------------
+# values kept on the group object
+
+
+@pytest.mark.parametrize("fn", FORM_LATTICES + [_derived_quotient])
+def test_memoized_functions_stay_visible_to_the_tracer(fn):
+    # bench/tracer.py wraps only functions whose __module__ is their own module
+    assert inspect.isfunction(fn)
+    assert fn.__module__ == "bunpic.invariant_forms"
+    original = fn.__wrapped__
+    assert (fn.__name__, fn.__doc__) == (original.__name__, original.__doc__)
+    assert fn.__doc__
+    assert getattr(invariant_forms, fn.__name__) is fn

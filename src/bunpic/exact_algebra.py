@@ -13,6 +13,22 @@ results are exact and canonical:
   (:func:`rational_coordinates`, solved through the Smith normal form);
   ``fractions.Fraction`` appears only in :func:`rational_solve`, the
   Gaussian-elimination reference.
+
+Which normal form does which job:
+
+* one column-echelon routine, ``_echelon``, gives the Hermite normal form
+  (:func:`hermite_normal_form`, on ``[m; I]`` for the transform), integer
+  kernels (:func:`kernel_basis`) and congruence lattices
+  (:func:`solve_congruence_sublattice`): a kernel is the lower block of the
+  echeloned columns whose top block vanishes, already in HNF;
+* membership and coordinates in a lattice back-substitute along the pivot
+  rows of its HNF basis (:meth:`Lattice.coordinates`);
+* the Smith normal form is used only where invariant factors or a basis
+  adapted to them are the output: :func:`group_from_relations`,
+  :func:`canonical_generators`, :func:`rational_coordinates`, the
+  complement and glue bases of ``root_datum.cross_diagram`` and
+  ``root_datum.with_central_torus``, and :func:`solve`, the reference for
+  arbitrary matrices that the tests check against.
 """
 
 from __future__ import annotations
@@ -156,30 +172,19 @@ class IntMatrix:
 # Hermite and Smith normal forms
 
 
-def hermite_normal_form(m: IntMatrix):
-    """Column Hermite normal form.
+def _echelon(cols, nrows: int) -> list:
+    """Column echelon form on the first ``nrows`` rows; entries below them
+    ride along, so a stacked identity records the transform.
 
-    Returns ``(h, u)`` with ``u`` unimodular and ``h = m * u``: columns in
-    echelon order (pivot rows strictly increasing), pivots positive, and in a
-    pivot row every entry to the left of the pivot reduced into ``[0, pivot)``.
-    Zero columns are pushed to the right, so the nonzero columns are a
-    canonical basis of the column span.
+    Returns the nonzero reduced columns as lists: pivot rows strictly
+    increasing, pivots positive, and in a pivot row every entry to the left
+    of the pivot reduced into ``[0, pivot)``.  A column is only ever swapped,
+    negated or changed by an integer multiple of another, so the columns
+    span the same lattice throughout.
     """
-    h = [list(col) for col in m.transpose().entries]  # work on columns
-    u = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
-
-    def col_sub(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-        u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
-
-    def col_neg(j: int) -> None:
-        h[j] = [-a for a in h[j]]
-        u[j] = [-a for a in u[j]]
-
+    h = [list(c) for c in cols]
     pivot_col = 0
-    for row in range(m.rows):
+    for row in range(nrows):
         if pivot_col >= len(h):
             break
         # gcd-eliminate row entries across the trailing columns into pivot_col
@@ -189,26 +194,47 @@ def hermite_normal_form(m: IntMatrix):
                 break
             jmin = min(live, key=lambda j: abs(h[j][row]))
             h[pivot_col], h[jmin] = h[jmin], h[pivot_col]
-            u[pivot_col], u[jmin] = u[jmin], u[pivot_col]
+            pc = h[pivot_col]
             done = True
             for j in range(pivot_col + 1, len(h)):
                 if h[j][row] != 0:
-                    col_sub(j, pivot_col, h[j][row] // h[pivot_col][row])
+                    q = h[j][row] // pc[row]
+                    h[j] = [a - q * b for a, b in zip(h[j], pc)]
                     if h[j][row] != 0:
                         done = False
             if done:
                 break
-        if h[pivot_col][row] != 0:
-            if h[pivot_col][row] < 0:
-                col_neg(pivot_col)
-            p = h[pivot_col][row]
+        pc = h[pivot_col]
+        if pc[row] != 0:
+            if pc[row] < 0:
+                pc = h[pivot_col] = [-a for a in pc]
+            p = pc[row]
             for j in range(pivot_col):
-                col_sub(j, pivot_col, h[j][row] // p)
+                q = h[j][row] // p
+                if q:
+                    h[j] = [a - q * b for a, b in zip(h[j], pc)]
             pivot_col += 1
+    return [c for c in h if any(c)]
 
-    hm = IntMatrix.from_columns(h, m.rows) if h else IntMatrix.zero(m.rows, 0)
-    um = IntMatrix.from_columns(u, m.cols) if u else IntMatrix.zero(m.cols, 0)
-    return hm, um
+
+def _over_identity(m: IntMatrix) -> list:
+    """Columns of ``m`` stacked over the identity: ``[m; I]``."""
+    return [m.column(j) + tuple(int(i == j) for i in range(m.cols)) for j in range(m.cols)]
+
+
+def hermite_normal_form(m: IntMatrix):
+    """Column Hermite normal form.
+
+    Returns ``(h, u)`` with ``u`` unimodular and ``h = m * u``: columns in
+    echelon order (pivot rows strictly increasing), pivots positive, and in a
+    pivot row every entry to the left of the pivot reduced into ``[0, pivot)``.
+    Zero columns are pushed to the right, so the nonzero columns are a
+    canonical basis of the column span.  The echelon runs on ``[m; I]`` over
+    the rows of ``m``; the identity rows end as ``u``.
+    """
+    cols = _echelon(_over_identity(m), m.rows)
+    return (IntMatrix.from_columns([c[: m.rows] for c in cols], m.rows),
+            IntMatrix.from_columns([c[m.rows:] for c in cols], m.cols))
 
 
 def smith_normal_form(m: IntMatrix):
@@ -302,20 +328,35 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     return w
 
 
+def _lower_blocks(cols, top: int, nrows: int) -> list:
+    """Echelon the columns on all ``nrows`` rows and return, below row
+    ``top``, the columns whose first ``top`` rows vanish.
+
+    The echelon clears the first ``top`` rows first, so those columns span
+    every combination with a vanishing top; their lower blocks come out in
+    column HNF, the canonical basis of the lattice they span.
+    """
+    return [c[top:] for c in _echelon(cols, nrows) if not any(c[:top])]
+
+
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel ``{x : m*x = 0}``, columns in HNF."""
-    s, _, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
-    cols = [v.column(j) for j in range(rank, m.cols)]
-    if not cols:
-        return IntMatrix.zero(m.cols, 0)
-    h, _ = hermite_normal_form(IntMatrix.from_columns(cols, m.cols))
-    keep = [c for c in h.columns() if any(x != 0 for x in c)]
-    return IntMatrix.from_columns(keep, m.cols) if keep else IntMatrix.zero(m.cols, 0)
+    """Basis of the integer kernel ``{x : m*x = 0}``, columns in HNF.
+
+    The columns of ``[m; I]`` echeloned with a zero top block are ``(0, x)``
+    with ``x`` in the kernel, and they span all of it because the column
+    operations are unimodular (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4).
+    """
+    return IntMatrix.from_columns(_lower_blocks(_over_identity(m), m.rows, m.rows + m.cols), m.cols)
 
 
 def solve(m: IntMatrix, b) -> tuple | None:
-    """One integer solution of ``m*x = b``, or ``None`` if there is none."""
+    """One integer solution of ``m*x = b``, or ``None`` if there is none.
+
+    Works on any matrix, through the Smith normal form.  The library solves
+    in HNF bases with :meth:`Lattice.coordinates`; this is the reference the
+    tests check spans and coordinates against.
+    """
     s, u, v = smith_normal_form(m)
     ub = u.mul_vector(tuple(b))
     y = [0] * m.cols
@@ -363,10 +404,29 @@ class Lattice:
         return self.basis.cols
 
     def contains(self, v) -> bool:
-        return solve(self.basis, tuple(v)) is not None
+        return self.coordinates(v) is not None
 
     def coordinates(self, v) -> tuple | None:
-        return solve(self.basis, tuple(v))
+        """Coordinates of ``v`` in the basis, or ``None`` when ``v`` is not in
+        the lattice: back-substitution along the pivot rows of the echelon
+        basis, each of which fixes one coordinate."""
+        r = [int(a) for a in v]
+        if len(r) != self.ambient_rank:
+            raise ValueError("vector length does not match ambient rank")
+        x = []
+        last = -1
+        for col in self.basis.columns():
+            p = next((i for i, a in enumerate(col) if a), -1)
+            if p <= last:
+                raise ValueError("lattice basis is not in echelon form")
+            last = p
+            q, rem = divmod(r[p], col[p])
+            if rem:
+                return None
+            if q:
+                r = [a - q * b for a, b in zip(r, col)]
+            x.append(q)
+        return None if any(r) else tuple(x)
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(c) for c in other.basis.columns())
@@ -419,13 +479,15 @@ def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:
             raise ValueError("modulus must be nonnegative")
     if not conditions:
         return Lattice.full(ambient_rank)
+    # the lattice spanned by the columns of [[F, -diag(m)], [I, 0]] meets the
+    # zero-top subspace in the pairs (0, v) with F v in diag(m) Z^k
     k = len(conditions)
-    rows = []
-    for i, (f, m) in enumerate(conditions):
-        rows.append(tuple(f) + tuple(-m if j == i else 0 for j in range(k)))
-    ker = kernel_basis(IntMatrix.from_rows(rows))
-    cols = [ker.column(j)[:ambient_rank] for j in range(ker.cols)]
-    return Lattice.from_columns(ambient_rank, cols)
+    unit = IntMatrix.identity(ambient_rank).entries
+    cols = [tuple(f[j] for f, _ in conditions) + unit[j] for j in range(ambient_rank)]
+    cols += [tuple(-m if i == j else 0 for i in range(k)) + (0,) * ambient_rank
+             for j, (_, m) in enumerate(conditions)]
+    return Lattice(ambient_rank,
+                   IntMatrix.from_columns(_lower_blocks(cols, k, k + ambient_rank), ambient_rank))
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +717,10 @@ class Presentation:
         the coordinates of this presentation.
         """
         embed = self.subgroup_key(generator_cols)
+        sub = Lattice(self.rank, embed)
         rel_cols = []
         for c in self.relations.columns():
-            x = solve(embed, c)
+            x = sub.coordinates(c)
             if x is None:
                 raise ArithmeticError("relations must lie in the subgroup")
             rel_cols.append(x)

@@ -36,7 +36,6 @@ from .exact_algebra import (
     kernel_basis,
     preimage_lattice,
     rational_coordinates,
-    solve,
     solve_congruence_sublattice,
 )
 from .root_datum import (
@@ -164,12 +163,9 @@ def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
     if not coord_cols:
         return []
     k = IntMatrix.from_columns(coord_cols, sym2_dim(n))
-    comp = []
-    for func, mod in conditions:
-        comp.append((tuple(sum(f * k[r, c] for r, f in enumerate(func))
-                           for c in range(k.cols)), mod))
-    coeff_lat = solve_congruence_sublattice(k.cols, comp)
-    return [k.mul_vector(c) for c in coeff_lat.basis.columns()]
+    funcs = IntMatrix(len(conditions), k.rows, tuple(func for func, _ in conditions))
+    comp = zip(funcs.mul(k).entries, (mod for _, mod in conditions))
+    return k.mul(solve_congruence_sublattice(k.cols, comp).basis).columns()
 
 
 def _diagonal_even_conditions(n: int) -> list:
@@ -250,7 +246,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     res = d_basis.transpose()
     pairs = []
     for coroot, root in _coroot_root_pairs(g):
-        x = solve(d_basis, coroot)
+        x = cd.derived_lattice.coordinates(coroot)
         if x is None:
             raise ArithmeticError("derived lattice does not contain the coroots")
         pairs.append((x, res.mul_vector(root)))

@@ -17,7 +17,6 @@ from .exact_algebra import (
     Lattice,
     group_from_relations,
     quotient_group,
-    solve,
     solve_congruence_sublattice,
 )
 from .family import CurveFamily, hypothesis_check
@@ -347,9 +346,10 @@ def _ns_image_sublattice(ns: NSGroup, genus: int, delta_cs: int) -> Lattice:
 
 def _subgroup_cokernel(ns: NSGroup, sub: Lattice) -> FGAbelianGroup:
     """NS / (subgroup generated by the given member lattice)."""
+    members = Lattice(ns.members.rows, ns.members)
     cols = []
     for c in sub.basis.columns():
-        x = solve(ns.members, c)
+        x = members.coordinates(c)
         if x is None:
             raise ArithmeticError("image is not inside the NS group")
         cols.append(x)
@@ -357,7 +357,7 @@ def _subgroup_cokernel(ns: NSGroup, sub: Lattice) -> FGAbelianGroup:
         else IntMatrix.zero(ns.members.cols, 0)
     extra = []
     for c in ns.relations.columns():
-        x = solve(ns.members, c)
+        x = members.coordinates(c)
         if x is not None:
             extra.append(x)
     if extra:

@@ -31,7 +31,6 @@ from .exact_algebra import (
     kernel_basis,
     saturation,
     smith_normal_form,
-    solve,
     unimodular_inverse,
 )
 
@@ -720,10 +719,11 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
                   for x in v.column(idx) + tuple(int(j == r) for r in range(k)))
             for j, idx in enumerate(nontrivial)]
     cols = [unit(i) for i in range(m + k)] + glue
-    basis = Lattice.from_columns(m + k, cols).basis  # basis of denom * Lambda
+    glued = Lattice.from_columns(m + k, cols)  # denom * Lambda
+    basis = glued.basis
 
     def to_new_coords(target):
-        x = solve(basis, tuple(target))
+        x = glued.coordinates(target)
         if x is None:
             raise ArithmeticError("vector not in the glued lattice")
         return x

@@ -262,12 +262,43 @@ PINNED_REPORTS = [
 ]
 
 
+# The same for cocharacter ranks 10-12, above every benchmark group, where the
+# normal forms are largest; pinned from the implementation that took every
+# integer kernel from the Smith normal form.
+PINNED_LARGE_RANK_REPORTS = [
+    ("GL(12)", "1", "universal:2,1", 0,
+     "f6e06a7dcd8c0942bf75a3bcc86ae0040a860c4cc208ebf5c7726165bed436ae"),
+    ("T(10)", "1,2,3,4,5,6,7,8,9,10", "universal:2,1", 0,
+     "494fa36de9912f9ea23350992551b6b4daa3c094718e9fa018bba10213d75f7b"),
+    ("Sp(18)*T(2)", "1,1", "universal:3,1", 0,
+     "bba410d48e6c05b4310a39aea62392b5bf31ddcfdf53aa480e6819468f10d62b"),
+    ("PGL(11)*T(1)", "3,1", "universal:2,2", 0,
+     "ec197360e7cb47715fe8206a8cfea8e46d278ec7312a7ef242b992657240c4ee"),
+    ("SO(21)*T(1)", "1,1", "genus0_nontrivial", 2,
+     "4172c84b5a1023cf1434431fe3cf8779d01eed7a21396eef6e243b9dc33fcbf9"),
+    ("SL(6)*Sp(6)*T(2)", "1,1", "hyperelliptic:3", 2,
+     "aa55bdfa4f550d818cdf1eb81a09f903ae8b4030441bc9f03f1983677509119a"),
+]
+
+
+def full_report_digest(capsys, group, delta, family):
+    """Exit code and SHA-256 of the JSON stdout of all six computations."""
+    code = main(["--group", group, "--delta", delta, "--family", family,
+                 "--compute", "pi1,forms,ns,picard,rigidified,gerbe", "--format", "json"])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("group,delta,family,code,digest", PINNED_REPORTS)
 def test_reports_match_pinned_digests(capsys, group, delta, family, code, digest):
-    assert main(["--group", group, "--delta", delta, "--family", family,
-                 "--compute", "pi1,forms,ns,picard,rigidified,gerbe", "--format", "json"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert full_report_digest(capsys, group, delta, family) == (code, digest)
+
+
+@pytest.mark.parametrize("group,delta,family,code,digest", PINNED_LARGE_RANK_REPORTS)
+def test_large_rank_reports_match_pinned_digests(capsys, group, delta, family, code, digest):
+    from bunpic.root_datum import build_group
+
+    assert 10 <= build_group(group).cochar_rank <= 12
+    assert full_report_digest(capsys, group, delta, family) == (code, digest)
 
 
 @pytest.mark.parametrize("group,delta", [

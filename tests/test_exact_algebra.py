@@ -278,6 +278,17 @@ def test_kernel_basis():
         assert m.mul_vector(k.column(j)) == (0,)
 
 
+def test_coordinates_back_substitute_in_the_hnf_basis():
+    lat = Lattice.from_columns(3, [(2, 1, 0), (0, 3, 3)])
+    assert lat.coordinates((4, 5, 3)) == (2, 1)
+    assert lat.coordinates((4, 5, 4)) is None      # off the rational span
+    assert lat.coordinates((1, 0, 0)) is None      # on it, but not integral
+    with pytest.raises(ValueError):
+        lat.coordinates((1, 0))
+    with pytest.raises(ValueError):
+        Lattice(2, IntMatrix.from_rows([[0, 1], [1, 0]])).coordinates((1, 1))
+
+
 def test_solve_and_rational_helpers():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert solve(m, (4, 9)) == (2, 3)

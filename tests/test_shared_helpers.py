@@ -1,7 +1,8 @@
 """Property tests for the shared lattice helpers: canonicalization of cyclic
 orders, the integer inverse of a unimodular matrix, the canonical generator
-choice of a presented group, and rational coordinates over one common
-denominator."""
+choice of a presented group, rational coordinates over one common
+denominator, and the echelon kernels, congruence lattices and lattice
+coordinates checked against their Smith-form references."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,11 +14,17 @@ from hypothesis import strategies as st
 from bunpic.exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
+    Lattice,
     _canonical_from_factors,
     canonical_generators,
     group_from_relations,
+    hermite_normal_form,
+    kernel_basis,
     rational_coordinates,
     rational_solve,
+    smith_normal_form,
+    solve,
+    solve_congruence_sublattice,
     unimodular_inverse,
 )
 
@@ -73,9 +80,9 @@ def test_direct_sum_large_prime_needs_no_factoring():
 
 
 @st.composite
-def unimodular_matrices(draw):
+def unimodular_matrices(draw, size=st.integers(min_value=0, max_value=5)):
     """Products of elementary matrices: row additions, swaps and negations."""
-    n = draw(st.integers(min_value=0, max_value=5))
+    n = draw(size)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if n:
         index = st.integers(min_value=0, max_value=n - 1)
@@ -178,3 +185,136 @@ def test_rational_coordinates_reject_a_singular_matrix(system, k):
     assert singular.det() == 0
     with pytest.raises(ValueError):
         rational_coordinates(singular, b)
+
+
+# ---------------------------------------------------------------------------
+# echelon kernels, congruence lattices and coordinates against the Smith form
+
+
+def snf_kernel_basis(m):
+    """Reference kernel: the columns of the Smith transform ``v`` beyond the
+    rank, put in HNF."""
+    s, _, v = smith_normal_form(m)
+    rank = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
+    return Lattice.from_columns(m.cols, [v.column(j) for j in range(rank, m.cols)]).basis
+
+
+def snf_congruence_sublattice(ambient_rank, conditions):
+    """Reference congruence lattice: the first ``ambient_rank`` coordinates
+    of the reference kernel of ``[F | -diag(m)]``."""
+    if not conditions:
+        return Lattice.full(ambient_rank)
+    k = len(conditions)
+    rows = [tuple(f) + tuple(-m if j == i else 0 for j in range(k))
+            for i, (f, m) in enumerate(conditions)]
+    ker = snf_kernel_basis(IntMatrix.from_rows(rows))
+    return Lattice.from_columns(ambient_rank, [c[:ambient_rank] for c in ker.columns()])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Matrices up to 5 x 6, 0 x n included; some of rank below their size
+    (a product through k < min(rows, cols) dimensions), some with zeroed
+    rows and columns."""
+    nr = draw(st.integers(min_value=0, max_value=5))
+    nc = draw(st.integers(min_value=0, max_value=6))
+    entry = st.integers(min_value=-6, max_value=6)
+    rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=max(min(nr, nc) - 1, 0)))
+        a = [[draw(entry) for _ in range(k)] for _ in range(nr)]
+        b = [[draw(entry) for _ in range(nc)] for _ in range(k)]
+        rows = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(nc)] for i in range(nr)]
+    zero_rows = draw(st.lists(st.booleans(), min_size=nr, max_size=nr))
+    zero_cols = draw(st.lists(st.booleans(), min_size=nc, max_size=nc))
+    rows = [[0 if zr or zero_cols[j] else a for j, a in enumerate(row)]
+            for zr, row in zip(zero_rows, rows)]
+    return IntMatrix(nr, nc, tuple(tuple(r) for r in rows))
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_kernel_basis_matches_the_smith_reference(m):
+    k = kernel_basis(m)
+    assert k == snf_kernel_basis(m)
+    assert m.mul(k).is_zero()
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_hermite_transform_is_unimodular(m):
+    h, u = hermite_normal_form(m)
+    assert h == m.mul(u)
+    assert abs(u.det()) == 1
+
+
+@st.composite
+def congruence_conditions(draw):
+    """Up to four (functional, modulus) pairs, moduli 0 and 1 included."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = st.integers(min_value=-6, max_value=6)
+    modulus = st.integers(min_value=0, max_value=6)
+    conditions = [(tuple(draw(entry) for _ in range(n)), draw(modulus))
+                  for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    return n, conditions
+
+
+@SETTINGS
+@given(congruence_conditions())
+def test_congruence_sublattice_matches_the_kernel_reference(n_conditions):
+    n, conditions = n_conditions
+    lat = solve_congruence_sublattice(n, conditions)
+    assert lat == snf_congruence_sublattice(n, conditions)
+    for c in lat.basis.columns():
+        for f, m in conditions:
+            value = sum(a * b for a, b in zip(f, c))
+            assert congruent(value, 0, m)
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """A lattice from random generators, optionally under zero leading rows
+    (as the rigidified NS members are), with members and random vectors."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=-6, max_value=6)
+    ngens = draw(st.integers(min_value=0, max_value=5))
+    gens = [tuple(draw(entry) for _ in range(n)) for _ in range(ngens)]
+    basis = Lattice.from_columns(n, gens).basis
+    pad = draw(st.integers(min_value=0, max_value=2))
+    basis = IntMatrix(n + pad, basis.cols, ((0,) * basis.cols,) * pad + basis.entries)
+    lat = Lattice(n + pad, basis)
+    vectors = [basis.mul_vector(tuple(draw(entry) for _ in range(basis.cols)))
+               for _ in range(3)]
+    vectors += [tuple(draw(entry) for _ in range(n + pad)) for _ in range(3)]
+    return lat, vectors
+
+
+@SETTINGS
+@given(lattices_and_vectors())
+def test_coordinates_match_the_smith_solve(lat_vectors):
+    lat, vectors = lat_vectors
+    for v in vectors:
+        x = lat.coordinates(v)
+        assert x == solve(lat.basis, v)
+        assert lat.contains(v) == (x is not None)
+        if x is not None:
+            assert lat.basis.mul_vector(x) == tuple(v)
+
+
+@st.composite
+def relations_with_basis_changes(draw):
+    """A relation matrix with unimodular changes of basis of its columns
+    (the generators) and of the ambient."""
+    rank, rel = draw(relation_matrices())
+    return rank, rel, draw(unimodular_matrices(st.just(rel.cols))), \
+        draw(unimodular_matrices(st.just(rank)))
+
+
+@SETTINGS
+@given(relations_with_basis_changes())
+def test_normal_forms_are_canonical_under_a_change_of_basis(data):
+    rank, rel, u, v = data
+    moved = rel.mul(u)
+    assert Lattice.from_columns(rank, moved.columns()) == Lattice.from_columns(rank, rel.columns())
+    assert group_from_relations(rank, moved) == group_from_relations(rank, rel)
+    assert group_from_relations(rank, v.mul(moved)) == group_from_relations(rank, rel)

@@ -155,14 +155,14 @@ def run_report(cfg: RunConfig):
         delta = Pi1Element.from_coords(group, cfg.delta)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if cfg.lift_d is not None:
-        if len(cfg.lift_d) != group.cochar_rank:
+    lift = cfg.lift_d
+    if lift is not None:
+        if len(lift) != group.cochar_rank:
             raise InputError(f"lift-d needs {group.cochar_rank} coordinates")
-        if Pi1Element.from_cocharacter(group, cfg.lift_d).coords != delta.coords:
+        if Pi1Element.from_cocharacter(group, lift).coords != delta.coords:
             raise InputError("lift-d does not lift the given delta")
-        lift = cfg.lift_d
-    else:
-        lift = None
+    # lift stays None when not given: ns_bun_p1 and the genus-0 engines pick a generic one
+    d = lift if lift is not None else pres.lift(delta.coords)
     unknown = [c for c in cfg.compute if c not in COMPUTATIONS]
     if unknown:
         raise InputError(f"unknown computations {unknown}; known: {COMPUTATIONS}")
@@ -203,7 +203,6 @@ def run_report(cfg: RunConfig):
     if "picard" in cfg.compute:
         def picard_fn():
             if group.is_torus:
-                d = lift if lift is not None else pres.lift(delta.coords)
                 if f.genus == 0:
                     return torus_picard_genus0(group, d, f).to_json()
                 return torus_picard(group, d, f).to_json()
@@ -217,7 +216,6 @@ def run_report(cfg: RunConfig):
     if "poincare" in cfg.compute:
         if not (group.is_torus and group.cochar_rank == 1):
             raise InputError("poincare needs the group T(1)")
-        d = lift if lift is not None else pres.lift(delta.coords)
         results["poincare"] = poincare_bundle_exists(d[0], f)
 
     hypotheses = {}
@@ -233,7 +231,7 @@ def run_report(cfg: RunConfig):
         },
         "pi1": _group_json(pres.group),
         "delta": list(delta.coords),
-        "lift": list(lift if lift is not None else pres.lift(delta.coords)),
+        "lift": list(d),
         "family": f.to_json(),
         "results": results,
         "hypotheses": hypotheses,

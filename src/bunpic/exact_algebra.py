@@ -9,6 +9,11 @@ results are exact and canonical:
   of ``Z^n`` have identical representations;
 * finitely generated abelian groups are stored as invariant factors
   ``d_1 | d_2 | ... | d_k`` plus a free rank, so isomorphism is equality;
+* a quotient ``Z^n / R`` is taken against its relation :class:`Lattice`
+  ``R`` (:func:`preimage_lattice`, :func:`hom_cokernel`,
+  :func:`quotient_group`), so the result depends on the span of the
+  relations only; :func:`subgroup_generators` takes the relation columns
+  themselves, because their order fixes the canonical generators;
 * rational coordinates are integer numerators over one common denominator
   (:func:`rational_coordinates`, solved through the Smith normal form);
   ``fractions.Fraction`` appears only in :func:`rational_solve`, the
@@ -386,14 +391,9 @@ class Lattice:
 
     @staticmethod
     def from_columns(ambient_rank: int, cols) -> "Lattice":
-        cols = [tuple(c) for c in cols]
-        if not cols:
-            return Lattice(ambient_rank, IntMatrix.zero(ambient_rank, 0))
-        m = IntMatrix.from_columns(cols, ambient_rank)
-        h, _ = hermite_normal_form(m)
+        h, _ = hermite_normal_form(IntMatrix.from_columns(cols, ambient_rank))
         keep = [c for c in h.columns() if any(x != 0 for x in c)]
-        basis = IntMatrix.from_columns(keep, ambient_rank) if keep else IntMatrix.zero(ambient_rank, 0)
-        return Lattice(ambient_rank, basis)
+        return Lattice(ambient_rank, IntMatrix.from_columns(keep, ambient_rank))
 
     @staticmethod
     def full(ambient_rank: int) -> "Lattice":
@@ -569,7 +569,7 @@ class FGAbelianGroup:
             col = [0] * n
             col[self.free_rank + t] = d
             cols.append(col)
-        return IntMatrix.from_columns(cols, n) if cols else IntMatrix.zero(n, 0)
+        return IntMatrix.from_columns(cols, n)
 
 
 def _canonical_from_factors(free_rank: int, factors) -> FGAbelianGroup:
@@ -622,8 +622,7 @@ def canonical_generators(rank: int, relations: IntMatrix):
     free_idx = [i for i in range(rank) if i >= len(diags) or diags[i] == 0]
     tors_idx = sorted((i for i in range(len(diags)) if diags[i] >= 2), key=lambda i: diags[i])
     order_idx = free_idx + tors_idx
-    gens = (IntMatrix.from_columns([uinv.column(i) for i in order_idx], rank)
-            if order_idx else IntMatrix.zero(rank, 0))
+    gens = IntMatrix.from_columns([uinv.column(i) for i in order_idx], rank)
     proj = IntMatrix.from_rows([u.row(i) for i in order_idx]) if order_idx else IntMatrix.zero(0, rank)
     torsion = tuple(diags[i] for i in tors_idx)
     orders = (0,) * len(free_idx) + torsion
@@ -638,8 +637,7 @@ def quotient_group(ambient: Lattice, sub: Lattice) -> FGAbelianGroup:
         if x is None:
             raise ValueError("not a sublattice of the ambient")
         coords.append(x)
-    rels = IntMatrix.from_columns(coords, ambient.rank) if coords else IntMatrix.zero(ambient.rank, 0)
-    return group_from_relations(ambient.rank, rels)
+    return group_from_relations(ambient.rank, IntMatrix.from_columns(coords, ambient.rank))
 
 
 @dataclass(frozen=True)
@@ -678,80 +676,36 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
 
 
 # ---------------------------------------------------------------------------
-# presented groups (quotients of Z^rank), used for NS and cokernel machinery
+# quotients by a relation lattice (NS groups and their cokernels)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Abelian group presented as ``Z^rank`` modulo the columns of ``relations``."""
+def subgroup_generators(ambient_rank: int, generator_cols, relations: IntMatrix):
+    """The subgroup of ``Z^ambient_rank / relations`` generated by the given
+    coset representatives, with canonical generators.
 
-    rank: int
-    relations: IntMatrix
-
-    @staticmethod
-    def of_quotient(rank: int, relation_cols) -> "Presentation":
-        cols = [tuple(c) for c in relation_cols]
-        m = IntMatrix.from_columns(cols, rank) if cols else IntMatrix.zero(rank, 0)
-        return Presentation(rank, m)
-
-    def group(self) -> FGAbelianGroup:
-        return group_from_relations(self.rank, self.relations)
-
-    def relation_lattice(self) -> Lattice:
-        return Lattice.from_columns(self.rank, self.relations.columns())
-
-    def is_zero(self, v) -> bool:
-        return self.relation_lattice().contains(tuple(v))
-
-    def subgroup_key(self, generator_cols) -> IntMatrix:
-        """Canonical key of the subgroup generated by the given coset reps:
-        HNF basis of (generators + relations), comparable across computations."""
-        lat = Lattice.from_columns(self.rank, list(generator_cols) + self.relations.columns())
-        return lat.basis
-
-    def subgroup(self, generator_cols):
-        """The subgroup generated by the given coset reps.
-
-        Returns ``(pres, embed)``: a presentation of the subgroup and the
-        matrix embedding its generators (the :meth:`subgroup_key` basis) into
-        the coordinates of this presentation.
-        """
-        embed = self.subgroup_key(generator_cols)
-        sub = Lattice(self.rank, embed)
-        rel_cols = []
-        for c in self.relations.columns():
-            x = sub.coordinates(c)
-            if x is None:
-                raise ArithmeticError("relations must lie in the subgroup")
-            rel_cols.append(x)
-        return Presentation.of_quotient(embed.cols, rel_cols), embed
-
-
-def preimage_lattice(m: IntMatrix, target: Presentation) -> Lattice:
-    """Lattice ``{v : m*v lies in the relation lattice of target}``."""
-    if m.rows != target.rank:
-        raise ValueError("codomain mismatch")
-    rel = target.relations
-    if rel.cols == 0:
-        return Lattice.from_columns(m.cols, kernel_basis(m).columns())
-    stacked = m.hstack(rel.neg())
-    ker = kernel_basis(stacked)
-    cols = [ker.column(j)[: m.cols] for j in range(ker.cols)]
-    return Lattice.from_columns(m.cols, cols)
-
-
-def hom_kernel(m: IntMatrix, source: Presentation, target: Presentation):
-    """Kernel of the hom ``source -> target`` induced by ``m``.
-
-    Returns ``(pres, embed)``: a presentation of the kernel and the matrix
-    embedding its generators into the source coordinates.
+    Returns ``(group, key, gens)``: the canonical group, ``key`` the HNF
+    basis of generators + relations (so two computations of one subgroup
+    compare equal), and ``gens = key * canonical``, the generator lifts as
+    columns.  The relations enter :func:`canonical_generators` as their
+    coordinates in ``key``, column by column in the given order.
     """
-    return source.subgroup(preimage_lattice(m, target).basis.columns())
+    key = Lattice.from_columns(ambient_rank, list(generator_cols) + relations.columns())
+    rel = IntMatrix.from_columns([key.coordinates(c) for c in relations.columns()], key.rank)
+    group, canonical, _, _ = canonical_generators(key.rank, rel)
+    return group, key.basis, key.basis.mul(canonical)
 
 
-def hom_cokernel(m: IntMatrix, target: Presentation) -> FGAbelianGroup:
-    stacked = m.hstack(target.relations)
-    return group_from_relations(target.rank, stacked)
+def preimage_lattice(m: IntMatrix, rel: Lattice) -> Lattice:
+    """Lattice ``{v : m*v lies in rel}``."""
+    if m.rows != rel.ambient_rank:
+        raise ValueError("codomain mismatch")
+    ker = kernel_basis(m.hstack(rel.basis.neg()))
+    return Lattice.from_columns(m.cols, [c[: m.cols] for c in ker.columns()])
+
+
+def hom_cokernel(m: IntMatrix, rel: Lattice) -> FGAbelianGroup:
+    """Canonical ``Z^rows / (column span of m + rel)``."""
+    return group_from_relations(rel.ambient_rank, m.hstack(rel.basis))
 
 
 # ---------------------------------------------------------------------------

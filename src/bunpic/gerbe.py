@@ -38,7 +38,6 @@ from .root_datum import (
     cross_diagram,
     divisibility,
     generic_lift,
-    pi1_presentation,
     with_central_torus,
 )
 
@@ -116,7 +115,7 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     if g.ss_rank == 0:
         return FGAbelianGroup.trivial()
     if lift is None:
-        lift = pi1_presentation(g).lift(delta.coords)
+        lift = delta.lift()
     cfl = conditional_form_lattice(g)
     cd, _, target = _derived_quotient(g)
     # d^ss = v / denom in the images of the derived basis vectors inside Lambda(T_Gss)
@@ -263,7 +262,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     if not gate:
         raise HypothesisNotSatisfied("Thm4.4", gate.missing)
     if lift is None:
-        lift = pi1_presentation(g).lift(delta.coords)
+        lift = delta.lift()
     notes = []
     certificate = {}
     delta_cs = f.delta
@@ -421,7 +420,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         if not gate:
             raise HypothesisNotSatisfied("Thm4.3", gate.missing)
         if lift is None:
-            lift = pi1_presentation(g).lift(delta.coords)
+            lift = delta.lift()
         rig = ns_rigidified(g, delta, lift=lift)
         image = _gamma_bar_image(g, rig, lift, f.genus, f.delta)
         cok = group_from_relations(image.ambient_rank, image.basis)

@@ -30,13 +30,11 @@ from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
-    Presentation,
-    canonical_generators,
-    hom_kernel,
     kernel_basis,
     preimage_lattice,
     rational_coordinates,
     solve_congruence_sublattice,
+    subgroup_generators,
 )
 from .root_datum import (
     Pi1Element,
@@ -47,7 +45,6 @@ from .root_datum import (
     cross_diagram,
     generic_lift,
     once_per_group,
-    pi1_presentation,
 )
 
 
@@ -286,45 +283,50 @@ def d_even_forms(g: ReductiveGroupData) -> FormLattice:
 
 @dataclass(frozen=True)
 class NSGroup:
-    """A Neron-Severi group with its canonical presentation and certificates.
+    """A Neron-Severi group as integer columns in its ambient coordinates
+    (character coordinates first, then form-lattice coefficients).
 
-    ``members`` columns generate the subgroup inside the ambient coordinate
-    space (character coordinates first, then form-lattice coefficients);
-    ``relations`` are the ambient's identifications.  ``key`` is the HNF basis
-    of members + relations, so two computations of the same subgroup compare
-    equal no matter which lift of delta was used.
+    ``relations`` are the ambient's identifications (the roots, padded with
+    zero form coefficients).  ``key`` is the HNF basis of the subgroup with
+    its relations, so two computations of the same subgroup compare equal no
+    matter which lift of delta was used.  ``gens`` holds one column per
+    canonical generator of ``group``: the full ambient column for ``bun`` and
+    ``bun_p1``, the form coefficients alone for ``rigidified``, whose classes
+    have no character part.
     """
 
     kind: str
     group: FGAbelianGroup
-    generators: tuple               # (chi tuple | None, BilinearForm)
     chi_rank: int
     form_basis: FormLattice
-    members: IntMatrix
+    gens: IntMatrix
     relations: IntMatrix
     key: IntMatrix
     lift: tuple
     certificates: IntMatrix | None = None   # bun_p1: unique (chi, b) witnesses
 
+    @property
+    def generators(self) -> tuple:
+        """The generators as (chi tuple | None, BilinearForm) pairs, for output."""
+        if self.kind == "rigidified":
+            return tuple((None, self.form_basis.form_from_coeffs(c)) for c in self.gens.columns())
+        n = self.chi_rank
+        return tuple((c[:n], self.form_basis.form_from_coeffs(c[n:])) for c in self.gens.columns())
+
 
 def _root_relations(g: ReductiveGroupData, extra_rank: int) -> IntMatrix:
     """Columns (root, 0) in Z^{n + extra_rank}."""
-    n = g.cochar_rank
-    cols = [tuple(c) + (0,) * extra_rank for c in g.simple_roots.columns()]
-    return (IntMatrix.from_columns(cols, n + extra_rank)
-            if cols else IntMatrix.zero(n + extra_rank, 0))
+    return IntMatrix.from_columns([tuple(c) + (0,) * extra_rank for c in g.simple_roots.columns()],
+                                  g.cochar_rank + extra_rank)
 
 
 @once_per_group
 def _derived_quotient(g: ReductiveGroupData):
-    """Lambda^*(T_D)/Lambda^*(T_Gad) as a presentation, with the restriction
-    matrix Lambda^*(T_G) -> Lambda^*(T_D)."""
+    """Lambda^*(T_D)/Lambda^*(T_Gad) as the lattice of restricted roots inside
+    Lambda^*(T_D), with the restriction matrix Lambda^*(T_G) -> Lambda^*(T_D)."""
     cd = cross_diagram(g)
-    b_d = cd.derived_lattice.basis
-    res = b_d.transpose()                                    # n -> m_D
-    root_restr = [res.mul_vector(c) for c in g.simple_roots.columns()]
-    target = Presentation.of_quotient(b_d.cols, root_restr)
-    return cd, res, target
+    res = cd.derived_lattice.basis.transpose()                 # n -> m_D
+    return cd, res, Lattice.from_columns(res.rows, res.mul(g.simple_roots).columns())
 
 
 def _default_lift(g: ReductiveGroupData, delta: Pi1Element, lift, generic: bool):
@@ -335,7 +337,7 @@ def _default_lift(g: ReductiveGroupData, delta: Pi1Element, lift, generic: bool)
         return d
     if generic:
         return generic_lift(g, delta)
-    return pi1_presentation(g).lift(delta.coords)
+    return delta.lift()
 
 
 def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
@@ -345,31 +347,17 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     d = _default_lift(g, delta, lift, generic=False)
     n = g.cochar_rank
     forms = d_even_forms(g)
-    f = forms.rank
-    cd, res, target = _derived_quotient(g)
+    _, res, target = _derived_quotient(g)
     pair_d = forms.values([(d, e) for e in IntMatrix.identity(n).columns()])   # b_k(d, -)
     m = res.hstack(res.mul(pair_d).neg())          # (chi, b) -> res(chi - b(d, -))
-    source = Presentation(n + f, _root_relations(g, f))
-    pres, embed = hom_kernel(m, source, target)
-    group, canonical, _, _ = canonical_generators(pres.rank, pres.relations)
-    gens = []
-    for gcol in canonical.columns():
-        col = embed.mul_vector(gcol)
-        # certificate check: the defining compatibility res(chi - b(d, -)) = 0 holds exactly
-        if not target.is_zero(m.mul_vector(col)):
-            raise ArithmeticError("NS generator fails the compatibility condition")
-        gens.append((col[:n], forms.form_from_coeffs(col[n:])))
-    return NSGroup(
-        kind="bun",
-        group=group,
-        generators=tuple(gens),
-        chi_rank=n,
-        form_basis=forms,
-        members=embed,
-        relations=source.relations,
-        key=embed,
-        lift=d,
-    )
+    relations = _root_relations(g, forms.rank)
+    compatible = preimage_lattice(m, target).basis.columns()
+    group, key, gens = subgroup_generators(n + forms.rank, compatible, relations)
+    # certificate check: the defining compatibility res(chi - b(d, -)) = 0 holds exactly
+    if not all(target.contains(c) for c in m.mul(gens).columns()):
+        raise ArithmeticError("NS generator fails the compatibility condition")
+    return NSGroup(kind="bun", group=group, chi_rank=n, form_basis=forms, gens=gens,
+                   relations=relations, key=key, lift=d)
 
 
 def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
@@ -381,26 +369,11 @@ def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGrou
     _, res, target = _derived_quotient(g)
     m = res.mul(forms.values([(d, e) for e in IntMatrix.identity(n).columns()]))
     sub = preimage_lattice(m, target)
-    gens = []
-    member_cols = []
-    for coeffs in sub.basis.columns():
-        if not target.is_zero(m.mul_vector(coeffs)):
-            raise ArithmeticError("rigidified NS generator fails condition (zero weight)")
-        gens.append((None, forms.form_from_coeffs(coeffs)))
-        member_cols.append((0,) * n + coeffs)
-    members = (IntMatrix.from_columns(member_cols, n + forms.rank)
-               if member_cols else IntMatrix.zero(n + forms.rank, 0))
-    return NSGroup(
-        kind="rigidified",
-        group=FGAbelianGroup.free(sub.rank),
-        generators=tuple(gens),
-        chi_rank=n,
-        form_basis=forms,
-        members=members,
-        relations=IntMatrix.zero(n + forms.rank, 0),
-        key=sub.basis,
-        lift=d,
-    )
+    if not all(target.contains(c) for c in m.mul(sub.basis).columns()):
+        raise ArithmeticError("rigidified NS generator fails condition (zero weight)")
+    return NSGroup(kind="rigidified", group=FGAbelianGroup.free(sub.rank), chi_rank=n,
+                   form_basis=forms, gens=sub.basis,
+                   relations=IntMatrix.zero(n + forms.rank, 0), key=sub.basis, lift=d)
 
 
 def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
@@ -427,22 +400,7 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
         members_lat = Lattice.from_columns(n + s, kernel_basis(IntMatrix.from_rows(rows)).columns())
     else:
         members_lat = Lattice.full(n + s)
-    source = Presentation(n + s, _root_relations(g, s))
-    pres, embed = source.subgroup(members_lat.basis.columns())
-    group, canonical, _, _ = canonical_generators(pres.rank, pres.relations)
-    gens = []
-    for gcol in canonical.columns():
-        col = embed.mul_vector(gcol)
-        gens.append((col[:n], forms.form_from_coeffs(col[n:])))
-    return NSGroup(
-        kind="bun_p1",
-        group=group,
-        generators=tuple(gens),
-        chi_rank=n,
-        form_basis=forms,
-        members=embed,
-        relations=source.relations,
-        key=embed,
-        lift=d,
-        certificates=members_lat.basis,
-    )
+    relations = _root_relations(g, s)
+    group, key, gens = subgroup_generators(n + s, members_lat.basis.columns(), relations)
+    return NSGroup(kind="bun_p1", group=group, chi_rank=n, form_basis=forms, gens=gens,
+                   relations=relations, key=key, lift=d, certificates=members_lat.basis)

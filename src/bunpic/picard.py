@@ -29,7 +29,7 @@ from .invariant_forms import (
     ns_bun,
     ns_bun_p1,
 )
-from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram, pi1_presentation
+from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram
 
 
 class WrongGenus(ValueError):
@@ -340,29 +340,7 @@ def _ns_image_sublattice(ns: NSGroup, genus: int, delta_cs: int) -> Lattice:
     conds = _divisibility_conditions(n, ns.lift, genus, delta_cs, ns.form_basis)
     cond_lat = solve_congruence_sublattice(n + ns.form_basis.rank, conds)
     rel_lat = Lattice.from_columns(cond_lat.ambient_rank, ns.relations.columns())
-    ns_members = Lattice.from_columns(cond_lat.ambient_rank, ns.key.columns())
-    return ns_members.intersection(cond_lat.sum(rel_lat))
-
-
-def _subgroup_cokernel(ns: NSGroup, sub: Lattice) -> FGAbelianGroup:
-    """NS / (subgroup generated by the given member lattice)."""
-    members = Lattice(ns.members.rows, ns.members)
-    cols = []
-    for c in sub.basis.columns():
-        x = members.coordinates(c)
-        if x is None:
-            raise ArithmeticError("image is not inside the NS group")
-        cols.append(x)
-    rel = IntMatrix.from_columns(cols, ns.members.cols) if cols \
-        else IntMatrix.zero(ns.members.cols, 0)
-    extra = []
-    for c in ns.relations.columns():
-        x = members.coordinates(c)
-        if x is not None:
-            extra.append(x)
-    if extra:
-        rel = rel.hstack(IntMatrix.from_columns(extra, ns.members.cols))
-    return group_from_relations(ns.members.cols, rel)
+    return Lattice(ns.key.rows, ns.key).intersection(cond_lat.sum(rel_lat))
 
 
 def reductive_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
@@ -402,7 +380,7 @@ def _reductive_picard_positive(g, delta, f, lift):
         image = _ns_image_sublattice(ns, f.genus, f.delta)
         ambient = ("NS(Bun) coordinates: characters then d-even form coefficients, "
                    "classes taken modulo the root lattice")
-        img_cok = _subgroup_cokernel(ns, image)
+        img_cok = quotient_group(Lattice(ns.key.rows, ns.key), image)   # image holds the relations
         index = img_cok.order()
         notes.append(
             f"Thm 3.18 image inside NS(Bun): cokernel {img_cok.describe()} "
@@ -433,8 +411,9 @@ def _reductive_picard_genus0(g, delta, f, lift):
     ns = ns_bun_p1(g, delta, lift=lift)
     n = ns.chi_rank
     total = n + ns.form_basis.rank
+    members = Lattice(total, ns.key)
     if f.zariski_locally_trivial:
-        image = Lattice.from_columns(total, ns.key.columns())
+        image = members
         cok = FGAbelianGroup.trivial()
     else:
         parity = solve_congruence_sublattice(total, [(ns.lift + (0,) * ns.form_basis.rank, 2)])
@@ -442,7 +421,7 @@ def _reductive_picard_genus0(g, delta, f, lift):
         even_certs = certs.intersection(parity)
         rels = Lattice.from_columns(total, ns.relations.columns())
         image = even_certs.sum(rels)
-        cok = _subgroup_cokernel(ns, image)
+        cok = quotient_group(members, image)
     index = cok.order()
     # Cor 3.21 bookkeeping: coker(c) is an extension of coker(p) by the
     # genus-0 abelianized weight cokernel
@@ -470,6 +449,5 @@ def _reductive_picard_genus0(g, delta, f, lift):
 def _delta_ab_two_divisible(g: ReductiveGroupData, delta: Pi1Element) -> bool:
     """Whether the image of delta in the cocharacter lattice of G^ab is
     2-divisible."""
-    d = pi1_presentation(g).lift(delta.coords)
-    ab = cross_diagram(g).ab_projection.mul_vector(d)
+    ab = cross_diagram(g).ab_projection.mul_vector(delta.lift())
     return all(x % 2 == 0 for x in ab)

@@ -496,9 +496,8 @@ def group_from_json(obj) -> ReductiveGroupData:
     coroots = [tuple(c) for c in obj["simple_coroots"]]
     roots = [tuple(c) for c in obj["simple_roots"]]
     types = tuple(SimpleType.parse(t) for t in obj["factor_types"])
-    cor = IntMatrix.from_columns(coroots, n) if coroots else IntMatrix.zero(n, 0)
-    roo = IntMatrix.from_columns(roots, n) if roots else IntMatrix.zero(n, 0)
-    return ReductiveGroupData(n, cor, roo, types, label=obj.get("label", ""))
+    return ReductiveGroupData(n, IntMatrix.from_columns(coroots, n),
+                              IntMatrix.from_columns(roots, n), types, label=obj.get("label", ""))
 
 
 def group_to_json(g: ReductiveGroupData) -> dict:
@@ -618,15 +617,11 @@ def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
     n, m = g.cochar_rank, g.ss_rank
     coroot = g.coroot_lattice()
     derived = saturation(coroot)
-    radical = Lattice.from_columns(n, kernel_basis(g.simple_roots.transpose()).columns()) \
-        if m else Lattice.full(n)
     rt = g.simple_roots.transpose()
-    sc_ad = Lattice.from_columns(m, [g.adjoint_coordinates(c) for c in g.simple_coroots.columns()]) \
-        if m else Lattice.from_columns(0, [])
-    der_ad = Lattice.from_columns(m, [g.adjoint_coordinates(c) for c in derived.basis.columns()]) \
-        if m else Lattice.from_columns(0, [])
-    ss_ad = Lattice.from_columns(m, [rt.mul_vector(v) for v in IntMatrix.identity(n).columns()]) \
-        if m else Lattice.from_columns(0, [])
+    radical = Lattice.from_columns(n, kernel_basis(rt).columns())
+    sc_ad = Lattice.from_columns(m, rt.mul(g.simple_coroots).columns())
+    der_ad = Lattice.from_columns(m, rt.mul(derived.basis).columns())
+    ss_ad = Lattice.from_columns(m, rt.columns())
 
     # split off Lambda(G^ab): complete the (saturated) derived lattice to a
     # basis of Z^n via SNF and project to the complementary coordinates
@@ -635,8 +630,7 @@ def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
         uinv = unimodular_inverse(u)
         comp_idx = list(range(derived.rank, n))
         proj = IntMatrix.from_rows([u.row(i) for i in comp_idx]) if comp_idx else IntMatrix.zero(0, n)
-        section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n) \
-            if comp_idx else IntMatrix.zero(n, 0)
+        section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n)
     else:
         proj = IntMatrix.identity(n)
         section = IntMatrix.identity(n)

@@ -227,13 +227,12 @@ def test_ns_rigidified_embeds_in_ns_bun():
         delta = Pi1Element.from_coords(g, coords)
         rig = ns_rigidified(g, delta)
         bun = ns_bun(g, delta)
-        amb = bun.members.rows
-        lat = type(bun.key)  # IntMatrix, unused; containment via lattice below
         from bunpic.exact_algebra import Lattice
 
-        big = Lattice.from_columns(amb, bun.key.columns())
-        for j in range(rig.members.cols):
-            assert big.contains(rig.members.column(j))
+        big = Lattice.from_columns(bun.key.rows, bun.key.columns())
+        # a rigidified class is a form with zero character part
+        for coeffs in rig.gens.columns():
+            assert big.contains((0,) * rig.chi_rank + coeffs)
 
 
 def test_ns_bun_p1_torus():

@@ -2,7 +2,9 @@
 orders, the integer inverse of a unimodular matrix, the canonical generator
 choice of a presented group, rational coordinates over one common
 denominator, and the echelon kernels, congruence lattices and lattice
-coordinates checked against their Smith-form references."""
+coordinates checked against their Smith-form references, and the quotients
+by a relation lattice checked against the raw-relation-matrix algorithms they
+replaced."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,14 +21,23 @@ from bunpic.exact_algebra import (
     canonical_generators,
     group_from_relations,
     hermite_normal_form,
+    hom_cokernel,
     kernel_basis,
+    preimage_lattice,
+    quotient_group,
     rational_coordinates,
     rational_solve,
     smith_normal_form,
     solve,
     solve_congruence_sublattice,
+    subgroup_generators,
     unimodular_inverse,
 )
+from bunpic.family import family_from_preset
+from bunpic.invariant_forms import ns_bun, ns_bun_p1
+from bunpic.picard import reductive_picard
+from bunpic.root_datum import Pi1Element, build_group
+from test_invariant_forms import SMALL_FACTORS
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -318,3 +329,120 @@ def test_normal_forms_are_canonical_under_a_change_of_basis(data):
     assert Lattice.from_columns(rank, moved.columns()) == Lattice.from_columns(rank, rel.columns())
     assert group_from_relations(rank, moved) == group_from_relations(rank, rel)
     assert group_from_relations(rank, v.mul(moved)) == group_from_relations(rank, rel)
+
+
+# ---------------------------------------------------------------------------
+# quotients by a relation lattice against the raw-relation-matrix references
+
+
+def reference_preimage_lattice(m, relations):
+    """{v : m*v in the span of the relation columns}, with the empty relation
+    matrix handled on its own path."""
+    if relations.cols == 0:
+        return Lattice.from_columns(m.cols, kernel_basis(m).columns())
+    ker = kernel_basis(m.hstack(relations.neg()))
+    return Lattice.from_columns(m.cols, [ker.column(j)[: m.cols] for j in range(ker.cols)])
+
+
+def reference_hom_cokernel(m, relations):
+    return group_from_relations(relations.rows, m.hstack(relations))
+
+
+def reference_subgroup(relations, generator_cols):
+    """The subgroup of Z^rank / relations generated by the given columns:
+    its embedding (the HNF basis of generators + relations) and its own
+    relation matrix, the relations' coordinates in that basis."""
+    rank = relations.rows
+    embed = Lattice.from_columns(rank, list(generator_cols) + relations.columns()).basis
+    sub = Lattice(rank, embed)
+    rel_cols = []
+    for c in relations.columns():
+        x = sub.coordinates(c)
+        if x is None:
+            raise ArithmeticError("relations must lie in the subgroup")
+        rel_cols.append(x)
+    return IntMatrix.from_columns(rel_cols, embed.cols), embed
+
+
+def reference_subgroup_cokernel(members, relations, sub):
+    """(subgroup spanned by the member columns, modulo the relations) divided
+    by the lattice sub, in coordinates on the members."""
+    lat = Lattice(members.rows, members)
+    cols = []
+    for c in sub.basis.columns():
+        x = lat.coordinates(c)
+        if x is None:
+            raise ArithmeticError("image is not inside the NS group")
+        cols.append(x)
+    cols += [x for x in map(lat.coordinates, relations.columns()) if x is not None]
+    return group_from_relations(members.cols, IntMatrix.from_columns(cols, members.cols))
+
+
+@st.composite
+def maps_into_quotients(draw):
+    """A map m into Z^rank, a relation matrix R and a unimodular change of
+    basis of R's columns."""
+    rank, rel = draw(relation_matrices())
+    k = draw(st.integers(min_value=0, max_value=4))
+    entry = st.integers(min_value=-6, max_value=6)
+    m = IntMatrix(rank, k, tuple(tuple(draw(entry) for _ in range(k)) for _ in range(rank)))
+    return m, rel, draw(unimodular_matrices(st.just(rel.cols)))
+
+
+@SETTINGS
+@given(maps_into_quotients())
+def test_quotient_maps_read_only_the_span_of_the_relations(data):
+    m, rel, u = data
+    rank = rel.rows
+    expected = reference_preimage_lattice(m, rel), reference_hom_cokernel(m, rel)
+    # R as its raw generators, as their HNF basis, and as a unimodular mix of them
+    for r in (Lattice(rank, rel), Lattice.from_columns(rank, rel.columns()),
+              Lattice(rank, rel.mul(u))):
+        assert (preimage_lattice(m, r), hom_cokernel(m, r)) == expected
+    # R = 0, spanned by no column or by zero columns
+    zero = IntMatrix.zero(rank, 0)
+    expected = reference_preimage_lattice(m, zero), reference_hom_cokernel(m, zero)
+    for r in (Lattice(rank, zero), Lattice(rank, IntMatrix.zero(rank, 2))):
+        assert (preimage_lattice(m, r), hom_cokernel(m, r)) == expected
+
+
+@st.composite
+def subgroups_of_quotients(draw):
+    """A relation matrix and up to four coset representatives."""
+    rank, rel = draw(relation_matrices())
+    entry = st.integers(min_value=-6, max_value=6)
+    gens = [tuple(draw(entry) for _ in range(rank))
+            for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    return rel, gens
+
+
+@SETTINGS
+@given(subgroups_of_quotients())
+def test_subgroup_generators_match_the_reference_presentation(data):
+    rel, generator_cols = data
+    sub_rel, embed = reference_subgroup(rel, generator_cols)
+    ref_group, canonical, _, _ = canonical_generators(embed.cols, sub_rel)
+    group, key, gens = subgroup_generators(rel.rows, generator_cols, rel)
+    assert (group, key) == (ref_group, embed)
+    assert gens.columns() == [embed.mul_vector(c) for c in canonical.columns()]
+    assert (gens.rows, gens.cols) == (rel.rows, group.ngens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3),
+       st.sampled_from([("universal", 2, 1), ("universal", 3, 0), ("universal", 1, 1),
+                        ("genus0_nontrivial",)]),
+       st.data())
+def test_ns_images_contain_every_relation(factors, preset, data):
+    g = build_group("*".join(factors))
+    ngens = len(Pi1Element.zero(g).coords)
+    delta = Pi1Element.from_coords(
+        g, data.draw(st.lists(st.integers(0, 3), min_size=ngens, max_size=ngens)))
+    family = family_from_preset(*preset)
+    ns = ns_bun(g, delta) if family.genus > 0 else ns_bun_p1(g, delta)
+    image = reductive_picard(g, delta, family).image_lattice
+    assert all(image.contains(c) for c in ns.relations.columns())
+    members = Lattice(ns.key.rows, ns.key)
+    assert members.contains_lattice(image)
+    assert (quotient_group(members, image)
+            == reference_subgroup_cokernel(ns.key, ns.relations, image))

@@ -55,7 +55,6 @@ from .root_datum import (
     group_from_json,
     group_to_json,
     parse_group_spec,
-    pi1_presentation,
 )
 
 COMPUTATIONS = ("pi1", "forms", "ns", "picard", "rigidified", "gerbe", "poincare")
@@ -150,19 +149,13 @@ def run_report(cfg: RunConfig):
     violations = validate_family(cfg.family)
     if violations:
         raise InputError("family: " + "; ".join(str(v) for v in violations))
-    pres = pi1_presentation(group)
     try:
         delta = Pi1Element.from_coords(group, cfg.delta)
+        d = delta.lift(cfg.lift_d)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    lift = cfg.lift_d
-    if lift is not None:
-        if len(lift) != group.cochar_rank:
-            raise InputError(f"lift-d needs {group.cochar_rank} coordinates")
-        if Pi1Element.from_cocharacter(group, lift).coords != delta.coords:
-            raise InputError("lift-d does not lift the given delta")
     # lift stays None when not given: ns_bun_p1 and the genus-0 engines pick a generic one
-    d = lift if lift is not None else pres.lift(delta.coords)
+    lift = cfg.lift_d
     unknown = [c for c in cfg.compute if c not in COMPUTATIONS]
     if unknown:
         raise InputError(f"unknown computations {unknown}; known: {COMPUTATIONS}")
@@ -186,7 +179,7 @@ def run_report(cfg: RunConfig):
             raise InputError(f"{name}: {exc}") from exc
 
     if "pi1" in cfg.compute:
-        results["pi1"] = _group_json(pres.group)
+        results["pi1"] = _group_json(delta.presentation.group)
     if "forms" in cfg.compute:
         results["forms"] = {
             "invariant": _form_lattice_json(invariant_sym_forms(group)),
@@ -229,7 +222,7 @@ def run_report(cfg: RunConfig):
             "input": cfg.group_text,
             "datum": group_to_json(group),
         },
-        "pi1": _group_json(pres.group),
+        "pi1": _group_json(delta.presentation.group),
         "delta": list(delta.coords),
         "lift": list(d),
         "family": f.to_json(),

@@ -17,7 +17,10 @@ results are exact and canonical:
 * rational coordinates are integer numerators over one common denominator
   (:func:`rational_coordinates`, solved through the Smith normal form);
   ``fractions.Fraction`` appears only in :func:`rational_solve`, the
-  Gaussian-elimination reference.
+  Gaussian-elimination reference;
+* empty shapes (0 x n, n x 0, 0 x 0, rank 0, no relations or conditions)
+  take the general algorithms: :meth:`IntMatrix.from_rows` and
+  :meth:`IntMatrix.from_columns` take the dimension an empty list cannot show.
 
 Which normal form does which job:
 
@@ -63,11 +66,11 @@ class IntMatrix:
                 raise ValueError("column count mismatch")
 
     @staticmethod
-    def from_rows(rows) -> "IntMatrix":
+    def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
         data = tuple(tuple(int(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        return IntMatrix(nrows, ncols, data)
+        if ncols is None:
+            ncols = len(data[0]) if data else 0
+        return IntMatrix(len(data), ncols, data)
 
     @staticmethod
     def from_columns(cols, nrows: int | None = None) -> "IntMatrix":
@@ -314,10 +317,7 @@ def smith_normal_form(m: IntMatrix):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    s = IntMatrix.from_rows(a) if a else IntMatrix.zero(nr, nc)
-    um = IntMatrix.from_rows(u) if u else IntMatrix.identity(0)
-    vm = IntMatrix.from_rows(v) if v else IntMatrix.identity(0)
-    return s, um, vm
+    return IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr), IntMatrix.from_rows(v, nc)
 
 
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:
@@ -436,8 +436,6 @@ class Lattice:
                                     self.basis.columns() + other.basis.columns())
 
     def intersection(self, other: "Lattice") -> "Lattice":
-        if self.rank == 0 or other.rank == 0:
-            return Lattice.from_columns(self.ambient_rank, [])
         stacked = self.basis.hstack(other.basis.neg())
         k = kernel_basis(stacked)
         cols = [self.basis.mul_vector(k.column(j)[: self.rank]) for j in range(k.cols)]
@@ -456,6 +454,7 @@ class Lattice:
 
 def saturation(l: Lattice) -> Lattice:
     """Largest sublattice of the ambient with the same rational span as ``l``."""
+    # fast paths: l = 0 (tori), and l of full rank (every semisimple group)
     if l.rank == 0:
         return l
     perp = kernel_basis(l.basis.transpose())          # functionals vanishing on l
@@ -477,8 +476,6 @@ def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:
             raise ValueError("functional length does not match ambient rank")
         if m < 0:
             raise ValueError("modulus must be nonnegative")
-    if not conditions:
-        return Lattice.full(ambient_rank)
     # the lattice spanned by the columns of [[F, -diag(m)], [I, 0]] meets the
     # zero-top subspace in the pairs (0, v) with F v in diag(m) Z^k
     k = len(conditions)
@@ -594,8 +591,6 @@ def group_from_relations(rank: int, relations: IntMatrix) -> FGAbelianGroup:
     """Canonical form of ``Z^rank`` modulo the column span of ``relations``."""
     if relations.rows != rank:
         raise ValueError("relation matrix has wrong number of rows")
-    if relations.cols == 0:
-        return FGAbelianGroup.free(rank)
     s, _, _ = smith_normal_form(relations)
     diags = [s[i, i] for i in range(min(s.rows, s.cols))]
     nonzero = [d for d in diags if d != 0]
@@ -613,17 +608,14 @@ def canonical_generators(rank: int, relations: IntMatrix):
     ``proj * gens`` is the identity modulo ``orders``), and the order of each
     generator (0 for a free one).
     """
-    if relations.cols:
-        s, u, _ = smith_normal_form(relations)
-    else:
-        s, u = IntMatrix.zero(rank, 0), IntMatrix.identity(rank)
+    s, u, _ = smith_normal_form(relations)
     diags = [s[i, i] for i in range(min(rank, relations.cols))]
     uinv = unimodular_inverse(u)
     free_idx = [i for i in range(rank) if i >= len(diags) or diags[i] == 0]
     tors_idx = sorted((i for i in range(len(diags)) if diags[i] >= 2), key=lambda i: diags[i])
     order_idx = free_idx + tors_idx
     gens = IntMatrix.from_columns([uinv.column(i) for i in order_idx], rank)
-    proj = IntMatrix.from_rows([u.row(i) for i in order_idx]) if order_idx else IntMatrix.zero(0, rank)
+    proj = IntMatrix.from_rows([u.row(i) for i in order_idx], rank)
     torsion = tuple(diags[i] for i in tors_idx)
     orders = (0,) * len(free_idx) + torsion
     return FGAbelianGroup(len(free_idx), torsion), gens, proj, orders

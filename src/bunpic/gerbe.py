@@ -37,7 +37,6 @@ from .root_datum import (
     ReductiveGroupData,
     cross_diagram,
     divisibility,
-    generic_lift,
     with_central_torus,
 )
 
@@ -48,12 +47,12 @@ class GradedPieces:
 
     sub: FGAbelianGroup
     quotient: FGAbelianGroup
-    total_order: int | None
 
-    def __post_init__(self):
+    @property
+    def total_order(self) -> int | None:
+        """|sub| * |quotient|, or ``None`` when the group is infinite."""
         so, qo = self.sub.order(), self.quotient.order()
-        if so is not None and qo is not None and self.total_order != so * qo:
-            raise ValueError("total order must be |sub| * |quotient|")
+        return None if so is None or qo is None else so * qo
 
     def describe(self) -> str:
         return (f"extension of {self.quotient.describe()} by {self.sub.describe()}"
@@ -112,10 +111,7 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     """Cokernel of the evaluation map: conditional forms on the derived
     lattice evaluated against (a lift of) delta^ss, landing in
     Lambda^*(T_D)/Lambda^*(T_Gad); independent of the lift."""
-    if g.ss_rank == 0:
-        return FGAbelianGroup.trivial()
-    if lift is None:
-        lift = delta.lift()
+    lift = delta.lift(lift)
     cfl = conditional_form_lattice(g)
     cd, _, target = _derived_quotient(g)
     # d^ss = v / denom in the images of the derived basis vectors inside Lambda(T_Gss)
@@ -155,8 +151,6 @@ def _ev_hat_data(g: ReductiveGroupData, lift):
     m = g.ss_rank
     forms = sc_even_forms(g)
     cd, _, target = _derived_quotient(g)
-    if m == 0:
-        return forms, Lattice.full(0), IntMatrix.zero(0, 0), target
     # d^ss (column 0) and the derived basis u_j (the other columns) in sc
     # coordinates, as numerators over e
     c = g.simple_roots.transpose().mul(g.simple_coroots)
@@ -166,8 +160,7 @@ def _ev_hat_data(g: ReductiveGroupData, lift):
     # b(d^ss, u_j) for b = sum_k c_k b_k is (vals c)_j / denom
     vals = forms.values([(u, x.column(0)) for u in x.columns()[1:]])
     denom = e * e
-    domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries]) \
-        if e > 1 else Lattice.full(forms.rank)
+    domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries])
     ev = _divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
     return forms, domain, ev, target
 
@@ -192,30 +185,22 @@ def _partial_matrix(g: ReductiveGroupData, rig, lift, genus: int) -> IntMatrix:
     return rig.form_basis.values(pairs).mul(rig.key)
 
 
+def _delta_relations(rows: int, delta_cs: int) -> IntMatrix:
+    """delta * I, the relations of (Z/delta)^rows (zero columns when delta = 0)."""
+    return IntMatrix.from_rows([[delta_cs if i == j else 0 for j in range(rows)]
+                                for i in range(rows)], rows)
+
+
 def _mod_delta_cokernel(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
     """(Z/delta)^rows divided by the column span of m (delta = 0 gives Z^rows)."""
-    rows = m.rows
-    rel = m
-    if delta_cs:
-        rel = m.hstack(IntMatrix.from_rows(
-            [[delta_cs if i == j else 0 for j in range(rows)] for i in range(rows)]
-        ))
-    return group_from_relations(rows, rel)
+    return group_from_relations(m.rows, m.hstack(_delta_relations(m.rows, delta_cs)))
 
 
 def _mod_delta_image(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
     """Subgroup of (Z/delta)^rows generated by the columns of m."""
-    rows = m.rows
-    if delta_cs == 0:
-        return FGAbelianGroup.free(Lattice.from_columns(rows, m.columns()).rank)
-    span = Lattice.from_columns(rows, m.columns() +
-                                [tuple(delta_cs if i == j else 0 for i in range(rows))
-                                 for j in range(rows)])
-    return quotient_group(
-        span, Lattice.from_columns(
-            rows, [tuple(delta_cs if i == j else 0 for i in range(rows)) for j in range(rows)]
-        )
-    )
+    rel = _delta_relations(m.rows, delta_cs).columns()
+    return quotient_group(Lattice.from_columns(m.rows, m.columns() + rel),
+                          Lattice.from_columns(m.rows, rel))
 
 
 def _torus_partial_bar(t: ReductiveGroupData, d, genus: int):
@@ -223,7 +208,7 @@ def _torus_partial_bar(t: ReductiveGroupData, d, genus: int):
     the cocharacter lattice adapted to d (first vector d/div(d))."""
     r = t.cochar_rank
     d = tuple(d)
-    div = divisibility(d, Lattice.full(r)) if any(d) else 0
+    div = divisibility(d, Lattice.full(r))
     cols = []
     # columns indexed by the adapted Sym^2 basis: e1e1, eiei, e1ei, eiej
     cols.append(tuple((div + 1 - genus) if i == 0 else 0 for i in range(r)))
@@ -261,8 +246,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     gate = hypothesis_check(f, g, "Thm4.4")
     if not gate:
         raise HypothesisNotSatisfied("Thm4.4", gate.missing)
-    if lift is None:
-        lift = delta.lift()
+    lift = delta.lift(lift)
     notes = []
     certificate = {}
     delta_cs = f.delta
@@ -313,9 +297,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         notes.append("coker(wt) = Hom(Lambda(G^ab), Z/delta)/Im(partial) "
                      "(quotient piece vanishes)")
     else:
-        so, qo = sub.order(), ev_cok.order()
-        total = so * qo if (so is not None and qo is not None) else None
-        coker_wt = GradedPieces(sub=sub, quotient=ev_cok, total_order=total)
+        coker_wt = GradedPieces(sub=sub, quotient=ev_cok)
         notes.append("coker(wt) determined only up to extension; reporting graded pieces")
     return GerbeReport(
         ev_cokernel=ev_cok,
@@ -329,9 +311,9 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
 
 def _bookkeeping(coker_gamma, coker_wt, delta_cs, ab_rank, ev_cok) -> dict:
     cert = {
-        "coker_gamma_order": None if coker_gamma is None else coker_gamma.order(),
+        "coker_gamma_order": coker_gamma.order(),
         "hom_order": delta_cs ** ab_rank if delta_cs else None,
-        "ev_cokernel_order": ev_cok.order() if ev_cok is not None else None,
+        "ev_cokernel_order": ev_cok.order(),
     }
     if coker_wt is not None:
         cert["coker_wt_order"] = coker_wt.order()
@@ -370,8 +352,7 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     gate = hypothesis_check(f, g, "Thm4.6")
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
-    if lift is None:
-        lift = generic_lift(g, delta)
+    lift = delta.lift(lift, generic=True)
     _, domain, ev, target = _ev_hat_data(g, lift)
     ev_cok = hom_cokernel(ev, target)
     two_div = _delta_ab_two_divisible(g, delta)
@@ -383,8 +364,7 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     elif ev_cok.is_trivial:
         coker_wt = kernel_piece
     else:
-        coker_wt = GradedPieces(sub=kernel_piece, quotient=ev_cok,
-                                total_order=2 * (ev_cok.order() or 0) or None)
+        coker_wt = GradedPieces(sub=kernel_piece, quotient=ev_cok)
         notes.append("genus-0 coker(wt) reported as graded pieces")
     poincare = None
     if g.is_torus and g.cochar_rank == 1:
@@ -419,8 +399,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         gate = hypothesis_check(f, g, "Thm4.3")
         if not gate:
             raise HypothesisNotSatisfied("Thm4.3", gate.missing)
-        if lift is None:
-            lift = delta.lift()
+        lift = delta.lift(lift)
         rig = ns_rigidified(g, delta, lift=lift)
         image = _gamma_bar_image(g, rig, lift, f.genus, f.delta)
         cok = group_from_relations(image.ambient_rank, image.basis)
@@ -430,7 +409,6 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
             image_lattice=image,
             image_ambient="coefficients on the rigidified NS basis",
             cokernel=cok,
-            cokernel_generators=tuple(form for _chi, form in rig.generators),
             image_index=cok.order(),
             splitting_known=None,
             notes=("image of the connecting map inside NS(rigidified), divisibility "
@@ -439,8 +417,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     gate = hypothesis_check(f, g, "Thm4.6")
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
-    if lift is None:
-        lift = generic_lift(g, delta)
+    lift = delta.lift(lift, generic=True)
     forms, domain, ev, target = _ev_hat_data(g, lift)
     kernel = preimage_lattice(ev, target)
     kernel_cols = [domain.basis.mul_vector(c) for c in kernel.basis.columns()]
@@ -452,8 +429,6 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         image_lattice=kernel_in_forms,
         image_ambient="coefficients on the even invariant sc forms",
         cokernel=FGAbelianGroup.free(kernel_in_forms.rank),
-        cokernel_generators=tuple(forms.form_from_coeffs(c)
-                                  for c in kernel_in_forms.basis.columns()),
         image_index=None,
         splitting_known=None,
         notes=(f"RPic(rigidified) = ker(ev-hat), coker(ev-hat) = {ev_cok.describe()}",),

@@ -43,7 +43,6 @@ from .root_datum import (
     cartan_matrix,
     coroot_lengths,
     cross_diagram,
-    generic_lift,
     once_per_group,
 )
 
@@ -127,11 +126,9 @@ class FormLattice:
     def values(self, pairs) -> IntMatrix:
         """The matrix with one row per pair (u, w) and one column per basis
         form b_k, holding b_k(u, w)."""
-        pairs = list(pairs)
-        if not pairs:
-            return IntMatrix.zero(0, self.rank)
-        return IntMatrix.from_rows(
-            [_value_functional(self.ambient_rank, u, w) for u, w in pairs]).mul(self.coords)
+        n = self.ambient_rank
+        return IntMatrix.from_rows([_value_functional(n, u, w) for u, w in pairs],
+                                   sym2_dim(n)).mul(self.coords)
 
     def form_from_coeffs(self, coeffs) -> BilinearForm:
         return BilinearForm(coords_to_gram(self.ambient_rank,
@@ -142,8 +139,6 @@ def _invariant_coord_columns(n: int, roots) -> list:
     """Sym^2 coordinates of the forms fixed by the reflections of the given
     (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
     for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows."""
-    if not roots:
-        return IntMatrix.identity(sym2_dim(n)).columns()
     units = IntMatrix.identity(n).columns()
     rows = []
     for coroot, root in roots:
@@ -151,14 +146,12 @@ def _invariant_coord_columns(n: int, roots) -> list:
         for e_k, a_k in zip(units, root):
             rows.append(tuple(2 * x - a_k * y
                               for x, y in zip(_value_functional(n, coroot, e_k), norm)))
-    return kernel_basis(IntMatrix.from_rows(rows)).columns()
+    return kernel_basis(IntMatrix.from_rows(rows, sym2_dim(n))).columns()
 
 
 def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
     """Cut a form lattice (coordinate columns) by congruence conditions given
     as (functional on Sym^2 coords, modulus)."""
-    if not coord_cols:
-        return []
     k = IntMatrix.from_columns(coord_cols, sym2_dim(n))
     funcs = IntMatrix(len(conditions), k.rows, tuple(func for func, _ in conditions))
     comp = zip(funcs.mul(k).entries, (mod for _, mod in conditions))
@@ -237,8 +230,6 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     basis of Lambda(T_D(G))."""
     cd = cross_diagram(g)
     m = cd.derived_lattice.rank
-    if m == 0:
-        return FormLattice(0, IntMatrix.zero(0, 0))
     d_basis = cd.derived_lattice.basis
     res = d_basis.transpose()
     pairs = []
@@ -329,22 +320,11 @@ def _derived_quotient(g: ReductiveGroupData):
     return cd, res, Lattice.from_columns(res.rows, res.mul(g.simple_roots).columns())
 
 
-def _default_lift(g: ReductiveGroupData, delta: Pi1Element, lift, generic: bool):
-    if lift is not None:
-        d = tuple(int(x) for x in lift)
-        if Pi1Element.from_cocharacter(g, d).coords != delta.coords:
-            raise ValueError("lift does not represent delta")
-        return d
-    if generic:
-        return generic_lift(g, delta)
-    return delta.lift()
-
-
 def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     """NS(Bun_G^delta): pairs ([chi], b) in Lambda^*(T_G)/Lambda^*(T_Gad) x
     (D-even invariant forms) with [chi|_D] = [b(d x -)|_D]; independent of the
     chosen lift d of delta."""
-    d = _default_lift(g, delta, lift, generic=False)
+    d = delta.lift(lift)
     n = g.cochar_rank
     forms = d_even_forms(g)
     _, res, target = _derived_quotient(g)
@@ -363,7 +343,7 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
 def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     """NS of the rigidification: D-even invariant forms b on Lambda(T_G) with
     b(d x -) restricting to zero in Lambda^*(T_D)/Lambda^*(T_Gad)."""
-    d = _default_lift(g, delta, lift, generic=False)
+    d = delta.lift(lift)
     n = g.cochar_rank
     forms = d_even_forms(g)
     _, res, target = _derived_quotient(g)
@@ -385,22 +365,19 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     Lambda^*(T_G) -> Lambda^*(Z(G)) + Lambda^*(T_Gsc)_Q, chi -> ([chi], chi^ss);
     the integral chi certifying a member is unique and is stored with it.
     """
-    d = _default_lift(g, delta, lift, generic=True)
+    d = delta.lift(lift, generic=True)
     n, mm = g.cochar_rank, g.ss_rank
     forms = sc_even_forms(g)
     s = forms.rank
-    if mm:
-        c = g.simple_roots.transpose().mul(g.simple_coroots)
-        d_ad = IntMatrix.from_columns([g.adjoint_coordinates(d)], mm)
-        v, denom = rational_coordinates(c, d_ad)      # d^ss = v / denom in sc coordinates
-        vals = forms.values([(e, v.column(0)) for e in IntMatrix.identity(mm).columns()])
-        at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
-        rows = [tuple(denom * x for x in at.row(j)) + tuple(-x for x in vals.row(j))
-                for j in range(mm)]
-        members_lat = Lattice.from_columns(n + s, kernel_basis(IntMatrix.from_rows(rows)).columns())
-    else:
-        members_lat = Lattice.full(n + s)
+    c = g.simple_roots.transpose().mul(g.simple_coroots)
+    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(d)], mm)
+    v, denom = rational_coordinates(c, d_ad)      # d^ss = v / denom in sc coordinates
+    vals = forms.values([(e, v.column(0)) for e in IntMatrix.identity(mm).columns()])
+    at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
+    rows = [tuple(denom * x for x in at.row(j)) + tuple(-x for x in vals.row(j))
+            for j in range(mm)]
+    members = kernel_basis(IntMatrix.from_rows(rows, n + s))     # already in HNF
     relations = _root_relations(g, s)
-    group, key, gens = subgroup_generators(n + s, members_lat.basis.columns(), relations)
+    group, key, gens = subgroup_generators(n + s, members.columns(), relations)
     return NSGroup(kind="bun_p1", group=group, chi_rank=n, form_basis=forms, gens=gens,
-                   relations=relations, key=key, lift=d, certificates=members_lat.basis)
+                   relations=relations, key=key, lift=d, certificates=members)

@@ -358,6 +358,7 @@ def _reductive_picard_positive(g, delta, f, lift):
     gate = hypothesis_check(f, g, "ThmB")
     if not gate:
         raise HypothesisNotSatisfied("ThmB", gate.missing)
+    lift = delta.lift(lift)     # checked even where the NS-level image is skipped
     cd = cross_diagram(g)
     dsc = cd.derived_lattice == g.coroot_lattice()
     cfl = conditional_form_lattice(g)
@@ -417,7 +418,7 @@ def _reductive_picard_genus0(g, delta, f, lift):
         cok = FGAbelianGroup.trivial()
     else:
         parity = solve_congruence_sublattice(total, [(ns.lift + (0,) * ns.form_basis.rank, 2)])
-        certs = Lattice.from_columns(total, ns.certificates.columns())
+        certs = Lattice(total, ns.certificates)
         even_certs = certs.intersection(parity)
         rels = Lattice.from_columns(total, ns.relations.columns())
         image = even_certs.sum(rels)

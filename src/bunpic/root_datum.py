@@ -551,10 +551,14 @@ def fundamental_group(g: ReductiveGroupData) -> FGAbelianGroup:
 
 @dataclass(frozen=True)
 class Pi1Element:
-    """Class in pi_1(G), stored as coordinates in the canonical generators."""
+    """Class in pi_1(G), stored as coordinates in the canonical generators.
+
+    It keeps its presentation (outside equality, hash and repr); :meth:`lift`
+    is the one lift policy, which every engine taking a lift of delta calls."""
 
     group: ReductiveGroupData
     coords: tuple
+    presentation: Pi1Presentation = field(compare=False, repr=False)
 
     @staticmethod
     def from_coords(g: ReductiveGroupData, coords) -> "Pi1Element":
@@ -564,20 +568,32 @@ class Pi1Element:
             raise ValueError(
                 f"delta needs {p.group.ngens} coordinates for pi1 = {p.group.describe()}"
             )
-        return Pi1Element(g, p.reduce(c))
+        return Pi1Element(g, p.reduce(c), p)
 
     @staticmethod
     def zero(g: ReductiveGroupData) -> "Pi1Element":
         p = pi1_presentation(g)
-        return Pi1Element(g, tuple(0 for _ in range(p.group.ngens)))
+        return Pi1Element(g, tuple(0 for _ in range(p.group.ngens)), p)
 
     @staticmethod
     def from_cocharacter(g: ReductiveGroupData, d) -> "Pi1Element":
         p = pi1_presentation(g)
-        return Pi1Element(g, p.coords(d))
+        return Pi1Element(g, p.coords(d), p)
 
-    def lift(self) -> tuple:
-        return pi1_presentation(self.group).lift(self.coords)
+    def lift(self, lift=None, generic: bool = False) -> tuple:
+        """``lift`` as ints, checked (``ValueError`` unless it has ``cochar_rank``
+        entries and represents this class); without one, the canonical lift,
+        or :func:`generic_lift` when ``generic`` is true."""
+        if lift is not None:
+            d = tuple(int(x) for x in lift)
+            if len(d) != self.group.cochar_rank:
+                raise ValueError(f"a lift of delta needs {self.group.cochar_rank} coordinates")
+            if self.presentation.coords(d) != self.coords:
+                raise ValueError("lift does not represent delta")
+            return d
+        if generic:
+            return generic_lift(self.group, self)
+        return self.presentation.lift(self.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +641,11 @@ def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
 
     # split off Lambda(G^ab): complete the (saturated) derived lattice to a
     # basis of Z^n via SNF and project to the complementary coordinates
-    if derived.rank:
-        _, u, _ = smith_normal_form(derived.basis)
-        uinv = unimodular_inverse(u)
-        comp_idx = list(range(derived.rank, n))
-        proj = IntMatrix.from_rows([u.row(i) for i in comp_idx]) if comp_idx else IntMatrix.zero(0, n)
-        section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n)
-    else:
-        proj = IntMatrix.identity(n)
-        section = IntMatrix.identity(n)
+    _, u, _ = smith_normal_form(derived.basis)
+    uinv = unimodular_inverse(u)
+    comp_idx = range(derived.rank, n)
+    proj = IntMatrix.from_rows([u.row(i) for i in comp_idx], n)
+    section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n)
     return CrossDiagram(
         group=g,
         derived_lattice=derived,

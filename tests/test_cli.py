@@ -125,11 +125,12 @@ def test_cli_lift_d_flag(capsys):
 
 
 def test_cli_rejects_wrong_lift(capsys):
-    code = main([
-        "--group", "T(1)", "--delta", "2", "--lift-d", "3",
-        "--family", "hyperelliptic:3", "--compute", "poincare",
-    ])
-    assert code == 1
+    for lift in ("3", "1,2"):      # another class; the wrong number of coordinates
+        code = main([
+            "--group", "T(1)", "--delta", "2", "--lift-d", lift,
+            "--family", "hyperelliptic:3", "--compute", "poincare",
+        ])
+        assert code == 1, lift
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -259,6 +260,12 @@ PINNED_REPORTS = [
      "44f7cbd7efd7dddfeb6406b8bbb9398bbacd006b68e8eed2d205eec07eb16757"),
     ("PGL(2)*T(1)", "1,1", "hyperelliptic:3", 2,
      "5b5cddeff9df9af38a73eebdc45c11a10c840e1e228e349f6094ad6cc4d52523"),
+    # tori, where every semisimple-side shape is empty; pinned from the
+    # implementation that gave empty shapes branches of their own
+    ("T(2)", "1,2", "genus0_nontrivial", 0,
+     "ccf1401c0284672213f1480a759427e5fa56cf0cddb06c0319383fadd1134ee7"),
+    ("GL(1)*T(1)", "1,1", "universal:2,1", 0,
+     "55f58896d7f17044890f105e5380715aa84e194eeb8e462a84413b7694736229"),
 ]
 
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from bunpic.cli import parse_family
 from bunpic.exact_algebra import FGAbelianGroup
 from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import (
@@ -14,7 +15,8 @@ from bunpic.gerbe import (
     torus_weight_cokernel_closed_form,
     weight_cokernel,
 )
-from bunpic.picard import HypothesisNotSatisfied
+from bunpic.invariant_forms import ns_bun, ns_bun_p1, ns_rigidified
+from bunpic.picard import HypothesisNotSatisfied, reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, pi1_presentation, product
 
 
@@ -305,3 +307,36 @@ def test_rigidified_hypothesis_gate():
     with pytest.raises(HypothesisNotSatisfied):
         rigidified_picard(g, Pi1Element.from_coords(g, (1,)),
                           family_from_preset("fixed_curve", 2))
+
+
+# ---------------------------------------------------------------------------
+# one lift policy: every engine that takes a lift of delta checks it
+
+
+LIFT_ENGINES = (
+    [(fn, None) for fn in (ns_bun, ns_rigidified, ns_bun_p1, evaluation_cokernel)]
+    + [(weight_cokernel, fam) for fam in ("universal:2,1", "genus0_nontrivial", "universal:3,0")]
+    + [(fn, fam) for fn in (rigidified_picard, reductive_picard)
+       for fam in ("universal:2,1", "genus0_nontrivial")]
+)
+
+# (group, delta, a cocharacter that does not lift delta): another class, or
+# the wrong number of coordinates
+FOREIGN_LIFTS = [
+    pytest.param("GL(2)", (1,), (0, 0), id="GL(2)-other-class"),
+    pytest.param("GL(2)", (1,), (1, 0, 0), id="GL(2)-wrong-length"),
+    pytest.param("T(1)", (2,), (1,), id="T(1)-other-class"),
+    pytest.param("T(1)", (2,), (2, 0), id="T(1)-wrong-length"),
+]
+
+
+@pytest.mark.parametrize("group,coords,lift", FOREIGN_LIFTS)
+@pytest.mark.parametrize("engine,family", LIFT_ENGINES,
+                         ids=[f"{fn.__name__}-{fam}" if fam else fn.__name__
+                              for fn, fam in LIFT_ENGINES])
+def test_engines_reject_a_lift_of_another_class(engine, family, group, coords, lift):
+    g = build_group(group)
+    args = (g, Pi1Element.from_coords(g, coords)) + ((parse_family(family),) if family else ())
+    engine(*args)                  # the engine runs on this input without a lift
+    with pytest.raises(ValueError):
+        engine(*args, lift=lift)

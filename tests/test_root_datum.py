@@ -192,6 +192,30 @@ def test_generic_lift_properties():
         assert Pi1Element.from_cocharacter(g, d).coords == delta.coords
 
 
+def test_pi1_element_keeps_its_presentation_and_checks_lifts():
+    rng = random.Random(29)
+    for name in NAMED:
+        g = build_group(name)
+        p = pi1_presentation(g)
+        delta = Pi1Element.from_coords(
+            g, tuple(rng.randint(-3, 3) for _ in range(p.group.ngens)))
+        d = delta.lift()
+        same = Pi1Element.from_cocharacter(g, d)
+        assert same == delta and hash(same) == hash(delta) and repr(same) == repr(delta)
+        assert delta.presentation == p and d == p.lift(delta.coords)
+        assert delta.lift(generic=True) == generic_lift(g, delta)
+        # any lift of the class comes back as ints
+        shifted = [str(a + b) for a, b in zip(d, g.coroot_lattice().basis.mul_vector(
+            tuple(rng.randint(-2, 2) for _ in range(g.ss_rank))))]
+        assert delta.lift(shifted) == tuple(int(a) for a in shifted)
+        with pytest.raises(ValueError):
+            delta.lift(d + (0,))
+        if p.group.ngens:
+            other = Pi1Element.from_coords(g, tuple(c + 1 for c in delta.coords))
+            with pytest.raises(ValueError):
+                delta.lift(other.lift())
+
+
 def test_divisibility():
     full = Lattice.full(2)
     assert divisibility((0, 0), full) == 0

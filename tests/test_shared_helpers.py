@@ -2,9 +2,10 @@
 orders, the integer inverse of a unimodular matrix, the canonical generator
 choice of a presented group, rational coordinates over one common
 denominator, and the echelon kernels, congruence lattices and lattice
-coordinates checked against their Smith-form references, and the quotients
+coordinates checked against their Smith-form references, the quotients
 by a relation lattice checked against the raw-relation-matrix algorithms they
-replaced."""
+replaced, and empty shapes checked against the branches that once handled
+them apart."""
 
 from fractions import Fraction
 from math import gcd
@@ -34,9 +35,21 @@ from bunpic.exact_algebra import (
     unimodular_inverse,
 )
 from bunpic.family import family_from_preset
-from bunpic.invariant_forms import ns_bun, ns_bun_p1
+from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel, _mod_delta_image
+from bunpic.invariant_forms import (
+    FormLattice,
+    _derived_quotient,
+    _invariant_coord_columns,
+    _restrict_by_congruences,
+    conditional_form_lattice,
+    invariant_sym_forms,
+    ns_bun,
+    ns_bun_p1,
+    sc_even_forms,
+    sym2_dim,
+)
 from bunpic.picard import reductive_picard
-from bunpic.root_datum import Pi1Element, build_group
+from bunpic.root_datum import Pi1Element, build_group, cross_diagram
 from test_invariant_forms import SMALL_FACTORS
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -446,3 +459,92 @@ def test_ns_images_contain_every_relation(factors, preset, data):
     assert members.contains_lattice(image)
     assert (quotient_group(members, image)
             == reference_subgroup_cokernel(ns.key, ns.relations, image))
+
+
+# ---------------------------------------------------------------------------
+# empty shapes (0 x n, n x 0, 0 x 0) take the general algorithms; the branches
+# that once handled them apart are kept here as references
+
+EMPTY_SHAPES = [(0, 3), (3, 0), (0, 0)]
+SIZES = [0, 1, 3]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_from_rows_takes_the_column_count(n):
+    m = IntMatrix.from_rows([], n)
+    assert (m.rows, m.cols) == (0, n)
+    assert m == IntMatrix.zero(0, n)
+
+
+@pytest.mark.parametrize("nr,nc", EMPTY_SHAPES)
+def test_smith_form_of_an_empty_matrix(nr, nc):
+    # reference: a zero s and identity transforms
+    assert (smith_normal_form(IntMatrix.zero(nr, nc))
+            == (IntMatrix.zero(nr, nc), IntMatrix.identity(nr), IntMatrix.identity(nc)))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_no_relations_present_the_free_group(n):
+    no_relations = IntMatrix.zero(n, 0)
+    assert group_from_relations(n, no_relations) == FGAbelianGroup.free(n)
+    # reference: identity generators and an identity projection
+    assert canonical_generators(n, no_relations) == (
+        FGAbelianGroup.free(n), IntMatrix.identity(n), IntMatrix.identity(n), (0,) * n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_no_or_vacuous_conditions_give_the_full_lattice(n):
+    assert solve_congruence_sublattice(n, []) == Lattice.full(n)
+    vacuous = [(tuple(range(i, i + n)), 1) for i in range(3)]
+    assert solve_congruence_sublattice(n, vacuous) == Lattice.full(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_intersection_with_a_rank_zero_lattice(n):
+    zero = Lattice.from_columns(n, [])
+    for other in (zero, Lattice.full(n), Lattice.from_columns(n, [tuple(range(1, n + 1))])):
+        assert other.intersection(zero) == zero
+        assert zero.intersection(other) == zero
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_torus_shapes_take_the_general_path(k):
+    t = build_group(f"T({k})")
+    cd = cross_diagram(t)
+    assert (cd.ab_projection, cd.ab_section) == (IntMatrix.identity(k), IntMatrix.identity(k))
+    # invariant forms: no reflection leaves every Sym^2 coordinate free
+    assert _invariant_coord_columns(k, []) == IntMatrix.identity(sym2_dim(k)).columns()
+    assert _restrict_by_congruences(k, [], [((1,) * sym2_dim(k), 2)]) == []
+    forms = invariant_sym_forms(t)
+    assert forms.values([]) == IntMatrix.zero(0, forms.rank)
+    assert conditional_form_lattice(t) == FormLattice(0, IntMatrix.zero(0, 0))
+    # the genus-0 evaluation has a rank-0 domain and an empty matrix
+    _, _, target = _derived_quotient(t)
+    assert (_ev_hat_data(t, (1,) * k)
+            == (sc_even_forms(t), Lattice.full(0), IntMatrix.zero(0, 0), target))
+    # every pair (chi, b) is an NS Bun(P^1) member
+    ns = ns_bun_p1(t, Pi1Element.from_coords(t, (1,) * k))
+    assert ns.certificates == IntMatrix.identity(k + ns.form_basis.rank)
+
+
+def reference_mod_delta_cokernel(m, delta_cs):
+    rel = m
+    if delta_cs:
+        rel = m.hstack(IntMatrix.from_columns(
+            [[delta_cs if i == j else 0 for i in range(m.rows)] for j in range(m.rows)], m.rows))
+    return group_from_relations(m.rows, rel)
+
+
+def reference_mod_delta_image(m, delta_cs):
+    if delta_cs == 0:
+        return FGAbelianGroup.free(Lattice.from_columns(m.rows, m.columns()).rank)
+    diag = [tuple(delta_cs if i == j else 0 for i in range(m.rows)) for j in range(m.rows)]
+    return quotient_group(Lattice.from_columns(m.rows, m.columns() + diag),
+                          Lattice.from_columns(m.rows, diag))
+
+
+@SETTINGS
+@given(integer_matrices(), st.integers(min_value=0, max_value=4))
+def test_mod_delta_groups_match_the_reference(m, delta_cs):
+    assert _mod_delta_cokernel(m, delta_cs) == reference_mod_delta_cokernel(m, delta_cs)
+    assert _mod_delta_image(m, delta_cs) == reference_mod_delta_image(m, delta_cs)

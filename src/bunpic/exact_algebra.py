@@ -27,8 +27,9 @@ Which normal form does which job:
 * one column-echelon routine, ``_echelon``, gives the Hermite normal form
   (:func:`hermite_normal_form`, on ``[m; I]`` for the transform), integer
   kernels (:func:`kernel_basis`) and congruence lattices
-  (:func:`solve_congruence_sublattice`): a kernel is the lower block of the
-  echeloned columns whose top block vanishes, already in HNF;
+  (:func:`solve_congruence_sublattice`, which first cuts each modulus's
+  functionals to an echelon basis of their span): a kernel is the lower
+  block of the echeloned columns whose top block vanishes, already in HNF;
 * membership and coordinates in a lattice back-substitute along the pivot
   rows of its HNF basis (:meth:`Lattice.coordinates`);
 * the Smith normal form is used only where invariant factors or a basis
@@ -469,13 +470,24 @@ def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:
 
     Modulus 0 encodes an exact vanishing condition (the paper's non-locally
     projective case delta(C/S) = 0), modulus 1 a vacuous one.
+
+    The lattice depends only on the Z-span of the functionals of each
+    modulus, so after the checks each modulus keeps the echelon basis of its
+    functionals (at most ``n`` of them) and modulus 1 drops out; the
+    construction below then grows with ``n``, not with the number of
+    conditions.
     """
     conditions = [(tuple(f), int(m)) for f, m in conditions]
+    by_modulus: dict = {}
     for f, m in conditions:
         if len(f) != ambient_rank:
             raise ValueError("functional length does not match ambient rank")
         if m < 0:
             raise ValueError("modulus must be nonnegative")
+        if m != 1:
+            by_modulus.setdefault(m, []).append(f)
+    conditions = [(f, m) for m, fs in sorted(by_modulus.items())
+                  for f in _echelon(fs, ambient_rank)]
     # the lattice spanned by the columns of [[F, -diag(m)], [I, 0]] meets the
     # zero-top subspace in the pairs (0, v) with F v in diag(m) Z^k
     k = len(conditions)

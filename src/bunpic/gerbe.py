@@ -27,6 +27,7 @@ from .exact_algebra import (
 from .family import CurveFamily, hypothesis_check
 from .invariant_forms import (
     _derived_quotient,
+    _ns_rigidified,
     conditional_form_lattice,
     ns_rigidified,
     sc_even_forms,
@@ -37,6 +38,7 @@ from .root_datum import (
     ReductiveGroupData,
     cross_diagram,
     divisibility,
+    once_per_group,
     with_central_torus,
 )
 
@@ -144,10 +146,12 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
 # genus-0 evaluation (hatted variant on the full sc form lattice)
 
 
-def _ev_hat_data(g: ReductiveGroupData, lift):
+@once_per_group
+def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
     """Domain sublattice {b on the sc lattice : b(d^ss, -) integral on the
     derived lattice} together with the evaluation matrix into the derived
-    quotient."""
+    quotient, for a checked lift (kept on the group, so the genus-0
+    rigidified and gerbe computations share it)."""
     m = g.ss_rank
     forms = sc_even_forms(g)
     cd, _, target = _derived_quotient(g)
@@ -284,7 +288,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
 
     # general reductive group, positive genus
     rig = ns_rigidified(g, delta, lift=lift)
-    coker_gamma = _coker_gamma_bar(g, rig, lift, f.genus, delta_cs)
+    _, coker_gamma = _gamma_bar(g, lift, f.genus, delta_cs)
     pmat = _partial_matrix(g, rig, lift, f.genus)
     ab_rank = pmat.rows
     sub = _mod_delta_cokernel(pmat, delta_cs)      # Hom(Lambda(G^ab), Z/delta)/Im(partial)
@@ -326,26 +330,26 @@ def _bookkeeping(coker_gamma, coker_wt, delta_cs, ab_rank, ev_cok) -> dict:
     return cert
 
 
-def _gamma_bar_image(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int) -> Lattice:
-    """Im(gamma-bar) in coefficients on the rigidified NS basis: the forms for
+@once_per_group
+def _gamma_bar(g: ReductiveGroupData, lift: tuple, genus: int, delta_cs: int):
+    """(Im(gamma-bar), NS(rigidified)/Im(gamma-bar)) for a checked lift.
+
+    The image is in coefficients on the rigidified NS basis: the forms for
     which some root-lattice character beta repairs the divisibility
     delta | beta(x) + b(d, x) + (g-1) b(x, x) at the basis and pairwise test
     points (the weight class of a line bundle on the rigidification is only
     zero modulo the root lattice, which makes this set lift-independent).
-    The form part is read off as b(x, d + (g-1) x), by bilinearity."""
+    The form part is read off as b(x, d + (g-1) x), by bilinearity.  Kept on
+    the group, so the rigidified and gerbe computations share it."""
+    rig = _ns_rigidified(g, lift)
     nroots, nforms = g.ss_rank, rig.key.cols
     points = _test_points(g.cochar_rank)
     vals = rig.form_basis.values(
         [(x, tuple(a + (genus - 1) * b for a, b in zip(lift, x))) for x in points])
     funcs = IntMatrix.from_rows(points).mul(g.simple_roots).hstack(vals.mul(rig.key))
     sols = solve_congruence_sublattice(nroots + nforms, [(f, delta_cs) for f in funcs.entries])
-    return Lattice.from_columns(nforms, [c[nroots:] for c in sols.basis.columns()])
-
-
-def _coker_gamma_bar(g: ReductiveGroupData, rig, lift, genus: int, delta_cs: int):
-    """NS(rigidified)/Im(gamma-bar)."""
-    image = _gamma_bar_image(g, rig, lift, genus, delta_cs)
-    return group_from_relations(image.ambient_rank, image.basis)
+    image = Lattice.from_columns(nforms, [c[nroots:] for c in sols.basis.columns()])
+    return image, group_from_relations(image.ambient_rank, image.basis)
 
 
 def _weight_cokernel_genus0(g, delta, f, lift):
@@ -399,10 +403,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         gate = hypothesis_check(f, g, "Thm4.3")
         if not gate:
             raise HypothesisNotSatisfied("Thm4.3", gate.missing)
-        lift = delta.lift(lift)
-        rig = ns_rigidified(g, delta, lift=lift)
-        image = _gamma_bar_image(g, rig, lift, f.genus, f.delta)
-        cok = group_from_relations(image.ambient_rank, image.basis)
+        image, cok = _gamma_bar(g, delta.lift(lift), f.genus, f.delta)
         return PicardReport(
             theorem_applied="Thm4.3",
             kernel_summand=f"chars(G^ab) (rank {cross_diagram(g).ab_rank}) x RPic^0(C/S) (formal)",

@@ -3,11 +3,11 @@
 Forms are handled in exact Sym^2 coordinates: a symmetric form on ``Z^n`` is
 the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  A
 ``FormLattice`` is the column HNF basis of its Sym^2 coordinates, and every
-computation evaluates forms through ``FormLattice.values`` (value functionals
-on Sym^2 coordinates times that matrix); ``BilinearForm``, a Gram matrix, is
-the output type.  Invariance is imposed only at the simple reflections (they
-generate the Weyl group), so no Weyl group is ever enumerated.  The
-reflection of a (coroot, root) pair fixes b iff
+computation evaluates forms through ``FormLattice.values`` (rows of that
+matrix summed over the nonzero terms of each value); ``BilinearForm``, a Gram
+matrix, is the output type.  Invariance is imposed only at the simple
+reflections (they generate the Weyl group), so no Weyl group is ever
+enumerated.  The reflection of a (coroot, root) pair fixes b iff
 ``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis vector e_k,
 which is n linear rows on the Sym^2 coordinates per reflection; no
 reflection matrix is built.  Rational extensions across finite-index
@@ -18,8 +18,15 @@ coordinates.
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
 the values are immutable.  The even and D-even lattices cut the invariant
-lattice, so the Weyl kernel on Lambda(T_G) is solved once.  The CLI builds one
-group per report, so these values live for one report.
+lattice, so the Weyl kernel on Lambda(T_G) is solved once.  The
+lift-dependent NS groups are kept the same way, keyed by the checked lift
+(one value per function, for the latest lift), so the computations of one
+report that share a lift share one NS group.  The CLI builds one group per
+report, so these values live for one report.
+
+Values and functionals are built from their nonzero terms u_i w_j only
+(``_product_terms``).  Most pairs hold a unit vector (b(d, e_k), b(e_j, v)),
+and such a pair touches at most n of the sym2_dim(n) coordinates.
 """
 
 from __future__ import annotations
@@ -57,6 +64,21 @@ def sym2_pairs(n: int) -> list:
 
 def sym2_dim(n: int) -> int:
     return n * (n + 1) // 2
+
+
+def _pair_index(n: int, i: int, j: int) -> int:
+    """Position of the pair (i, j), i <= j, in ``sym2_pairs(n)``."""
+    return i * (2 * n - i + 1) // 2 + j - i
+
+
+def _product_terms(n: int, u, w):
+    """The nonzero terms of b(u, w) on Sym^2 coordinates: (pair index,
+    u_i w_j) for each u_i w_j != 0, (i, j) and (j, i) at the same index."""
+    w_terms = [(j, b) for j, b in enumerate(w) if b]
+    for i, a in enumerate(u):
+        if a:
+            for j, b in w_terms:
+                yield (_pair_index(n, i, j) if i <= j else _pair_index(n, j, i)), a * b
 
 
 def gram_to_coords(gram: IntMatrix) -> tuple:
@@ -125,10 +147,16 @@ class FormLattice:
 
     def values(self, pairs) -> IntMatrix:
         """The matrix with one row per pair (u, w) and one column per basis
-        form b_k, holding b_k(u, w)."""
-        n = self.ambient_rank
-        return IntMatrix.from_rows([_value_functional(n, u, w) for u, w in pairs],
-                                   sym2_dim(n)).mul(self.coords)
+        form b_k, holding b_k(u, w): the row of (u, w) adds up the rows of
+        ``coords`` at the nonzero terms u_i w_j only."""
+        n, coords = self.ambient_rank, self.coords.entries
+        rows = []
+        for u, w in pairs:
+            row = [0] * self.rank
+            for k, c in _product_terms(n, u, w):
+                row = [a + c * b for a, b in zip(row, coords[k])]
+            rows.append(row)
+        return IntMatrix.from_rows(rows, self.rank)
 
     def form_from_coeffs(self, coeffs) -> BilinearForm:
         return BilinearForm(coords_to_gram(self.ambient_rank,
@@ -138,14 +166,19 @@ class FormLattice:
 def _invariant_coord_columns(n: int, roots) -> list:
     """Sym^2 coordinates of the forms fixed by the reflections of the given
     (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
-    for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows."""
+    for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows.
+    The row for e_k is -a_k b(a^vee, a^vee) plus the n terms 2 a^vee_i at the
+    pairs (i, k), so a row with a_k = 0 is sparse.  The kernel basis is
+    already in HNF."""
     units = IntMatrix.identity(n).columns()
     rows = []
     for coroot, root in roots:
         norm = _value_functional(n, coroot)
         for e_k, a_k in zip(units, root):
-            rows.append(tuple(2 * x - a_k * y
-                              for x, y in zip(_value_functional(n, coroot, e_k), norm)))
+            row = [-a_k * y for y in norm] if a_k else [0] * len(norm)
+            for i, c in _product_terms(n, coroot, e_k):
+                row[i] += 2 * c
+            rows.append(row)
     return kernel_basis(IntMatrix.from_rows(rows, sym2_dim(n))).columns()
 
 
@@ -163,14 +196,11 @@ def _diagonal_even_conditions(n: int) -> list:
 
 
 def _value_functional(n: int, u, w=None) -> tuple:
-    """Functional on Sym^2 coordinates computing b(u, w) (w defaults to u)."""
-    w = u if w is None else w
-    func = []
-    for (i, j) in sym2_pairs(n):
-        if i == j:
-            func.append(u[i] * w[i])
-        else:
-            func.append(u[i] * w[j] + u[j] * w[i])
+    """Functional on Sym^2 coordinates computing b(u, w) (w defaults to u),
+    written densely from its nonzero terms."""
+    func = [0] * sym2_dim(n)
+    for k, c in _product_terms(n, u, u if w is None else w):
+        func[k] += c
     return tuple(func)
 
 
@@ -187,7 +217,8 @@ def _coroot_root_pairs(g: ReductiveGroupData) -> list:
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
     n = g.cochar_rank
-    return FormLattice.from_coord_columns(n, _invariant_coord_columns(n, _coroot_root_pairs(g)))
+    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))     # already in HNF
+    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))
 
 
 @once_per_group
@@ -324,7 +355,11 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     """NS(Bun_G^delta): pairs ([chi], b) in Lambda^*(T_G)/Lambda^*(T_Gad) x
     (D-even invariant forms) with [chi|_D] = [b(d x -)|_D]; independent of the
     chosen lift d of delta."""
-    d = delta.lift(lift)
+    return _ns_bun(g, delta.lift(lift))
+
+
+@once_per_group
+def _ns_bun(g: ReductiveGroupData, d: tuple) -> NSGroup:
     n = g.cochar_rank
     forms = d_even_forms(g)
     _, res, target = _derived_quotient(g)
@@ -343,7 +378,11 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
 def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     """NS of the rigidification: D-even invariant forms b on Lambda(T_G) with
     b(d x -) restricting to zero in Lambda^*(T_D)/Lambda^*(T_Gad)."""
-    d = delta.lift(lift)
+    return _ns_rigidified(g, delta.lift(lift))
+
+
+@once_per_group
+def _ns_rigidified(g: ReductiveGroupData, d: tuple) -> NSGroup:
     n = g.cochar_rank
     forms = d_even_forms(g)
     _, res, target = _derived_quotient(g)
@@ -365,7 +404,11 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     Lambda^*(T_G) -> Lambda^*(Z(G)) + Lambda^*(T_Gsc)_Q, chi -> ([chi], chi^ss);
     the integral chi certifying a member is unique and is stored with it.
     """
-    d = delta.lift(lift, generic=True)
+    return _ns_bun_p1(g, delta.lift(lift, generic=True))
+
+
+@once_per_group
+def _ns_bun_p1(g: ReductiveGroupData, d: tuple) -> NSGroup:
     n, mm = g.cochar_rank, g.ss_rank
     forms = sc_even_forms(g)
     s = forms.rank

@@ -227,21 +227,28 @@ class ReductiveGroupData:
 
 
 def once_per_group(fn):
-    """Compute ``fn(g)`` once per group object and keep it on the object.
+    """Compute ``fn(g, *args)`` once per group object and arguments, and keep
+    it on the object.
 
     A ``ReductiveGroupData`` is immutable, so a value computed from the group
-    alone stays valid for the object's life.  It is stored in the instance
-    ``__dict__`` under the function's dotted name, which no field can shadow;
-    ``==``, ``hash`` and ``group_to_json`` read only the declared fields.
+    and fixed arguments stays valid for the object's life.  Each function has
+    one slot, in the instance ``__dict__`` under the function's dotted name
+    (which no field can shadow), holding the arguments of the latest call
+    and its value: a call with the same arguments reads it, a call with
+    others recomputes and replaces it.  So a caller sweeping many arguments
+    over one group keeps one value per function, not one per argument
+    tuple.  The arguments are ints and tuples of ints (a lift of delta, a
+    genus), cheap to compare.  ``==``, ``hash`` and ``group_to_json`` read
+    only the declared fields.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
-    def once(g: ReductiveGroupData):
-        memo = g.__dict__
-        if key not in memo:
-            memo[key] = fn(g)
-        return memo[key]
+    def once(g: ReductiveGroupData, *args):
+        slot = g.__dict__.get(key)
+        if slot is None or slot[0] != args:
+            slot = g.__dict__[key] = (args, fn(g, *args))
+        return slot[1]
 
     return once
 

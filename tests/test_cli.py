@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import json
 import os
@@ -308,30 +310,96 @@ def test_large_rank_reports_match_pinned_digests(capsys, group, delta, family, c
     assert full_report_digest(capsys, group, delta, family) == (code, digest)
 
 
+def run_full_report(monkeypatch, group, delta, family):
+    """A six-computation report; returns the group object it loaded."""
+    from bunpic import cli
+
+    load = cli.load_group
+    loaded = []
+    monkeypatch.setattr(cli, "load_group", lambda text: loaded.append(load(text)) or loaded[-1])
+    code, _ = run(dict(
+        group_text=group, delta=delta, family=parse_family(family),
+        compute=("pi1", "forms", "ns", "picard", "rigidified", "gerbe"),
+    ))
+    assert code == 0
+    [g] = loaded
+    return g
+
+
+def assert_equals_a_fresh_group(g, group):
+    """Values kept on a group object leave ==, hash and group_to_json as they are."""
+    from bunpic.root_datum import build_group, group_to_json
+
+    fresh = build_group(group)
+    assert g == fresh
+    assert hash(g) == hash(fresh)
+    assert group_to_json(g) == group_to_json(fresh)
+
+
 @pytest.mark.parametrize("group,delta", [
     ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)), ("T(2)", (1, 2)),
 ])
 def test_report_computes_each_form_lattice_once(monkeypatch, group, delta):
     # one Weyl-invariance kernel each for Lambda(T_G), the sc coroot lattice and
     # Lambda(T_D(G)); the values are kept on the group without changing it
-    from bunpic import cli, invariant_forms
-    from bunpic.root_datum import build_group, group_to_json
+    from bunpic import invariant_forms
 
     kernel = invariant_forms._invariant_coord_columns
     kernel_ranks = []
     monkeypatch.setattr(invariant_forms, "_invariant_coord_columns",
                         lambda n, roots: kernel_ranks.append(n) or kernel(n, roots))
-    load = cli.load_group
-    loaded = []
-    monkeypatch.setattr(cli, "load_group", lambda text: loaded.append(load(text)) or loaded[-1])
-    code, _ = run(dict(
-        group_text=group, delta=delta, family=parse_family("universal:2,1"),
-        compute=("pi1", "forms", "ns", "picard", "rigidified", "gerbe"),
-    ))
-    assert code == 0
+    g = run_full_report(monkeypatch, group, delta, "universal:2,1")
     assert len(kernel_ranks) <= 3, kernel_ranks
-    [g] = loaded
-    fresh = build_group(group)
-    assert g == fresh
-    assert hash(g) == hash(fresh)
-    assert group_to_json(g) == group_to_json(fresh)
+    assert_equals_a_fresh_group(g, group)
+
+
+# the memoized bodies of the lift-dependent results, by the module that defines them
+LIFT_MEMOS = (("invariant_forms", "_ns_bun"), ("invariant_forms", "_ns_rigidified"),
+              ("invariant_forms", "_ns_bun_p1"), ("gerbe", "_gamma_bar"),
+              ("gerbe", "_ev_hat_data"))
+
+
+def count_body_runs(monkeypatch):
+    """Count the runs of each memoized lift-dependent body: each memo is
+    rebuilt around a counting copy of its body, under the same name in every
+    module that holds it."""
+    from bunpic import gerbe, invariant_forms
+    from bunpic.root_datum import once_per_group
+
+    modules = {"invariant_forms": invariant_forms, "gerbe": gerbe}
+    runs = collections.Counter()
+    for home, name in LIFT_MEMOS:
+        body = getattr(modules[home], name).__wrapped__
+
+        def counted(g, *args, _body=body, _name=name):
+            runs[_name] += 1
+            return _body(g, *args)
+
+        memo = once_per_group(functools.wraps(body)(counted))
+        for module in modules.values():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, memo)
+    return runs
+
+
+@pytest.mark.parametrize("group,delta", [
+    ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)),
+])
+def test_positive_genus_report_computes_each_ns_group_once(monkeypatch, group, delta):
+    # the ns, picard, rigidified and gerbe computations share one lift, so one
+    # NS(Bun), one NS(rigidified) and one Im(gamma-bar) with its cokernel
+    runs = count_body_runs(monkeypatch)
+    g = run_full_report(monkeypatch, group, delta, "universal:2,1")
+    assert runs == {"_ns_bun": 1, "_ns_rigidified": 1, "_ns_bun_p1": 1, "_gamma_bar": 1}
+    assert_equals_a_fresh_group(g, group)
+
+
+@pytest.mark.parametrize("group,delta", [("E8", ()), ("GL(3)*T(1)", (1, 1)), ("GL(2)", (1,))])
+def test_genus0_report_computes_each_ns_group_once(monkeypatch, group, delta):
+    # ns and picard share the generic lift of NS Bun(P^1); rigidified and gerbe
+    # share the hatted evaluation data
+    runs = count_body_runs(monkeypatch)
+    g = run_full_report(monkeypatch, group, delta, "genus0_nontrivial")
+    assert runs["_ns_bun_p1"] == 1
+    assert runs["_ev_hat_data"] == 1
+    assert_equals_a_fresh_group(g, group)

@@ -486,3 +486,60 @@ def test_memoized_functions_stay_visible_to_the_tracer(fn):
     assert (fn.__name__, fn.__doc__) == (original.__name__, original.__doc__)
     assert fn.__doc__
     assert getattr(invariant_forms, fn.__name__) is fn
+
+
+def _coroot_shifts(g, d, count):
+    """``count`` distinct lifts of the class of d: d plus k times the first
+    coroot, k = 0, 1, ..."""
+    a = g.simple_coroots.column(0)
+    return [tuple(x + k * y for x, y in zip(d, a)) for k in range(count)]
+
+
+def test_ns_memo_keeps_the_latest_lift():
+    # lifts d1, d2, d1 of one class: each result carries its own lift, and the
+    # keys agree as the paper says they do; one slot per function, so d2
+    # replaces d1 and a repeated lift reads the slot
+    from bunpic.root_datum import generic_lift
+
+    g = build_group("GL(3)")
+    delta = Pi1Element.from_coords(g, (1,))
+    for fn, start in [(ns_bun, delta.lift()), (ns_rigidified, delta.lift()),
+                      (ns_bun_p1, generic_lift(g, delta))]:
+        d1, d2 = _coroot_shifts(g, start, 2)
+        results = [fn(g, delta, lift=d) for d in (d1, d2, d1)]
+        assert [r.lift for r in results] == [d1, d2, d1]
+        assert results[0].key == results[1].key == results[2].key
+        assert results[2] == results[0] and results[2] is not results[0]
+        assert fn(g, delta, lift=d1) is results[2]
+
+
+def test_ns_memo_holds_one_value_per_function_over_many_lifts():
+    from bunpic.family import family_from_preset
+    from bunpic.gerbe import rigidified_picard
+
+    g = build_group("GL(2)*T(1)")
+    delta = Pi1Element.from_coords(g, (1, 1))
+    positive, genus0 = family_from_preset("universal", 2, 1), family_from_preset("genus0_nontrivial")
+
+    def sweep(lifts):
+        for d in lifts:
+            ns_bun(g, delta, lift=d)
+            ns_rigidified(g, delta, lift=d)
+            ns_bun_p1(g, delta, lift=d)
+            rigidified_picard(g, delta, positive, lift=d)
+            rigidified_picard(g, delta, genus0, lift=d)
+        return len(g.__dict__)
+
+    lifts = _coroot_shifts(g, delta.lift(), 50)
+    assert sweep(lifts[:1]) == sweep(lifts)
+
+
+def test_ns_memo_checks_the_lift_before_reading_it():
+    # GL(2), delta = 1: (1, 0) lifts it, (0, 0) does not, also after a memo read
+    g = build_group("GL(2)")
+    delta = Pi1Element.from_coords(g, (1,))
+    for fn in (ns_bun, ns_rigidified, ns_bun_p1):
+        fn(g, delta, lift=(1, 0))
+        with pytest.raises(ValueError):
+            fn(g, delta, lift=(0, 0))
+        assert fn(g, delta, lift=(1, 0)).lift == (1, 0)

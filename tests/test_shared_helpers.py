@@ -5,7 +5,9 @@ denominator, and the echelon kernels, congruence lattices and lattice
 coordinates checked against their Smith-form references, the quotients
 by a relation lattice checked against the raw-relation-matrix algorithms they
 replaced, and empty shapes checked against the branches that once handled
-them apart."""
+them apart; the congruence solver on a basis of its functionals and the Sym^2
+values and invariance rows built from nonzero terms checked against the
+unreduced and dense constructions they replaced."""
 
 from fractions import Fraction
 from math import gcd
@@ -19,6 +21,7 @@ from bunpic.exact_algebra import (
     IntMatrix,
     Lattice,
     _canonical_from_factors,
+    _lower_blocks,
     canonical_generators,
     group_from_relations,
     hermite_normal_form,
@@ -41,12 +44,14 @@ from bunpic.invariant_forms import (
     _derived_quotient,
     _invariant_coord_columns,
     _restrict_by_congruences,
+    _value_functional,
     conditional_form_lattice,
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
     sc_even_forms,
     sym2_dim,
+    sym2_pairs,
 )
 from bunpic.picard import reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, cross_diagram
@@ -548,3 +553,117 @@ def reference_mod_delta_image(m, delta_cs):
 def test_mod_delta_groups_match_the_reference(m, delta_cs):
     assert _mod_delta_cokernel(m, delta_cs) == reference_mod_delta_cokernel(m, delta_cs)
     assert _mod_delta_image(m, delta_cs) == reference_mod_delta_image(m, delta_cs)
+
+
+# ---------------------------------------------------------------------------
+# congruences on a basis of their functionals, against the unreduced system
+
+
+def unreduced_congruence_sublattice(ambient_rank, conditions):
+    """Reference: the echelon of ``[[F, -diag(m)], [I, 0]]`` over every raw
+    condition, none dropped or reduced."""
+    conditions = [(tuple(f), int(m)) for f, m in conditions]
+    k = len(conditions)
+    unit = IntMatrix.identity(ambient_rank).entries
+    cols = [tuple(f[j] for f, _ in conditions) + unit[j] for j in range(ambient_rank)]
+    cols += [tuple(-m if i == j else 0 for i in range(k)) + (0,) * ambient_rank
+             for j, (_, m) in enumerate(conditions)]
+    return Lattice(ambient_rank,
+                   IntMatrix.from_columns(_lower_blocks(cols, k, k + ambient_rank), ambient_rank))
+
+
+@st.composite
+def redundant_congruences(draw):
+    """Ambient rank 0-6 and 0-14 conditions, often more than the rank: some
+    functionals repeat earlier ones, scaled, under the same or another
+    modulus; moduli 0 and 1 included, mixed within one system."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entry = st.integers(min_value=-5, max_value=5)
+    modulus = st.sampled_from([0, 1, 2, 3, 4, 6, 12])
+    conditions = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        if conditions and draw(st.booleans()):
+            f, m = draw(st.sampled_from(conditions))
+            c = draw(st.integers(min_value=-3, max_value=3))
+            conditions.append((tuple(c * a for a in f), draw(st.sampled_from([m, draw(modulus)]))))
+        else:
+            conditions.append((tuple(draw(entry) for _ in range(n)), draw(modulus)))
+    return n, conditions
+
+
+@SETTINGS
+@given(redundant_congruences())
+def test_congruences_on_a_functional_basis_match_the_unreduced_system(n_conditions):
+    n, conditions = n_conditions
+    assert (solve_congruence_sublattice(n, conditions)
+            == unreduced_congruence_sublattice(n, conditions))
+
+
+# ---------------------------------------------------------------------------
+# Sym^2 values and invariance rows from nonzero terms, against dense rows
+
+
+def dense_value_functional(n, u, w=None):
+    """Reference: the functional b -> b(u, w) written at every pair i <= j."""
+    w = u if w is None else w
+    return tuple(u[i] * w[i] if i == j else u[i] * w[j] + u[j] * w[i]
+                 for i, j in sym2_pairs(n))
+
+
+def dense_values(fl, pairs):
+    """Reference: one dense functional per pair times the coordinate matrix."""
+    n = fl.ambient_rank
+    return IntMatrix.from_rows([dense_value_functional(n, u, w) for u, w in pairs],
+                               sym2_dim(n)).mul(fl.coords)
+
+
+def dense_invariant_coord_columns(n, roots):
+    """Reference: the rows 2 b(a^vee, e_k) - a_k b(a^vee, a^vee) from dense
+    functionals."""
+    units = IntMatrix.identity(n).columns()
+    rows = []
+    for coroot, root in roots:
+        norm = dense_value_functional(n, coroot)
+        for e_k, a_k in zip(units, root):
+            rows.append(tuple(2 * x - a_k * y
+                              for x, y in zip(dense_value_functional(n, coroot, e_k), norm)))
+    return kernel_basis(IntMatrix.from_rows(rows, sym2_dim(n))).columns()
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    """Vectors of length n, often zero or with few nonzero entries."""
+    kind = draw(st.sampled_from(["zero", "unit", "sparse", "dense"]))
+    if kind == "zero" or n == 0:
+        return (0,) * n
+    if kind == "unit":
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        return tuple(int(k == i) for k in range(n))
+    entry = st.integers(min_value=-4, max_value=4)
+    return tuple(draw(entry) if kind == "dense" or draw(st.booleans()) else 0
+                 for _ in range(n))
+
+
+@SETTINGS
+@given(st.data())
+def test_values_from_nonzero_terms_match_the_dense_rows(data):
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=-4, max_value=4)
+    cols = [tuple(data.draw(entry) for _ in range(sym2_dim(n)))
+            for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
+    fl = FormLattice.from_coord_columns(n, cols)
+    pairs = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
+             for _ in range(data.draw(st.integers(min_value=0, max_value=5)))]
+    assert fl.values(pairs) == dense_values(fl, pairs)
+    for u, w in pairs:
+        assert _value_functional(n, u, w) == dense_value_functional(n, u, w)
+        assert _value_functional(n, u) == dense_value_functional(n, u)
+
+
+@SETTINGS
+@given(st.data())
+def test_invariance_rows_from_nonzero_terms_match_the_dense_rows(data):
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    roots = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
+             for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
+    assert _invariant_coord_columns(n, roots) == dense_invariant_coord_columns(n, roots)

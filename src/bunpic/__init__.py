@@ -8,10 +8,8 @@ criterion, all in exact integer arithmetic.
 
 from .exact_algebra import (
     FGAbelianGroup,
-    GroupHom,
     IntMatrix,
     Lattice,
-    cokernel,
     hermite_normal_form,
     saturation,
     smith_normal_form,

@@ -5,6 +5,9 @@ Everything here is computed over Python's arbitrary-precision integers, so
 results are exact and canonical:
 
 * matrices are immutable row-major integer matrices (:class:`IntMatrix`);
+  their products (:meth:`IntMatrix.mul`, :meth:`IntMatrix.mul_vector`) add
+  up nonzero terms only, so a sparse factor such as an identity-like
+  coordinate matrix costs its nonzero entries, not its shape;
 * lattices are stored in column Hermite normal form, so two equal sublattices
   of ``Z^n`` have identical representations;
 * finitely generated abelian groups are stored as invariant factors
@@ -16,8 +19,6 @@ results are exact and canonical:
   themselves, because their order fixes the canonical generators;
 * rational coordinates are integer numerators over one common denominator
   (:func:`rational_coordinates`, solved through the Smith normal form);
-  ``fractions.Fraction`` appears only in :func:`rational_solve`, the
-  Gaussian-elimination reference;
 * empty shapes (0 x n, n x 0, 0 x 0, rank 0, no relations or conditions)
   take the general algorithms: :meth:`IntMatrix.from_rows` and
   :meth:`IntMatrix.from_columns` take the dimension an empty list cannot show.
@@ -36,14 +37,12 @@ Which normal form does which job:
   adapted to them are the output: :func:`group_from_relations`,
   :func:`canonical_generators`, :func:`rational_coordinates`, the
   complement and glue bases of ``root_datum.cross_diagram`` and
-  ``root_datum.with_central_torus``, and :func:`solve`, the reference for
-  arbitrary matrices that the tests check against.
+  ``root_datum.with_central_torus``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -113,19 +112,28 @@ class IntMatrix:
                                for j in range(self.cols)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, from its nonzero terms only: row i adds ``a * b`` for
+        each nonzero ``a = self[i, k]`` and each nonzero ``b`` in row k of
+        ``other``."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        ot = other.transpose()
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in ot.entries)
-            for r in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, rows)
+        other_terms = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
+        rows = []
+        for r in self.entries:
+            acc = [0] * other.cols
+            for a, terms in zip(r, other_terms):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            rows.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(rows))
 
     def mul_vector(self, v) -> tuple:
+        """The product with ``v``, over the nonzero entries of ``v`` only."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        terms = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum(row[j] * x for j, x in terms) for row in self.entries)
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -354,29 +362,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     Number Theory*, 2.4).
     """
     return IntMatrix.from_columns(_lower_blocks(_over_identity(m), m.rows, m.rows + m.cols), m.cols)
-
-
-def solve(m: IntMatrix, b) -> tuple | None:
-    """One integer solution of ``m*x = b``, or ``None`` if there is none.
-
-    Works on any matrix, through the Smith normal form.  The library solves
-    in HNF bases with :meth:`Lattice.coordinates`; this is the reference the
-    tests check spans and coordinates against.
-    """
-    s, u, v = smith_normal_form(m)
-    ub = u.mul_vector(tuple(b))
-    y = [0] * m.cols
-    r = min(s.rows, s.cols)
-    for i in range(s.rows):
-        d = s[i, i] if i < r else 0
-        if d == 0:
-            if i < len(ub) and ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-    return v.mul_vector(tuple(y))
 
 
 # ---------------------------------------------------------------------------
@@ -644,41 +629,6 @@ def quotient_group(ambient: Lattice, sub: Lattice) -> FGAbelianGroup:
     return group_from_relations(ambient.rank, IntMatrix.from_columns(coords, ambient.rank))
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """Homomorphism between groups in canonical form, as a matrix on generators.
-
-    Generator ordering matches :meth:`FGAbelianGroup.relation_matrix`: free
-    generators first, then torsion generators in invariant-factor order.
-    """
-
-    source: FGAbelianGroup
-    target: FGAbelianGroup
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.ngens or self.matrix.cols != self.source.ngens:
-            raise ValueError("matrix shape does not match generator counts")
-        # image of each source relation must lie in the target relation lattice
-        for t, d in enumerate(self.source.torsion):
-            col = self.matrix.column(self.source.free_rank + t)
-            for i, x in enumerate(col):
-                scaled = d * x
-                if i < self.target.free_rank:
-                    if scaled != 0:
-                        raise ValueError("matrix does not respect torsion")
-                else:
-                    e = self.target.torsion[i - self.target.free_rank]
-                    if scaled % e:
-                        raise ValueError("matrix does not respect torsion")
-
-
-def cokernel(f: GroupHom) -> FGAbelianGroup:
-    """Canonical ``target / im(f)``: stack f with the target relations, take SNF."""
-    stacked = f.matrix.hstack(f.target.relation_matrix())
-    return group_from_relations(f.target.ngens, stacked)
-
-
 # ---------------------------------------------------------------------------
 # quotients by a relation lattice (NS groups and their cokernels)
 
@@ -739,35 +689,3 @@ def rational_coordinates(m: IntMatrix, b: IntMatrix):
                                           for si, row in zip(diag, ub.entries))))
     g = gcd(e, *(a for row in x.entries for a in row))
     return IntMatrix(n, b.cols, tuple(tuple(a // g for a in row) for row in x.entries)), e // g
-
-
-def rational_solve(m: IntMatrix, b):
-    """Unique rational solution of ``m*x = b`` for injective ``m`` (full column
-    rank); returns a tuple of Fractions or raises if inconsistent."""
-    nr, nc = m.rows, m.cols
-    a = [[Fraction(m[i, j]) for j in range(nc)] + [Fraction(b[i])] for i in range(nr)]
-    row = 0
-    pivots = []
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        a[row] = [x / p for x in a[row]]
-        for r in range(nr):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    x = [Fraction(0)] * nc
-    for r, col in enumerate(pivots):
-        x[col] = a[r][nc]
-    for r in range(nr):
-        lhs = sum(Fraction(m[r, j]) * x[j] for j in range(nc))
-        if lhs != b[r]:
-            raise ValueError("inconsistent rational system")
-    return tuple(x)

@@ -17,8 +17,15 @@ coordinates.
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
-the values are immutable.  The even and D-even lattices cut the invariant
-lattice, so the Weyl kernel on Lambda(T_G) is solved once.  The
+the values are immutable.  Below them, the Weyl kernel (``_weyl_kernel``,
+keyed by the rank and the (coroot, root) pairs) and the congruence cut
+(``_congruence_cut``, keyed by the forms cut and the conditions) are
+memoized on the group by their inputs, so equal inputs are solved once: the
+even and D-even lattices cut the one kernel on Lambda(T_G); when G is
+semisimple, Lambda(T_G) and Lambda(T_D(G)) give one kernel and one cut; and
+when the simple coroots are also the basis of Lambda(T_G), as for the named
+simply connected groups, the sc coroot lattice gives the same, so one kernel
+and one cut serve all five lattices.  The
 lift-dependent NS groups are kept the same way, keyed by the checked lift
 (one value per function, for the latest lift), so the computations of one
 report that share a lift share one NS group.  The CLI builds one group per
@@ -26,7 +33,9 @@ report, so these values live for one report.
 
 Values and functionals are built from their nonzero terms u_i w_j only
 (``_product_terms``).  Most pairs hold a unit vector (b(d, e_k), b(e_j, v)),
-and such a pair touches at most n of the sym2_dim(n) coordinates.
+and such a pair touches at most n of the sym2_dim(n) coordinates.  The Gram
+matrices of the generators of an NS group, which only output reads, come
+from one product of the coordinate matrix with their coefficient columns.
 """
 
 from __future__ import annotations
@@ -158,9 +167,11 @@ class FormLattice:
             rows.append(row)
         return IntMatrix.from_rows(rows, self.rank)
 
-    def form_from_coeffs(self, coeffs) -> BilinearForm:
-        return BilinearForm(coords_to_gram(self.ambient_rank,
-                                           self.coords.mul_vector(tuple(coeffs))))
+    def forms_from_coeffs(self, coeffs: IntMatrix) -> tuple:
+        """The forms whose basis coefficients are the columns of ``coeffs``,
+        as Gram matrices for output, from one product ``coords * coeffs``."""
+        n = self.ambient_rank
+        return tuple(BilinearForm(coords_to_gram(n, c)) for c in self.coords.mul(coeffs).columns())
 
 
 def _invariant_coord_columns(n: int, roots) -> list:
@@ -191,8 +202,8 @@ def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
     return k.mul(solve_congruence_sublattice(k.cols, comp).basis).columns()
 
 
-def _diagonal_even_conditions(n: int) -> list:
-    return [(_value_functional(n, e), 2) for e in IntMatrix.identity(n).columns()]
+def _diagonal_even_conditions(n: int) -> tuple:
+    return tuple((_value_functional(n, e), 2) for e in IntMatrix.identity(n).columns())
 
 
 def _value_functional(n: int, u, w=None) -> tuple:
@@ -208,27 +219,42 @@ def _value_functional(n: int, u, w=None) -> tuple:
 # the form lattices of the theory
 
 
-def _coroot_root_pairs(g: ReductiveGroupData) -> list:
+def _coroot_root_pairs(g: ReductiveGroupData) -> tuple:
     """The simple (coroot, root) pairs of G on Lambda(T_G)."""
-    return list(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
+    return tuple(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
+
+
+@once_per_group
+def _weyl_kernel(g: ReductiveGroupData, n: int, pairs: tuple) -> FormLattice:
+    """The forms on Z^n fixed by the reflections of the (coroot, root) pairs,
+    solved once per group for each distinct input: Lambda(T_G) and
+    Lambda(T_D(G)) give the same pairs when G is semisimple, and the sc
+    coroot lattice too when the simple coroots are the basis of Lambda(T_G)."""
+    cols = _invariant_coord_columns(n, pairs)     # already in HNF
+    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))
+
+
+@once_per_group
+def _congruence_cut(g: ReductiveGroupData, forms: FormLattice, conditions: tuple) -> FormLattice:
+    """The forms of ``forms`` that meet the congruence conditions, cut once
+    per group for each distinct input: the even, conditional and D-even cuts
+    coincide when G is semisimple, and the sc-even cut too when the simple
+    coroots are the basis of Lambda(T_G)."""
+    n = forms.ambient_rank
+    return FormLattice.from_coord_columns(
+        n, _restrict_by_congruences(n, forms.coords.columns(), conditions))
 
 
 @once_per_group
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
-    n = g.cochar_rank
-    cols = _invariant_coord_columns(n, _coroot_root_pairs(g))     # already in HNF
-    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))
+    return _weyl_kernel(g, g.cochar_rank, _coroot_root_pairs(g))
 
 
 @once_per_group
 def even_invariant_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms with even diagonal (b(x,x) in 2Z)."""
-    n = g.cochar_rank
-    cols = invariant_sym_forms(g).coords.columns()
-    return FormLattice.from_coord_columns(
-        n, _restrict_by_congruences(n, cols, _diagonal_even_conditions(n))
-    )
+    return _congruence_cut(g, invariant_sym_forms(g), _diagonal_even_conditions(g.cochar_rank))
 
 
 def basic_inner_product(t: SimpleType) -> BilinearForm:
@@ -248,10 +274,8 @@ def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
     lattice of G^sc, in simple-coroot coordinates."""
     m = g.ss_rank
     c = g.simple_roots.transpose().mul(g.simple_coroots)
-    cols = _invariant_coord_columns(m, list(zip(IntMatrix.identity(m).columns(), c.entries)))
-    return FormLattice.from_coord_columns(
-        m, _restrict_by_congruences(m, cols, _diagonal_even_conditions(m))
-    )
+    forms = _weyl_kernel(g, m, tuple(zip(IntMatrix.identity(m).columns(), c.entries)))
+    return _congruence_cut(g, forms, _diagonal_even_conditions(m))
 
 
 @once_per_group
@@ -269,7 +293,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
         if x is None:
             raise ArithmeticError("derived lattice does not contain the coroots")
         pairs.append((x, res.mul_vector(root)))
-    cols = _invariant_coord_columns(m, pairs)
+    forms = _weyl_kernel(g, m, tuple(pairs))
     conditions = list(_diagonal_even_conditions(m))
 
     # integrality of b against Lambda(T_Gss): express the ss basis rationally
@@ -283,7 +307,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
                 func = _value_functional(m, e_a, p_b)
                 if any(func):
                     conditions.append((func, denom))
-    return FormLattice.from_coord_columns(m, _restrict_by_congruences(m, cols, conditions))
+    return _congruence_cut(g, forms, tuple(conditions))
 
 
 @once_per_group
@@ -291,12 +315,9 @@ def d_even_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms on Lambda(T_G) whose restriction to the
     derived lattice is even."""
     n = g.cochar_rank
-    cols = invariant_sym_forms(g).coords.columns()
-    cd = cross_diagram(g)
-    conditions = [
-        (_value_functional(n, u), 2) for u in cd.derived_lattice.basis.columns()
-    ]
-    return FormLattice.from_coord_columns(n, _restrict_by_congruences(n, cols, conditions))
+    conditions = tuple((_value_functional(n, u), 2)
+                       for u in cross_diagram(g).derived_lattice.basis.columns())
+    return _congruence_cut(g, invariant_sym_forms(g), conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +352,10 @@ class NSGroup:
     def generators(self) -> tuple:
         """The generators as (chi tuple | None, BilinearForm) pairs, for output."""
         if self.kind == "rigidified":
-            return tuple((None, self.form_basis.form_from_coeffs(c)) for c in self.gens.columns())
-        n = self.chi_rank
-        return tuple((c[:n], self.form_basis.form_from_coeffs(c[n:])) for c in self.gens.columns())
+            return tuple((None, f) for f in self.form_basis.forms_from_coeffs(self.gens))
+        n, gens = self.chi_rank, self.gens
+        coeffs = IntMatrix(gens.rows - n, gens.cols, gens.entries[n:])
+        return tuple(zip((c[:n] for c in gens.columns()), self.form_basis.forms_from_coeffs(coeffs)))
 
 
 def _root_relations(g: ReductiveGroupData, extra_rank: int) -> IntMatrix:

@@ -290,6 +290,17 @@ PINNED_LARGE_RANK_REPORTS = [
 ]
 
 
+# The same for cocharacter rank 16, where the Sym^2 coordinate matrices are
+# largest and most of their entries are zero; pinned from the implementation
+# whose matrix products multiplied every entry.
+PINNED_RANK_16_REPORTS = [
+    ("T(16)", ",".join(["1"] * 16), "universal:2,1", 0,
+     "7a222896208f8d16999a346041c141e9547d3c679c3369bf6a7098a215435bef"),
+    ("GL(16)", "1", "universal:2,1", 0,
+     "799ff2e798f65ba1d93498308f424e4632004fee76a0051be32047587280bc19"),
+]
+
+
 def full_report_digest(capsys, group, delta, family):
     """Exit code and SHA-256 of the JSON stdout of all six computations."""
     code = main(["--group", group, "--delta", delta, "--family", family,
@@ -297,7 +308,7 @@ def full_report_digest(capsys, group, delta, family):
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("group,delta,family,code,digest", PINNED_REPORTS)
+@pytest.mark.parametrize("group,delta,family,code,digest", PINNED_REPORTS + PINNED_RANK_16_REPORTS)
 def test_reports_match_pinned_digests(capsys, group, delta, family, code, digest):
     assert full_report_digest(capsys, group, delta, family) == (code, digest)
 
@@ -336,20 +347,35 @@ def assert_equals_a_fresh_group(g, group):
     assert group_to_json(g) == group_to_json(fresh)
 
 
-@pytest.mark.parametrize("group,delta", [
-    ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)), ("T(2)", (1, 2)),
+@pytest.mark.parametrize("group,delta,kernels,cuts", [
+    # D(G) = G simply connected, simple coroots the basis of Lambda(T_G):
+    # Lambda(T_G), Lambda(T_D(G)) and the sc coroot lattice give one Weyl
+    # kernel, and the even, conditional, D-even and sc-even lattices one
+    # congruence cut
+    ("E8", (), 1, 1),
+    # D(G) = G: Lambda(T_G) and Lambda(T_D(G)) share a kernel and a cut, the
+    # sc coroot lattice has its own
+    ("SO(10)*PGL(4)", (1, 1), 2, 2),
+    # three distinct kernels and four distinct cuts
+    ("GL(3)*T(1)", (1, 1), 3, 4),
+    # the derived and sc kernels of a torus are both the empty rank-0 kernel,
+    # asked for one after the other; its two rank-0 cuts are asked for with
+    # the D-even cut between them, which takes the memo's one slot
+    ("T(2)", (1, 2), 2, 4),
 ])
-def test_report_computes_each_form_lattice_once(monkeypatch, group, delta):
-    # one Weyl-invariance kernel each for Lambda(T_G), the sc coroot lattice and
-    # Lambda(T_D(G)); the values are kept on the group without changing it
+def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, kernels, cuts):
+    # one run of the Weyl kernel and of the congruence cut per distinct input,
+    # as the memo's one slot allows; the values are kept on the group without
+    # changing it
     from bunpic import invariant_forms
 
-    kernel = invariant_forms._invariant_coord_columns
-    kernel_ranks = []
-    monkeypatch.setattr(invariant_forms, "_invariant_coord_columns",
-                        lambda n, roots: kernel_ranks.append(n) or kernel(n, roots))
+    runs = collections.Counter()
+    for name in ("_invariant_coord_columns", "_restrict_by_congruences"):
+        body = getattr(invariant_forms, name)
+        monkeypatch.setattr(invariant_forms, name,
+                            lambda *args, _body=body, _name=name: runs.update([_name]) or _body(*args))
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
-    assert len(kernel_ranks) <= 3, kernel_ranks
+    assert runs == {"_invariant_coord_columns": kernels, "_restrict_by_congruences": cuts}
     assert_equals_a_fresh_group(g, group)
 
 

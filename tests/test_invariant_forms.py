@@ -11,7 +11,6 @@ from bunpic.exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     kernel_basis,
-    solve,
     solve_congruence_sublattice,
 )
 from bunpic.invariant_forms import (
@@ -36,9 +35,12 @@ from bunpic.root_datum import (
     SimpleType,
     build_group,
     cross_diagram,
+    fundamental_group,
     pi1_presentation,
     with_central_torus,
 )
+from reference import solve
+from test_root_datum import NAMED
 
 
 def gram(f):
@@ -118,7 +120,6 @@ def test_conditional_form_lattice_gl_n():
         # the derived basis of GL_n need not be the simple coroots; compare
         # the forms through a change of basis on the derived lattice
         from bunpic.root_datum import cross_diagram
-        from bunpic.exact_algebra import solve
 
         cd = cross_diagram(g)
         cols = [solve(cd.derived_lattice.basis, c) for c in g.simple_coroots.columns()]
@@ -163,7 +164,6 @@ def test_simply_connected_collapse():
         cfl = conditional_form_lattice(g)
         sc = sc_even_forms(g)
         from bunpic.root_datum import cross_diagram
-        from bunpic.exact_algebra import solve
 
         cd = cross_diagram(g)
         cols = [solve(cd.derived_lattice.basis, c) for c in g.simple_coroots.columns()]
@@ -172,6 +172,25 @@ def test_simply_connected_collapse():
         assert sc.lattice() == type(sc.lattice()).from_columns(
             sc.lattice().ambient_rank, [f.coords() for f in restr]
         )
+
+
+def test_simply_connected_groups_have_one_even_lattice():
+    # G = D(G) simply connected, and a named group's simple coroots are the
+    # basis of Lambda(T_G): Lambda(T_G), Lambda(T_D(G)) and the sc coroot
+    # lattice are one lattice in one basis, so the four even lattices have
+    # equal coords, computed on groups of their own; on one group they are
+    # the one value of one congruence cut
+    even_lattices = [sc_even_forms, even_invariant_forms, d_even_forms, conditional_form_lattice]
+    checked = 0
+    for name in NAMED:
+        g = build_group(name)
+        if g.ss_rank < g.cochar_rank or not fundamental_group(g).is_trivial:
+            continue
+        coords = [fn(build_group(name)).coords for fn in even_lattices]
+        assert coords == [coords[0]] * len(coords), name
+        assert len({id(fn(g)) for fn in even_lattices}) == 1, name
+        checked += 1
+    assert checked == 16
 
 
 def test_d_even_forms():
@@ -470,7 +489,8 @@ def test_form_values_match_gram_evaluation_on_random_products(factors, lattice_o
         for i in range(n):
             for j in range(n):
                 total[i][j] += c * gk[i, j]
-    assert fl.form_from_coeffs(coeffs).gram == IntMatrix.from_rows(total)
+    [form] = fl.forms_from_coeffs(IntMatrix.from_columns([coeffs], fl.rank))
+    assert form.gram == IntMatrix.from_rows(total)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ denominator, and the echelon kernels, congruence lattices and lattice
 coordinates checked against their Smith-form references, the quotients
 by a relation lattice checked against the raw-relation-matrix algorithms they
 replaced, and empty shapes checked against the branches that once handled
-them apart; the congruence solver on a basis of its functionals and the Sym^2
-values and invariance rows built from nonzero terms checked against the
-unreduced and dense constructions they replaced."""
+them apart; the congruence solver on a basis of its functionals, the Sym^2
+values and invariance rows, and the matrix products built from nonzero terms
+checked against the unreduced and dense constructions they replaced."""
 
 from fractions import Fraction
 from math import gcd
@@ -30,9 +30,7 @@ from bunpic.exact_algebra import (
     preimage_lattice,
     quotient_group,
     rational_coordinates,
-    rational_solve,
     smith_normal_form,
-    solve,
     solve_congruence_sublattice,
     subgroup_generators,
     unimodular_inverse,
@@ -55,6 +53,7 @@ from bunpic.invariant_forms import (
 )
 from bunpic.picard import reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, cross_diagram
+from reference import rational_solve, solve
 from test_invariant_forms import SMALL_FACTORS
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -613,8 +612,8 @@ def dense_value_functional(n, u, w=None):
 def dense_values(fl, pairs):
     """Reference: one dense functional per pair times the coordinate matrix."""
     n = fl.ambient_rank
-    return IntMatrix.from_rows([dense_value_functional(n, u, w) for u, w in pairs],
-                               sym2_dim(n)).mul(fl.coords)
+    return dense_mul(IntMatrix.from_rows([dense_value_functional(n, u, w) for u, w in pairs],
+                                         sym2_dim(n)), fl.coords)
 
 
 def dense_invariant_coord_columns(n, roots):
@@ -667,3 +666,66 @@ def test_invariance_rows_from_nonzero_terms_match_the_dense_rows(data):
     roots = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
              for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
     assert _invariant_coord_columns(n, roots) == dense_invariant_coord_columns(n, roots)
+
+
+# ---------------------------------------------------------------------------
+# matrix products from nonzero terms, against the dense products
+
+
+def dense_mul(a, b):
+    """Reference: entry (i, j) is the full dot product of row i of ``a`` and
+    column j of ``b``."""
+    return IntMatrix(a.rows, b.cols, tuple(tuple(sum(x * y for x, y in zip(r, b.column(j)))
+                                                 for j in range(b.cols)) for r in a.entries))
+
+
+def dense_mul_vector(a, v):
+    """Reference: each entry the full dot product of a row with ``v``."""
+    return tuple(sum(x * y for x, y in zip(r, v)) for r in a.entries)
+
+
+BIG = 2 ** 60
+
+
+@st.composite
+def product_factors(draw):
+    """``(a, b, v)`` with ``a`` r x k, ``b`` k x c and ``v`` of length k, any
+    dimension 0 included; entries are often 0 or near +-2^60, and some rows of
+    ``a`` and ``b``, columns of ``a`` and entries of ``v`` are set to zero."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=BIG - 3, max_value=BIG + 3),
+                      st.integers(min_value=-BIG - 3, max_value=-BIG + 3))
+
+    def matrix(nr, nc):
+        zero_rows = draw(st.sets(st.integers(min_value=0, max_value=max(nr - 1, 0))))
+        zero_cols = draw(st.sets(st.integers(min_value=0, max_value=max(nc - 1, 0))))
+        return IntMatrix(nr, nc, tuple(
+            tuple(0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(nc))
+            for i in range(nr)))
+
+    a, b = matrix(r, k), matrix(k, c)
+    [v] = matrix(1, k).entries
+    return a, b, v
+
+
+@SETTINGS
+@given(product_factors())
+def test_products_from_nonzero_terms_match_the_dense_products(factors):
+    a, b, v = factors
+    assert a.mul(b) == dense_mul(a, b)
+    assert a.mul_vector(v) == dense_mul_vector(a, v)
+    assert b.transpose().mul(a.transpose()) == dense_mul(a, b).transpose()
+
+
+@pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0)])
+def test_products_of_empty_shapes(r, k, c):
+    # reference: a product over an empty side is the r x c zero matrix
+    a = IntMatrix(r, k, tuple((BIG,) * k for _ in range(r)))
+    b = IntMatrix(k, c, tuple((-BIG,) * c for _ in range(k)))
+    assert a.mul(b) == IntMatrix.zero(r, c) == dense_mul(a, b)
+    assert a.mul_vector((BIG,) * k) == dense_mul_vector(a, (BIG,) * k)
+    with pytest.raises(ValueError):
+        a.mul(IntMatrix.zero(k + 1, c))
+    with pytest.raises(ValueError):
+        a.mul_vector((0,) * (k + 1))

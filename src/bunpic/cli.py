@@ -72,14 +72,16 @@ class RunConfig:
 
     @staticmethod
     def from_json(obj) -> "RunConfig":
+        if not isinstance(obj["group"], str):
+            raise InputError(f"group must be a string, not {json.dumps(obj['group'])}")
         fam = obj["family"]
         family = parse_family(fam if isinstance(fam, str) else json.dumps(fam))
         return RunConfig(
             group_text=obj["group"],
-            delta=tuple(int(x) for x in obj.get("delta", [])),
+            delta=_json_ints("delta", obj.get("delta", [])),
             family=family,
             compute=tuple(obj.get("compute", ["picard"])),
-            lift_d=tuple(int(x) for x in obj["lift_d"]) if obj.get("lift_d") else None,
+            lift_d=_json_ints("lift_d", obj["lift_d"]) if obj.get("lift_d") else None,
             fmt=obj.get("format", "json"),
         )
 
@@ -88,10 +90,20 @@ class InputError(ValueError):
     pass
 
 
+def _json_ints(key: str, value) -> tuple:
+    """A JSON list of integers (no floats, bools or strings) as a tuple."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InputError(f"{key} must be a list of integers, not {json.dumps(value)}")
+    return tuple(value)
+
+
 # input errors: ``main`` reports them with exit code 1, batch mode per line
 INPUT_ERRORS = (InputError, ParseError, InvalidSpec, InvalidPreset, InvalidParams,
-                UnknownTheorem, OSError, json.JSONDecodeError, ValueError)
-BATCH_LINE_ERRORS = INPUT_ERRORS + (KeyError, TypeError)
+                UnknownTheorem, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError)
+
+
+def _error_message(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def load_group(text: str) -> ReductiveGroupData:
@@ -144,8 +156,8 @@ def run_report(cfg: RunConfig):
     warnings = []
     try:
         group = load_group(cfg.group_text)
-    except (ParseError, InvalidSpec, OSError, json.JSONDecodeError, KeyError) as exc:
-        raise InputError(f"group: {exc}") from exc
+    except INPUT_ERRORS as exc:
+        raise InputError(f"group: {_error_message(exc)}") from exc
     violations = validate_family(cfg.family)
     if violations:
         raise InputError("family: " + "; ".join(str(v) for v in violations))
@@ -333,7 +345,7 @@ def _run_single(args) -> int:
 
 
 def _error_record(line: int, exc: Exception, fmt: str) -> str:
-    message = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    message = _error_message(exc)
     if fmt == "json":
         return json.dumps({"error": message, "line": line}, sort_keys=True, separators=(",", ":"))
     return f"error: line {line}: {message}"
@@ -351,7 +363,7 @@ def _run_batch(path: str, fmt: str) -> int:
                 continue
             try:
                 code, report = run_report(RunConfig.from_json(json.loads(line)))
-            except BATCH_LINE_ERRORS as exc:
+            except INPUT_ERRORS as exc:
                 bad = True
                 print(_error_record(number, exc, fmt), flush=True)
                 continue
@@ -369,7 +381,7 @@ def main(argv=None) -> int:
             raise InputError("--group and --family are required (or use --batch)")
         return _run_single(args)
     except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_message(exc)}", file=sys.stderr)
         return 1
 
 

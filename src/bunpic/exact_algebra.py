@@ -18,7 +18,9 @@ results are exact and canonical:
   relations only; :func:`subgroup_generators` takes the relation columns
   themselves, because their order fixes the canonical generators;
 * rational coordinates are integer numerators over one common denominator
-  (:func:`rational_coordinates`, solved through the Smith normal form);
+  (:func:`rational_coordinates`, solved through the Smith normal form), and
+  a numerator matrix known to be divisible is divided through, checked, by
+  :func:`divide_exactly`;
 * empty shapes (0 x n, n x 0, 0 x 0, rank 0, no relations or conditions)
   take the general algorithms: :meth:`IntMatrix.from_rows` and
   :meth:`IntMatrix.from_columns` take the dimension an empty list cannot show.
@@ -35,9 +37,9 @@ Which normal form does which job:
   rows of its HNF basis (:meth:`Lattice.coordinates`);
 * the Smith normal form is used only where invariant factors or a basis
   adapted to them are the output: :func:`group_from_relations`,
-  :func:`canonical_generators`, :func:`rational_coordinates`, the
-  complement and glue bases of ``root_datum.cross_diagram`` and
-  ``root_datum.with_central_torus``.
+  :func:`canonical_generators` (which also splits off the free quotient in
+  ``root_datum.cross_diagram``), :func:`rational_coordinates` and the glue
+  basis of ``root_datum.with_central_torus``.
 """
 
 from __future__ import annotations
@@ -689,3 +691,10 @@ def rational_coordinates(m: IntMatrix, b: IntMatrix):
                                           for si, row in zip(diag, ub.entries))))
     g = gcd(e, *(a for row in x.entries for a in row))
     return IntMatrix(n, b.cols, tuple(tuple(a // g for a in row) for row in x.entries)), e // g
+
+
+def divide_exactly(m: IntMatrix, denom: int, failure: str) -> IntMatrix:
+    """``m / denom``, raising ``ArithmeticError(failure)`` unless it is integral."""
+    if any(x % denom for row in m.entries for x in row):
+        raise ArithmeticError(failure)
+    return IntMatrix(m.rows, m.cols, tuple(tuple(x // denom for x in row) for row in m.entries))

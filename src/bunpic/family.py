@@ -267,11 +267,6 @@ class HypothesisResult:
 THEOREMS = ("Thm3.9", "ThmB", "CorC", "Thm4.3", "Thm4.4", "Thm4.6")
 
 
-def _derived_simply_connected(g: ReductiveGroupData) -> bool:
-    cd = cross_diagram(g)
-    return cd.derived_lattice == g.coroot_lattice()
-
-
 def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> HypothesisResult:
     """Evaluate exactly the stated hypotheses of the given theorem for this
     family and group."""
@@ -289,7 +284,7 @@ def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> Hyp
         if f.genus <= 0:
             missing.append("family of positive genus")
         alt_b = f.end_jacobian_trivial and f.rpic_surjective and f.rpic0_torsion_free
-        if not (alt_b or _derived_simply_connected(g)):
+        if not (alt_b or cross_diagram(g).derived_simply_connected):
             missing.append(
                 "(a) D(G) simply connected, or (b) End(J) = Z, Pic(C) ->> "
                 "Pic_{C/S}(S) and RPic^0(C/S) torsion-free"
@@ -299,11 +294,11 @@ def hypothesis_check(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> Hyp
             missing.append("family of positive genus")
         if not (f.end_jacobian_trivial and f.rpic_surjective):
             missing.append("End(J) = Z and Pic(C) ->> Pic_{C/S}(S)")
-        if not (f.rpic0_torsion_free or _derived_simply_connected(g)):
+        if not (f.rpic0_torsion_free or cross_diagram(g).derived_simply_connected):
             missing.append("RPic^0(C/S) torsion-free or D(G) simply connected")
     elif theorem == "Thm4.6":
         if f.genus != 0:
             missing.append("family of genus zero")
-        if not (f.zariski_locally_trivial or _derived_simply_connected(g)):
+        if not (f.zariski_locally_trivial or cross_diagram(g).derived_simply_connected):
             missing.append("(a) Zariski-locally trivial family or (b) D(G) simply connected")
     return HypothesisResult(theorem, not missing, tuple(missing))

@@ -17,6 +17,7 @@ from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
+    divide_exactly,
     group_from_relations,
     hom_cokernel,
     preimage_lattice,
@@ -102,13 +103,6 @@ class GerbeReport:
 # evaluation homomorphism
 
 
-def _divide_exactly(m: IntMatrix, denom: int, failure: str) -> IntMatrix:
-    """``m / denom``, raising ``ArithmeticError(failure)`` unless it is integral."""
-    if any(x % denom for row in m.entries for x in row):
-        raise ArithmeticError(failure)
-    return IntMatrix(m.rows, m.cols, tuple(tuple(x // denom for x in row) for row in m.entries))
-
-
 def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> FGAbelianGroup:
     """Cokernel of the evaluation map: conditional forms on the derived
     lattice evaluated against (a lift of) delta^ss, landing in
@@ -122,7 +116,7 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     v, denom = rational_coordinates(a_d, d_ad)
     vals = cfl.values([(e, v.column(0)) for e in IntMatrix.identity(cfl.ambient_rank).columns()])
     return hom_cokernel(
-        _divide_exactly(vals, denom, "conditional form fails integrality against delta^ss"),
+        divide_exactly(vals, denom, "conditional form fails integrality against delta^ss"),
         target)
 
 
@@ -135,10 +129,7 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
     coords = tuple(int(x) for x in delta_ad_coords)
     if len(coords) != len(gens):
         raise ValueError(f"need {len(gens)} coordinates for the center classes")
-    d = tuple(
-        sum(c * gen[i] for c, gen in zip(coords, gens))
-        for i in range(glued.cochar_rank)
-    )
+    d = IntMatrix.from_columns(gens, glued.cochar_rank).mul_vector(coords)
     return evaluation_cokernel(glued, Pi1Element.from_cocharacter(glued, d), lift=d)
 
 
@@ -150,8 +141,8 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
 def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
     """Domain sublattice {b on the sc lattice : b(d^ss, -) integral on the
     derived lattice} together with the evaluation matrix into the derived
-    quotient, for a checked lift (kept on the group, so the genus-0
-    rigidified and gerbe computations share it)."""
+    quotient and its cokernel, for a checked lift (kept on the group, so the
+    genus-0 rigidified and gerbe computations share it)."""
     m = g.ss_rank
     forms = sc_even_forms(g)
     cd, _, target = _derived_quotient(g)
@@ -165,8 +156,8 @@ def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
     vals = forms.values([(u, x.column(0)) for u in x.columns()[1:]])
     denom = e * e
     domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries])
-    ev = _divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
-    return forms, domain, ev, target
+    ev = divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
+    return forms, domain, ev, target, hom_cokernel(ev, target)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,7 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
     lift = delta.lift(lift, generic=True)
-    _, domain, ev, target = _ev_hat_data(g, lift)
-    ev_cok = hom_cokernel(ev, target)
+    *_, ev_cok = _ev_hat_data(g, lift)
     two_div = _delta_ab_two_divisible(g, delta)
     kernel_piece = (FGAbelianGroup.trivial()
                     if f.delta == 1 or two_div else FGAbelianGroup.cyclic(2))
@@ -419,11 +409,10 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     if not gate:
         raise HypothesisNotSatisfied("Thm4.6", gate.missing)
     lift = delta.lift(lift, generic=True)
-    forms, domain, ev, target = _ev_hat_data(g, lift)
+    forms, domain, ev, target, ev_cok = _ev_hat_data(g, lift)
     kernel = preimage_lattice(ev, target)
     kernel_cols = [domain.basis.mul_vector(c) for c in kernel.basis.columns()]
     kernel_in_forms = Lattice.from_columns(forms.rank, kernel_cols)
-    ev_cok = hom_cokernel(ev, target)
     return PicardReport(
         theorem_applied="Thm4.6",
         kernel_summand="0",

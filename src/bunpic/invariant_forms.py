@@ -2,18 +2,18 @@
 
 Forms are handled in exact Sym^2 coordinates: a symmetric form on ``Z^n`` is
 the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  A
-``FormLattice`` is the column HNF basis of its Sym^2 coordinates, and every
-computation evaluates forms through ``FormLattice.values`` (rows of that
-matrix summed over the nonzero terms of each value); ``BilinearForm``, a Gram
-matrix, is the output type.  Invariance is imposed only at the simple
-reflections (they generate the Weyl group), so no Weyl group is ever
-enumerated.  The reflection of a (coroot, root) pair fixes b iff
-``2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>`` for every basis vector e_k,
-which is n linear rows on the Sym^2 coordinates per reflection; no
-reflection matrix is built.  Rational extensions across finite-index
-inclusions are written as integer numerators over one common denominator
-(``rational_coordinates``) and turned into congruence conditions on the Sym^2
-coordinates.
+``FormLattice`` is the column HNF basis of its Sym^2 coordinates, and
+``FormLattice.values`` (rows of that matrix summed over the nonzero terms of
+each value) is the one evaluator of forms; ``BilinearForm``, a Gram matrix,
+is the output type.  Invariance is imposed only at the simple reflections
+(they generate the Weyl group).  The reflection of a (coroot, root) pair
+fixes b iff ``b(a^vee, 2 e_k - <a, e_k> a^vee) = 0`` for every basis vector
+e_k: n rows per reflection, the values of the Sym^2 coordinate forms at
+those pairs.  A congruence condition ((u, w), m) asks b(u, w) = 0 mod m:
+evenness takes (e, e), and integrality across a finite-index inclusion,
+written as integer numerators p over one common denominator
+(``rational_coordinates``), takes (e_a, p_b); a cut solves the congruences
+on the values of the basis forms.
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
@@ -31,9 +31,9 @@ lift-dependent NS groups are kept the same way, keyed by the checked lift
 report that share a lift share one NS group.  The CLI builds one group per
 report, so these values live for one report.
 
-Values and functionals are built from their nonzero terms u_i w_j only
-(``_product_terms``).  Most pairs hold a unit vector (b(d, e_k), b(e_j, v)),
-and such a pair touches at most n of the sym2_dim(n) coordinates.  The Gram
+Values are built from their nonzero terms u_i w_j only (``_product_terms``).
+Most pairs hold a unit vector (b(d, e_k), b(e_j, v), b(e, e)), and such a
+pair touches at most n of the sym2_dim(n) coordinates.  The Gram
 matrices of the generators of an NS group, which only output reads, come
 from one product of the coordinate matrix with their coefficient columns.
 """
@@ -178,41 +178,18 @@ def _invariant_coord_columns(n: int, roots) -> list:
     """Sym^2 coordinates of the forms fixed by the reflections of the given
     (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
     for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows.
-    The row for e_k is -a_k b(a^vee, a^vee) plus the n terms 2 a^vee_i at the
-    pairs (i, k), so a row with a_k = 0 is sparse.  The kernel basis is
-    already in HNF."""
-    units = IntMatrix.identity(n).columns()
-    rows = []
-    for coroot, root in roots:
-        norm = _value_functional(n, coroot)
-        for e_k, a_k in zip(units, root):
-            row = [-a_k * y for y in norm] if a_k else [0] * len(norm)
-            for i, c in _product_terms(n, coroot, e_k):
-                row[i] += 2 * c
-            rows.append(row)
-    return kernel_basis(IntMatrix.from_rows(rows, sym2_dim(n))).columns()
-
-
-def _restrict_by_congruences(n: int, coord_cols, conditions) -> list:
-    """Cut a form lattice (coordinate columns) by congruence conditions given
-    as (functional on Sym^2 coords, modulus)."""
-    k = IntMatrix.from_columns(coord_cols, sym2_dim(n))
-    funcs = IntMatrix(len(conditions), k.rows, tuple(func for func, _ in conditions))
-    comp = zip(funcs.mul(k).entries, (mod for _, mod in conditions))
-    return k.mul(solve_congruence_sublattice(k.cols, comp).basis).columns()
+    By bilinearity the row for e_k is b -> b(a^vee, 2 e_k - a_k a^vee), read as
+    the values of the Sym^2 coordinate forms (the identity ``FormLattice``),
+    so a row with a_k = 0 has the few terms of a^vee alone.  The kernel basis
+    is already in HNF."""
+    sym2 = FormLattice(n, IntMatrix.identity(sym2_dim(n)))
+    pairs = [(coroot, tuple(2 * (i == k) - a_k * c for i, c in enumerate(coroot)))
+             for coroot, root in roots for k, a_k in enumerate(root)]
+    return kernel_basis(sym2.values(pairs)).columns()
 
 
 def _diagonal_even_conditions(n: int) -> tuple:
-    return tuple((_value_functional(n, e), 2) for e in IntMatrix.identity(n).columns())
-
-
-def _value_functional(n: int, u, w=None) -> tuple:
-    """Functional on Sym^2 coordinates computing b(u, w) (w defaults to u),
-    written densely from its nonzero terms."""
-    func = [0] * sym2_dim(n)
-    for k, c in _product_terms(n, u, u if w is None else w):
-        func[k] += c
-    return tuple(func)
+    return tuple(((e, e), 2) for e in IntMatrix.identity(n).columns())
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +213,13 @@ def _weyl_kernel(g: ReductiveGroupData, n: int, pairs: tuple) -> FormLattice:
 
 @once_per_group
 def _congruence_cut(g: ReductiveGroupData, forms: FormLattice, conditions: tuple) -> FormLattice:
-    """The forms of ``forms`` that meet the congruence conditions, cut once
-    per group for each distinct input: the even, conditional and D-even cuts
-    coincide when G is semisimple, and the sc-even cut too when the simple
-    coroots are the basis of Lambda(T_G)."""
-    n = forms.ambient_rank
-    return FormLattice.from_coord_columns(
-        n, _restrict_by_congruences(n, forms.coords.columns(), conditions))
+    """The forms b of ``forms`` with b(u, w) = 0 mod m for every condition
+    ((u, w), m), cut on their values once per group for each distinct input:
+    the even, conditional and D-even cuts coincide when G is semisimple, and
+    the sc-even cut too when the simple coroots are the basis of Lambda(T_G)."""
+    vals = forms.values([pair for pair, _ in conditions])
+    cut = solve_congruence_sublattice(forms.rank, zip(vals.entries, (mod for _, mod in conditions)))
+    return FormLattice.from_coord_columns(forms.ambient_rank, forms.coords.mul(cut.basis).columns())
 
 
 @once_per_group
@@ -302,11 +279,8 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     a_d = g.simple_roots.transpose().mul(d_basis)
     p, denom = rational_coordinates(a_d, cd.ss_in_adjoint.basis)
     if denom > 1:
-        for e_a in IntMatrix.identity(m).columns():
-            for p_b in p.columns():
-                func = _value_functional(m, e_a, p_b)
-                if any(func):
-                    conditions.append((func, denom))
+        conditions += [((e_a, p_b), denom)
+                       for e_a in IntMatrix.identity(m).columns() for p_b in p.columns()]
     return _congruence_cut(g, forms, tuple(conditions))
 
 
@@ -314,9 +288,7 @@ def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
 def d_even_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms on Lambda(T_G) whose restriction to the
     derived lattice is even."""
-    n = g.cochar_rank
-    conditions = tuple((_value_functional(n, u), 2)
-                       for u in cross_diagram(g).derived_lattice.basis.columns())
+    conditions = tuple(((u, u), 2) for u in cross_diagram(g).derived_lattice.basis.columns())
     return _congruence_cut(g, invariant_sym_forms(g), conditions)
 
 

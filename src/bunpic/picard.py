@@ -360,10 +360,9 @@ def _reductive_picard_positive(g, delta, f, lift):
         raise HypothesisNotSatisfied("ThmB", gate.missing)
     lift = delta.lift(lift)     # checked even where the NS-level image is skipped
     cd = cross_diagram(g)
-    dsc = cd.derived_lattice == g.coroot_lattice()
     cfl = conditional_form_lattice(g)
     s = cfl.rank
-    theorem = "Thm3.14" if dsc else "Thm3.16"
+    theorem = "Thm3.14" if cd.derived_simply_connected else "Thm3.16"
     notes = []
     if g.is_semisimple:
         notes.append(
@@ -400,7 +399,7 @@ def _reductive_picard_positive(g, delta, f, lift):
         cokernel=cok,
         cokernel_generators=tuple(cfl.basis_forms),
         image_index=index,
-        splitting_known=dsc,
+        splitting_known=cd.derived_simply_connected,
         complete=None,
         notes=tuple(notes),
     )

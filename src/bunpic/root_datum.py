@@ -27,11 +27,11 @@ from .exact_algebra import (
     IntMatrix,
     Lattice,
     canonical_generators,
+    divide_exactly,
     group_from_relations,
     kernel_basis,
     saturation,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -237,8 +237,10 @@ def once_per_group(fn):
     and its value: a call with the same arguments reads it, a call with
     others recomputes and replaces it.  So a caller sweeping many arguments
     over one group keeps one value per function, not one per argument
-    tuple.  The arguments are ints and tuples of ints (a lift of delta, a
-    genus), cheap to compare.  ``==``, ``hash`` and ``group_to_json`` read
+    tuple.  The arguments are values compared with ``==``: ints, tuples of
+    ints (a lift of delta, a genus, (coroot, root) pairs, congruence
+    conditions) and frozen ``FormLattice`` values (compared by their rank
+    and coordinate matrix).  ``==``, ``hash`` and ``group_to_json`` read
     only the declared fields.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
@@ -321,6 +323,8 @@ _EXC_RANKS = {"E6sc": 6, "E6ad": 6, "E7sc": 7, "E7ad": 7, "E8": 8, "F4": 4, "G2"
 
 
 def _check_cochar_rank(n: int) -> None:
+    if n < 0:
+        raise InvalidSpec(f"cocharacter rank {n} is negative")
     if n > MAX_COCHAR_RANK:
         raise InvalidSpec(f"cocharacter rank {n} exceeds the limit "
                           f"MAX_COCHAR_RANK = {MAX_COCHAR_RANK}")
@@ -532,18 +536,16 @@ class Pi1Presentation:
     _orders: tuple = field(repr=False)     # 0 for free, d for torsion
 
     def coords(self, v) -> tuple:
-        raw = self._proj.mul_vector(tuple(v))
-        return tuple(x % d if d else x for x, d in zip(raw, self._orders))
+        return self.reduce(self._proj.mul_vector(tuple(v)))
 
     def lift(self, coords) -> tuple:
-        coords = tuple(coords)
+        return self.gens.mul_vector(tuple(coords))
+
+    def reduce(self, coords) -> tuple:
         if len(coords) != self.group.ngens:
             raise ValueError(
                 f"delta needs {self.group.ngens} coordinates for pi1 = {self.group.describe()}"
             )
-        return self.gens.mul_vector(coords)
-
-    def reduce(self, coords) -> tuple:
         return tuple(x % d if d else x for x, d in zip(coords, self._orders))
 
 
@@ -570,12 +572,7 @@ class Pi1Element:
     @staticmethod
     def from_coords(g: ReductiveGroupData, coords) -> "Pi1Element":
         p = pi1_presentation(g)
-        c = tuple(int(x) for x in coords)
-        if len(c) != p.group.ngens:
-            raise ValueError(
-                f"delta needs {p.group.ngens} coordinates for pi1 = {p.group.describe()}"
-            )
-        return Pi1Element(g, p.reduce(c), p)
+        return Pi1Element(g, p.reduce(tuple(int(x) for x in coords)), p)
 
     @staticmethod
     def zero(g: ReductiveGroupData) -> "Pi1Element":
@@ -619,6 +616,7 @@ class CrossDiagram:
 
     group: ReductiveGroupData
     derived_lattice: Lattice          # Lambda(T_D(G)) inside Lambda(T_G)
+    derived_simply_connected: bool    # D(G) simply connected: derived = coroot lattice
     radical_lattice: Lattice          # Lambda(T_R(G)) inside Lambda(T_G)
     ab_rank: int                      # rank of Lambda(G^ab)
     ab_projection: IntMatrix          # Lambda(T_G) ->> Lambda(G^ab) = Z^ab_rank
@@ -646,16 +644,13 @@ def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
     der_ad = Lattice.from_columns(m, rt.mul(derived.basis).columns())
     ss_ad = Lattice.from_columns(m, rt.columns())
 
-    # split off Lambda(G^ab): complete the (saturated) derived lattice to a
-    # basis of Z^n via SNF and project to the complementary coordinates
-    _, u, _ = smith_normal_form(derived.basis)
-    uinv = unimodular_inverse(u)
-    comp_idx = range(derived.rank, n)
-    proj = IntMatrix.from_rows([u.row(i) for i in comp_idx], n)
-    section = IntMatrix.from_columns([uinv.column(i) for i in comp_idx], n)
+    # split off Lambda(G^ab) = Z^n / Lambda(T_D(G)): the derived lattice is
+    # saturated, so the quotient is free and its canonical generators split it
+    _, section, proj, _ = canonical_generators(n, derived.basis)
     return CrossDiagram(
         group=g,
         derived_lattice=derived,
+        derived_simply_connected=derived == coroot,
         radical_lattice=radical,
         ab_rank=n - derived.rank,
         ab_projection=proj,
@@ -744,11 +739,8 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
     new_coroots = IntMatrix.from_columns([to_new_coords(unit(i)) for i in range(m)], m + k)
     # roots become functionals on the new basis: old root paired with basis columns
     old_roots = g_sc.simple_roots.transpose().hstack(IntMatrix.zero(m, k))
-    paired = old_roots.mul(basis)
-    if any(x % denom for row in paired.entries for x in row):
-        raise ArithmeticError("root not integral on the glued lattice")
-    new_roots = IntMatrix.from_columns([[x // denom for x in row] for row in paired.entries],
-                                       m + k)
+    new_roots = divide_exactly(old_roots.mul(basis), denom,
+                               "root not integral on the glued lattice").transpose()
     group = ReductiveGroupData(
         m + k, new_coroots, new_roots, g_sc.factor_types,
         label=label or f"({g_sc}xT{k})/Z",

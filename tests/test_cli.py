@@ -114,6 +114,17 @@ def test_cli_main_input_errors(capsys):
     capsys.readouterr()
     assert main(["--group", "T(21)", "--family", "universal:2,1"]) == 1
     assert "MAX_COCHAR_RANK = 20" in capsys.readouterr().err
+    # malformed JSON inputs give one error line, never a traceback
+    assert main(["--group", "SL(2)", "--family", '{"genus": 2}']) == 1
+    assert capsys.readouterr().err == "error: missing key 'delta'\n"
+    assert main(["--group", "SL(2)", "--family", '{"genus": null, "delta": 1}']) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    datum = {"cochar_rank": None, "simple_coroots": [], "simple_roots": [], "factor_types": []}
+    assert main(["--group", json.dumps(datum), "--family", "universal:2,1"]) == 1
+    assert capsys.readouterr().err.startswith("error: group: ")
+    datum["cochar_rank"] = -1
+    assert main(["--group", json.dumps(datum), "--family", "universal:2,1"]) == 1
+    assert capsys.readouterr().err == "error: group: cocharacter rank -1 is negative\n"
 
 
 def test_cli_lift_d_flag(capsys):
@@ -168,6 +179,8 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
         json.dumps({"group": "SL(2)", "delta": [1, 2], "family": "universal:2,1"}),
         "{not json",
         json.dumps({"group": "T(21)", "delta": [0] * 21, "family": "universal:2,1"}),
+        json.dumps({"group": 5, "delta": [], "family": "universal:2,1"}),
+        json.dumps({"group": "T(1)", "delta": [1.7], "family": "universal:2,1"}),
         json.dumps(good[1]),
     ]
     batch = tmp_path / "runs.jsonl"
@@ -177,19 +190,21 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert len(out) == len(lines)
-    for i, obj in ((0, good[0]), (5, good[1])):
+    for i, obj in ((0, good[0]), (7, good[1])):
         _, report = run_report(RunConfig.from_json(obj))
         assert out[i] == emit(report, "json")
-    for i in (1, 2, 3, 4):
+    for i in (1, 2, 3, 4, 5, 6):
         record = json.loads(out[i])
         assert sorted(record) == ["error", "line"] and record["line"] == i + 1
         assert out[i] == json.dumps(record, sort_keys=True, separators=(",", ":"))
     assert "family" in json.loads(out[1])["error"]
     assert "MAX_COCHAR_RANK" in json.loads(out[4])["error"]
+    assert json.loads(out[5])["error"] == "group must be a string, not 5"
+    assert json.loads(out[6])["error"] == "delta must be a list of integers, not [1.7]"
 
     assert main(["--batch", str(batch), "--format", "text"]) == 1
     errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error: ")]
-    assert [e.split(": ")[1] for e in errors] == ["line 2", "line 3", "line 4", "line 5"]
+    assert [e.split(": ")[1] for e in errors] == [f"line {i}" for i in range(2, 8)]
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
@@ -367,34 +382,30 @@ def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, kerne
     # one run of the Weyl kernel and of the congruence cut per distinct input,
     # as the memo's one slot allows; the values are kept on the group without
     # changing it
-    from bunpic import invariant_forms
-
-    runs = collections.Counter()
-    for name in ("_invariant_coord_columns", "_restrict_by_congruences"):
-        body = getattr(invariant_forms, name)
-        monkeypatch.setattr(invariant_forms, name,
-                            lambda *args, _body=body, _name=name: runs.update([_name]) or _body(*args))
+    runs = count_body_runs(monkeypatch, FORM_MEMOS)
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
-    assert runs == {"_invariant_coord_columns": kernels, "_restrict_by_congruences": cuts}
+    assert runs == {"_weyl_kernel": kernels, "_congruence_cut": cuts}
     assert_equals_a_fresh_group(g, group)
 
 
-# the memoized bodies of the lift-dependent results, by the module that defines them
+# the memoized bodies below the form lattices, and those of the lift-dependent
+# results, by the module that defines them
+FORM_MEMOS = (("invariant_forms", "_weyl_kernel"), ("invariant_forms", "_congruence_cut"))
 LIFT_MEMOS = (("invariant_forms", "_ns_bun"), ("invariant_forms", "_ns_rigidified"),
               ("invariant_forms", "_ns_bun_p1"), ("gerbe", "_gamma_bar"),
               ("gerbe", "_ev_hat_data"))
 
 
-def count_body_runs(monkeypatch):
-    """Count the runs of each memoized lift-dependent body: each memo is
-    rebuilt around a counting copy of its body, under the same name in every
-    module that holds it."""
+def count_body_runs(monkeypatch, memos=LIFT_MEMOS):
+    """Count the runs of each memoized body: each memo is rebuilt around a
+    counting copy of its body, under the same name in every module that holds
+    it."""
     from bunpic import gerbe, invariant_forms
     from bunpic.root_datum import once_per_group
 
     modules = {"invariant_forms": invariant_forms, "gerbe": gerbe}
     runs = collections.Counter()
-    for home, name in LIFT_MEMOS:
+    for home, name in memos:
         body = getattr(modules[home], name).__wrapped__
 
         def counted(g, *args, _body=body, _name=name):

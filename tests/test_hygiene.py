@@ -1,0 +1,52 @@
+"""Source hygiene of ``src/bunpic``, read from the syntax tree: no import that
+nothing uses, and no module-level private function that nothing calls."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bunpic"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def names_read(node) -> set:
+    """Every name the node reads: bare names and attribute names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def imported_names(tree) -> list:
+    """The names the module's imports bind (``import a.b`` binds ``a``), less
+    the ``annotations`` future import."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    return [name for name in bound if name != "annotations"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = parse(path)
+    used = names_read(tree)
+    assert [name for name in imported_names(tree) if name not in used] == []
+
+
+def test_every_private_function_is_referenced():
+    # a reference is a read of the name anywhere in src outside the function's
+    # own definition (importing it alone does not count)
+    top_level = [(node, names_read(node)) for path in MODULES for node in parse(path).body]
+    private = [node for node, _ in top_level
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private, "no private function found: is SRC right?"
+    unused = [node.name for node in private
+              if not any(node.name in names for other, names in top_level if other is not node)]
+    assert unused == []

@@ -6,8 +6,10 @@ coordinates checked against their Smith-form references, the quotients
 by a relation lattice checked against the raw-relation-matrix algorithms they
 replaced, and empty shapes checked against the branches that once handled
 them apart; the congruence solver on a basis of its functionals, the Sym^2
-values and invariance rows, and the matrix products built from nonzero terms
-checked against the unreduced and dense constructions they replaced."""
+values, congruence cuts and invariance rows, and the matrix products built
+from nonzero terms checked against the unreduced and dense constructions they
+replaced; and the D(G)-simply-connected flag of the cross diagram against
+the torsion of pi_1(G)."""
 
 from fractions import Fraction
 from math import gcd
@@ -39,10 +41,9 @@ from bunpic.family import family_from_preset
 from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel, _mod_delta_image
 from bunpic.invariant_forms import (
     FormLattice,
+    _congruence_cut,
     _derived_quotient,
     _invariant_coord_columns,
-    _restrict_by_congruences,
-    _value_functional,
     conditional_form_lattice,
     invariant_sym_forms,
     ns_bun,
@@ -52,9 +53,10 @@ from bunpic.invariant_forms import (
     sym2_pairs,
 )
 from bunpic.picard import reductive_picard
-from bunpic.root_datum import Pi1Element, build_group, cross_diagram
+from bunpic.root_datum import Pi1Element, build_group, cross_diagram, fundamental_group
 from reference import rational_solve, solve
 from test_invariant_forms import SMALL_FACTORS
+from test_root_datum import NAMED
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -518,14 +520,16 @@ def test_torus_shapes_take_the_general_path(k):
     assert (cd.ab_projection, cd.ab_section) == (IntMatrix.identity(k), IntMatrix.identity(k))
     # invariant forms: no reflection leaves every Sym^2 coordinate free
     assert _invariant_coord_columns(k, []) == IntMatrix.identity(sym2_dim(k)).columns()
-    assert _restrict_by_congruences(k, [], [((1,) * sym2_dim(k), 2)]) == []
+    no_forms = FormLattice(k, IntMatrix.zero(sym2_dim(k), 0))
+    assert _congruence_cut(t, no_forms, ((((1,) * k, (1,) * k), 2),)) == no_forms
     forms = invariant_sym_forms(t)
     assert forms.values([]) == IntMatrix.zero(0, forms.rank)
     assert conditional_form_lattice(t) == FormLattice(0, IntMatrix.zero(0, 0))
     # the genus-0 evaluation has a rank-0 domain and an empty matrix
     _, _, target = _derived_quotient(t)
     assert (_ev_hat_data(t, (1,) * k)
-            == (sc_even_forms(t), Lattice.full(0), IntMatrix.zero(0, 0), target))
+            == (sc_even_forms(t), Lattice.full(0), IntMatrix.zero(0, 0), target,
+                FGAbelianGroup.trivial()))
     # every pair (chi, b) is an NS Bun(P^1) member
     ns = ns_bun_p1(t, Pi1Element.from_coords(t, (1,) * k))
     assert ns.certificates == IntMatrix.identity(k + ns.form_basis.rank)
@@ -654,9 +658,32 @@ def test_values_from_nonzero_terms_match_the_dense_rows(data):
     pairs = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
              for _ in range(data.draw(st.integers(min_value=0, max_value=5)))]
     assert fl.values(pairs) == dense_values(fl, pairs)
-    for u, w in pairs:
-        assert _value_functional(n, u, w) == dense_value_functional(n, u, w)
-        assert _value_functional(n, u) == dense_value_functional(n, u)
+
+
+def dense_congruence_cut(fl, conditions):
+    """Reference: the congruences on dense Sym^2 functionals times the
+    coordinate matrix, one functional per condition ((u, w), m)."""
+    n = fl.ambient_rank
+    funcs = IntMatrix.from_rows([dense_value_functional(n, u, w) for (u, w), _ in conditions],
+                                sym2_dim(n))
+    comp = zip(dense_mul(funcs, fl.coords).entries, (mod for _, mod in conditions))
+    cut = solve_congruence_sublattice(fl.rank, comp)
+    return FormLattice.from_coord_columns(n, dense_mul(fl.coords, cut.basis).columns())
+
+
+@SETTINGS
+@given(st.data())
+def test_congruence_cut_on_pairs_matches_the_cut_on_dense_functionals(data):
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    entry = st.integers(min_value=-4, max_value=4)
+    cols = [tuple(data.draw(entry) for _ in range(sym2_dim(n)))
+            for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
+    fl = FormLattice.from_coord_columns(n, cols)
+    conditions = tuple(((data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n))),
+                        data.draw(st.sampled_from([0, 1, 2, 3])))
+                       for _ in range(data.draw(st.integers(min_value=0, max_value=5))))
+    # the body alone: the memo keeps values on a group, which it never reads
+    assert _congruence_cut.__wrapped__(None, fl, conditions) == dense_congruence_cut(fl, conditions)
 
 
 @SETTINGS
@@ -666,6 +693,17 @@ def test_invariance_rows_from_nonzero_terms_match_the_dense_rows(data):
     roots = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
              for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
     assert _invariant_coord_columns(n, roots) == dense_invariant_coord_columns(n, roots)
+
+
+# ---------------------------------------------------------------------------
+# the cross diagram's D(G)-simply-connected flag, against pi_1(G)
+
+
+@pytest.mark.parametrize("name", NAMED + ["SO(10)*PGL(4)", "SL(2)*PGL(3)*T(1)", "PSp(4)*Spin(7)"])
+def test_derived_simply_connected_iff_pi1_is_torsion_free(name):
+    # Lambda(T_D(G)) / coroot lattice is the torsion of pi_1(G)
+    g = build_group(name)
+    assert cross_diagram(g).derived_simply_connected == (not fundamental_group(g).torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ from dataclasses import dataclass
 from .exact_algebra import FGAbelianGroup
 from .family import (
     CurveFamily,
-    InvalidParams,
-    InvalidPreset,
     PRESET_NAMES,
     THEOREMS,
-    UnknownTheorem,
     family_from_preset,
     hypothesis_check,
     validate_family,
@@ -47,13 +44,14 @@ from .picard import (
     torus_picard_genus0,
 )
 from .root_datum import (
-    InvalidSpec,
-    ParseError,
+    InputError,
     Pi1Element,
     ReductiveGroupData,
     build_group,
     group_from_json,
     group_to_json,
+    json_field,
+    json_object,
     parse_group_spec,
 )
 
@@ -68,42 +66,32 @@ class RunConfig:
     family: CurveFamily
     compute: tuple
     lift_d: tuple | None = None
-    fmt: str = "json"
 
     @staticmethod
     def from_json(obj) -> "RunConfig":
-        if not isinstance(obj["group"], str):
-            raise InputError(f"group must be a string, not {json.dumps(obj['group'])}")
-        fam = obj["family"]
-        family = parse_family(fam if isinstance(fam, str) else json.dumps(fam))
+        """The run of a batch line; its values are checked, never coerced."""
+        json_object(obj, "run config", ("group", "family", "delta", "lift_d", "compute"))
+        family = json_field(obj, "family", (str, dict))
+        lift_d = json_field(obj, "lift_d", ([int], None), None)
         return RunConfig(
-            group_text=obj["group"],
-            delta=_json_ints("delta", obj.get("delta", [])),
-            family=family,
-            compute=tuple(obj.get("compute", ["picard"])),
-            lift_d=_json_ints("lift_d", obj["lift_d"]) if obj.get("lift_d") else None,
-            fmt=obj.get("format", "json"),
+            group_text=json_field(obj, "group", str),
+            delta=tuple(json_field(obj, "delta", [int], [])),
+            family=parse_family(family) if type(family) is str else CurveFamily.from_json(family),
+            compute=tuple(json_field(obj, "compute", [str], ["picard"])),
+            lift_d=None if lift_d is None else tuple(lift_d),
         )
 
 
-class InputError(ValueError):
-    pass
-
-
-def _json_ints(key: str, value) -> tuple:
-    """A JSON list of integers (no floats, bools or strings) as a tuple."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise InputError(f"{key} must be a list of integers, not {json.dumps(value)}")
-    return tuple(value)
-
-
 # input errors: ``main`` reports them with exit code 1, batch mode per line
-INPUT_ERRORS = (InputError, ParseError, InvalidSpec, InvalidPreset, InvalidParams,
-                UnknownTheorem, OSError, json.JSONDecodeError, ValueError, KeyError, TypeError)
+INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 
-def _error_message(exc: Exception) -> str:
-    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+def _comma_ints(what: str, text: str) -> list:
+    """The integers of a comma-separated list; blank items are skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"{what} must be comma-separated integers, not {text!r}") from None
 
 
 def load_group(text: str) -> ReductiveGroupData:
@@ -124,12 +112,7 @@ def parse_family(text: str) -> CurveFamily:
     if text.startswith("{"):
         return CurveFamily.from_json(json.loads(text))
     name, _, rest = text.partition(":")
-    params = tuple(int(x) for x in rest.split(",") if x.strip() != "") if rest else ()
-    return family_from_preset(name, *params)
-
-
-def _group_json(x: FGAbelianGroup) -> dict:
-    return {"free_rank": x.free_rank, "torsion": list(x.torsion)}
+    return family_from_preset(name, *_comma_ints(f"{name} parameters", rest))
 
 
 def _form_lattice_json(fl: FormLattice) -> dict:
@@ -142,7 +125,7 @@ def _form_lattice_json(fl: FormLattice) -> dict:
 
 def _ns_json(ns) -> dict:
     return {
-        "group": _group_json(ns.group),
+        "group": ns.group.to_json(),
         "generators": [
             {"chi": None if chi is None else list(chi), "gram": form.gram.to_lists()}
             for chi, form in ns.generators
@@ -157,15 +140,12 @@ def run_report(cfg: RunConfig):
     try:
         group = load_group(cfg.group_text)
     except INPUT_ERRORS as exc:
-        raise InputError(f"group: {_error_message(exc)}") from exc
+        raise InputError(f"group: {exc}") from exc
     violations = validate_family(cfg.family)
     if violations:
         raise InputError("family: " + "; ".join(str(v) for v in violations))
-    try:
-        delta = Pi1Element.from_coords(group, cfg.delta)
-        d = delta.lift(cfg.lift_d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    delta = Pi1Element.from_coords(group, cfg.delta)
+    d = delta.lift(cfg.lift_d)
     # lift stays None when not given: ns_bun_p1 and the genus-0 engines pick a generic one
     lift = cfg.lift_d
     unknown = [c for c in cfg.compute if c not in COMPUTATIONS]
@@ -191,7 +171,7 @@ def run_report(cfg: RunConfig):
             raise InputError(f"{name}: {exc}") from exc
 
     if "pi1" in cfg.compute:
-        results["pi1"] = _group_json(delta.presentation.group)
+        results["pi1"] = delta.presentation.group.to_json()
     if "forms" in cfg.compute:
         results["forms"] = {
             "invariant": _form_lattice_json(invariant_sym_forms(group)),
@@ -234,7 +214,7 @@ def run_report(cfg: RunConfig):
             "input": cfg.group_text,
             "datum": group_to_json(group),
         },
-        "pi1": _group_json(delta.presentation.group),
+        "pi1": delta.presentation.group.to_json(),
         "delta": list(delta.coords),
         "lift": list(d),
         "family": f.to_json(),
@@ -297,7 +277,7 @@ def render_text(report: dict) -> str:
 
 
 def _describe(grp: dict) -> str:
-    return FGAbelianGroup(grp["free_rank"], tuple(grp["torsion"])).describe()
+    return FGAbelianGroup(**grp).describe()
 
 
 def emit(report: dict, fmt: str) -> str:
@@ -329,23 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _run_single(args) -> int:
-    cfg = RunConfig(
-        group_text=args.group,
-        delta=tuple(int(x) for x in args.delta.split(",") if x.strip() != ""),
-        family=parse_family(args.family),
-        compute=tuple(x.strip() for x in args.compute.split(",") if x.strip()),
-        lift_d=(tuple(int(x) for x in args.lift_d.split(","))
-                if args.lift_d else None),
-        fmt=args.format,
-    )
-    code, report = run_report(cfg)
-    print(emit(report, cfg.fmt))
-    return code
+def _flag_config(args) -> dict:
+    """The run config (batch line) that the single-run flags ask for."""
+    return {
+        "group": args.group,
+        "family": args.family,
+        "delta": _comma_ints("--delta", args.delta),
+        "compute": [x.strip() for x in args.compute.split(",") if x.strip()],
+        "lift_d": _comma_ints("--lift-d", args.lift_d) if args.lift_d else None,
+    }
 
 
 def _error_record(line: int, exc: Exception, fmt: str) -> str:
-    message = _error_message(exc)
+    message = str(exc)
     if fmt == "json":
         return json.dumps({"error": message, "line": line}, sort_keys=True, separators=(",", ":"))
     return f"error: line {line}: {message}"
@@ -379,9 +355,11 @@ def main(argv=None) -> int:
             return _run_batch(args.batch, args.format)
         if not args.group or not args.family:
             raise InputError("--group and --family are required (or use --batch)")
-        return _run_single(args)
+        code, report = run_report(RunConfig.from_json(_flag_config(args)))
+        print(emit(report, args.format))
+        return code
     except INPUT_ERRORS as exc:
-        print(f"error: {_error_message(exc)}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -553,6 +553,9 @@ class FGAbelianGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
 
+    def to_json(self) -> dict:
+        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
+
     @property
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)

@@ -9,12 +9,10 @@ catalog itself justifies (a section forces surjectivity of
 ``Pic(C) -> Pic_{C/S}(S)``, and so does ``delta = 1``).
 """
 
-from __future__ import annotations
-
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from math import gcd
 
-from .root_datum import ReductiveGroupData, cross_diagram
+from .root_datum import ReductiveGroupData, cross_diagram, json_field, json_object
 
 
 class InvalidPreset(ValueError):
@@ -47,17 +45,11 @@ class CurveFamily:
 
     @staticmethod
     def from_json(obj) -> "CurveFamily":
-        fields = {
-            "genus": int(obj["genus"]),
-            "delta": int(obj["delta"]),
-            "has_section": bool(obj.get("has_section", False)),
-            "zariski_locally_trivial": bool(obj.get("zariski_locally_trivial", False)),
-            "end_jacobian_trivial": bool(obj.get("end_jacobian_trivial", False)),
-            "rpic_surjective": bool(obj.get("rpic_surjective", False)),
-            "rpic0_torsion_free": bool(obj.get("rpic0_torsion_free", False)),
-            "label": str(obj.get("label", "")),
-        }
-        return CurveFamily(**fields)
+        """Each field of its declared type (so annotations are not postponed here)."""
+        declared = fields(CurveFamily)
+        json_object(obj, "family", [f.name for f in declared])
+        return CurveFamily(**{f.name: json_field(obj, f.name, f.type, f.default)
+                              for f in declared})
 
 
 @dataclass(frozen=True)
@@ -121,9 +113,9 @@ def _require(cond: bool, exc: str) -> None:
         raise InvalidParams(exc)
 
 
-def family_from_preset(name: str, *params: int, **flags) -> CurveFamily:
+def family_from_preset(name: str, *params: int) -> CurveFamily:
     """Catalog of families with known delta; see the module docstring for the
-    flag policy.  Extra keyword flags override the preset's defaults."""
+    flag policy."""
     name = name.lower()
     if name == "universal":
         _require(len(params) == 2, "universal(g, n)")
@@ -232,14 +224,6 @@ def family_from_preset(name: str, *params: int, **flags) -> CurveFamily:
                           rpic0_torsion_free=True, label="genus0_nontrivial")
     else:
         raise InvalidPreset(f"unknown preset {name!r}")
-    if flags:
-        bad = set(flags) - {
-            "has_section", "zariski_locally_trivial", "end_jacobian_trivial",
-            "rpic_surjective", "rpic0_torsion_free", "label",
-        }
-        if bad:
-            raise InvalidParams(f"unknown flags {sorted(bad)}")
-        fam = replace(fam, **flags)
     return fam
 
 

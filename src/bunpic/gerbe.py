@@ -25,7 +25,7 @@ from .exact_algebra import (
     rational_coordinates,
     solve_congruence_sublattice,
 )
-from .family import CurveFamily, hypothesis_check
+from .family import CurveFamily
 from .invariant_forms import (
     _derived_quotient,
     _ns_rigidified,
@@ -33,7 +33,7 @@ from .invariant_forms import (
     ns_rigidified,
     sc_even_forms,
 )
-from .picard import HypothesisNotSatisfied, PicardReport, _delta_ab_two_divisible, _test_points
+from .picard import PicardReport, _delta_ab_two_divisible, _test_points, require_hypotheses
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
@@ -61,6 +61,10 @@ class GradedPieces:
         return (f"extension of {self.quotient.describe()} by {self.sub.describe()}"
                 f" (order {self.total_order})")
 
+    def to_json(self) -> dict:
+        return {"graded": True, "sub": self.sub.to_json(), "quotient": self.quotient.to_json(),
+                "total_order": self.total_order}
+
 
 @dataclass(frozen=True)
 class GerbeReport:
@@ -76,22 +80,11 @@ class GerbeReport:
         return isinstance(self.coker_wt, FGAbelianGroup)
 
     def to_json(self) -> dict:
-        def grp(x):
-            if x is None:
-                return None
-            if isinstance(x, FGAbelianGroup):
-                return {"free_rank": x.free_rank, "torsion": list(x.torsion)}
-            return {
-                "graded": True,
-                "sub": grp(x.sub),
-                "quotient": grp(x.quotient),
-                "total_order": x.total_order,
-            }
-
+        gamma = self.coker_gamma_bar
         return {
-            "ev_cokernel": grp(self.ev_cokernel),
-            "coker_gamma_bar": grp(self.coker_gamma_bar),
-            "coker_wt": grp(self.coker_wt),
+            "ev_cokernel": self.ev_cokernel.to_json(),
+            "coker_gamma_bar": None if gamma is None else gamma.to_json(),
+            "coker_wt": self.coker_wt.to_json(),
             "coker_wt_exact": self.coker_wt_is_exact,
             "poincare_exists": self.poincare_exists,
             "certificate": dict(self.exact_sequence_certificate),
@@ -238,9 +231,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     """
     if f.genus == 0:
         return _weight_cokernel_genus0(g, delta, f, lift)
-    gate = hypothesis_check(f, g, "Thm4.4")
-    if not gate:
-        raise HypothesisNotSatisfied("Thm4.4", gate.missing)
+    require_hypotheses(f, g, "Thm4.4")
     lift = delta.lift(lift)
     notes = []
     certificate = {}
@@ -344,9 +335,7 @@ def _gamma_bar(g: ReductiveGroupData, lift: tuple, genus: int, delta_cs: int):
 
 
 def _weight_cokernel_genus0(g, delta, f, lift):
-    gate = hypothesis_check(f, g, "Thm4.6")
-    if not gate:
-        raise HypothesisNotSatisfied("Thm4.6", gate.missing)
+    require_hypotheses(f, g, "Thm4.6")
     lift = delta.lift(lift, generic=True)
     *_, ev_cok = _ev_hat_data(g, lift)
     two_div = _delta_ab_two_divisible(g, delta)
@@ -390,9 +379,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     image of the connecting map inside the rigidified NS group, in genus zero
     the kernel of the hatted evaluation map."""
     if f.genus > 0:
-        gate = hypothesis_check(f, g, "Thm4.3")
-        if not gate:
-            raise HypothesisNotSatisfied("Thm4.3", gate.missing)
+        require_hypotheses(f, g, "Thm4.3")
         image, cok = _gamma_bar(g, delta.lift(lift), f.genus, f.delta)
         return PicardReport(
             theorem_applied="Thm4.3",
@@ -405,9 +392,7 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
             notes=("image of the connecting map inside NS(rigidified), divisibility "
                    "condition absorbed modulo the root lattice",),
         )
-    gate = hypothesis_check(f, g, "Thm4.6")
-    if not gate:
-        raise HypothesisNotSatisfied("Thm4.6", gate.missing)
+    require_hypotheses(f, g, "Thm4.6")
     lift = delta.lift(lift, generic=True)
     forms, domain, ev, target, ev_cok = _ev_hat_data(g, lift)
     kernel = preimage_lattice(ev, target)

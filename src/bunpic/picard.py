@@ -49,6 +49,13 @@ class HypothesisNotSatisfied(Exception):
         super().__init__(f"{theorem} hypotheses not satisfied: " + "; ".join(self.missing))
 
 
+def require_hypotheses(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> None:
+    """Raise HypothesisNotSatisfied unless the theorem's hypotheses hold."""
+    gate = hypothesis_check(f, g, theorem)
+    if not gate:
+        raise HypothesisNotSatisfied(theorem, gate.missing)
+
+
 # ---------------------------------------------------------------------------
 # tautological classes
 
@@ -216,10 +223,7 @@ class PicardReport:
                 "basis": [list(c) for c in self.image_lattice.basis.columns()],
             },
             "image_ambient": self.image_ambient,
-            "cokernel": None if self.cokernel is None else {
-                "free_rank": self.cokernel.free_rank,
-                "torsion": list(self.cokernel.torsion),
-            },
+            "cokernel": None if self.cokernel is None else self.cokernel.to_json(),
             "image_index": self.image_index,
             "splitting_known": self.splitting_known,
             "complete": self.complete,
@@ -355,9 +359,7 @@ def reductive_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
 
 
 def _reductive_picard_positive(g, delta, f, lift):
-    gate = hypothesis_check(f, g, "ThmB")
-    if not gate:
-        raise HypothesisNotSatisfied("ThmB", gate.missing)
+    require_hypotheses(f, g, "ThmB")
     lift = delta.lift(lift)     # checked even where the NS-level image is skipped
     cd = cross_diagram(g)
     cfl = conditional_form_lattice(g)

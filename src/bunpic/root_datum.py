@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from math import gcd
 
 from .exact_algebra import (
@@ -49,6 +49,10 @@ class ParseError(ValueError):
 
 class NotInLattice(ValueError):
     """Vector claimed to lie in a lattice does not."""
+
+
+class InputError(ValueError):
+    """Outside input (a flag, a run config, a JSON file) of the wrong form."""
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +318,8 @@ class GroupSpec:
 
 
 # Largest cocharacter rank accepted from outside input (named specs and raw
-# data).  Report time grows about as rank^5 (a full T(20) report takes seconds
-# on a small machine), so a larger rank fails fast instead of stalling a run.
+# data).  A full torus report grows about as rank^3 (T(20) takes seconds on a
+# small machine), so a larger rank fails fast instead of stalling a run.
 MAX_COCHAR_RANK = 20
 
 _PARAM_NAMES = {"SL", "GL", "PGL", "Sp", "PSp", "Spin", "SO", "PSO", "T"}
@@ -342,51 +346,34 @@ def parse_group_spec(s: str) -> GroupSpec:
     """Parse ``FACTOR ("*" FACTOR)*`` where FACTOR is NAME(INT) or an
     exceptional name; whitespace insensitive. Rank constraints are validated,
     and a total cocharacter rank above ``MAX_COCHAR_RANK`` raises InvalidSpec."""
-    text = s
-    pos = 0
+    # integers, words and single other characters with their positions; the
+    # empty token marks the end
+    tokens = [(m.group(), m.start()) for m in re.finditer(r"\d+|\w+|\S", s)] + [("", len(s))]
+    factors, i = [], 0
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+    def take(ok, message: str) -> str:
+        """The next token if ``ok`` holds of it, else ParseError at it."""
+        nonlocal i
+        token, at = tokens[i]
+        if not ok(token):
+            raise ParseError(message, at)
+        i += 1
+        return token
 
-    def parse_factor() -> GroupFactor:
-        nonlocal pos
-        skip_ws()
-        m = re.match(r"[A-Za-z]\w*", text[pos:])
-        if not m:
-            raise ParseError("expected a group name", pos)
-        name = m.group(0)
-        pos += len(name)
+    while True:
+        name = take(lambda t: re.fullmatch(r"[A-Za-z]\w*", t), "expected a group name")
         if name in _EXC_RANKS:
-            return GroupFactor(name)
-        if name not in _PARAM_NAMES:
-            raise ParseError(f"unknown group name {name!r}", pos - len(name))
-        skip_ws()
-        if pos >= len(text) or text[pos] != "(":
-            raise ParseError(f"{name} requires a parenthesized rank", pos)
-        pos += 1
-        skip_ws()
-        m = re.match(r"\d+", text[pos:])
-        if not m:
-            raise ParseError("expected an integer rank", pos)
-        param = int(m.group(0))
-        pos += len(m.group(0))
-        skip_ws()
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError("expected ')'", pos)
-        pos += 1
-        _validate_factor(name, param, pos)
-        return GroupFactor(name, param)
-
-    factors = [parse_factor()]
-    skip_ws()
-    while pos < len(text):
-        if text[pos] != "*":
-            raise ParseError("expected '*' between factors", pos)
-        pos += 1
-        factors.append(parse_factor())
-        skip_ws()
+            factors.append(GroupFactor(name))
+        else:
+            if name not in _PARAM_NAMES:
+                raise ParseError(f"unknown group name {name!r}", tokens[i - 1][1])
+            take(lambda t: t == "(", f"{name} requires a parenthesized rank")
+            param = int(take(str.isdecimal, "expected an integer rank"))
+            take(lambda t: t == ")", "expected ')'")
+            _validate_factor(name, param, tokens[i - 1][1] + 1)
+            factors.append(GroupFactor(name, param))
+        if not take(lambda t: t in ("*", ""), "expected '*' between factors"):
+            break
     _check_cochar_rank(sum(_cochar_rank(f) for f in factors))
     return GroupSpec(tuple(factors))
 
@@ -497,18 +484,66 @@ def build_group(spec) -> ReductiveGroupData:
     return product(*data, label=str(spec))
 
 
+_KIND_NAMES = {int: ("an integer", "integers"), bool: ("a boolean", "booleans"),
+               str: ("a string", "strings"), dict: ("an object", "objects"), None: ("null", "nulls")}
+
+
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return any(_has_kind(value, k) for k in kind)
+    if isinstance(kind, list):
+        return type(value) is list and all(_has_kind(x, kind[0]) for x in value)
+    return value is None if kind is None else type(value) is kind
+
+
+def _kind_name(kind, plural: bool = False) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_kind_name(k, plural) for k in kind)
+    if isinstance(kind, list):
+        return ("lists of " if plural else "a list of ") + _kind_name(kind[0], True)
+    return _KIND_NAMES[kind][plural]
+
+
+def json_field(obj: dict, key: str, kind, default=MISSING):
+    """``obj[key]`` if it already has the JSON type ``kind``, else InputError;
+    a missing key gives ``default``, or InputError when there is none.
+
+    A kind is ``int``, ``bool``, ``str``, ``dict``, ``None`` (null), ``[k]`` (a
+    list of items of kind ``k``) or a tuple of kinds, any one of which will do.
+    Types are exact: neither ``true`` nor ``2.0`` is an integer."""
+    if key not in obj:
+        if default is MISSING:
+            raise InputError(f"missing key {key!r}")
+        return default
+    value = obj[key]
+    if not _has_kind(value, kind):
+        raise InputError(f"{key} must be {_kind_name(kind)}, not {json.dumps(value)}")
+    return value
+
+
+def json_object(obj, what: str, keys) -> dict:
+    """``obj`` if it is a JSON object with no key outside ``keys``, else InputError."""
+    if type(obj) is not dict:
+        raise InputError(f"{what} must be an object, not {json.dumps(obj)}")
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"unknown key {key!r} in {what}; known keys: {', '.join(keys)}")
+    return obj
+
+
 def group_from_json(obj) -> ReductiveGroupData:
-    """Raw root-datum import: {"cochar_rank": n, "simple_coroots": [[..]],
-    "simple_roots": [[..]], "factor_types": ["A3", ...]}; vectors are columns."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    n = int(obj["cochar_rank"])
+    """Raw root-datum import: {"cochar_rank": n, "simple_coroots": [[..]], "simple_roots":
+    [[..]], "factor_types": ["A3", ...], "label": optional}; vectors are columns."""
+    json_object(obj, "root datum", ("cochar_rank", "simple_coroots", "simple_roots",
+                                    "factor_types", "label"))
+    n = json_field(obj, "cochar_rank", int)
     _check_cochar_rank(n)
-    coroots = [tuple(c) for c in obj["simple_coroots"]]
-    roots = [tuple(c) for c in obj["simple_roots"]]
-    types = tuple(SimpleType.parse(t) for t in obj["factor_types"])
+    coroots = json_field(obj, "simple_coroots", [[int]])
+    roots = json_field(obj, "simple_roots", [[int]])
+    types = tuple(SimpleType.parse(t) for t in json_field(obj, "factor_types", [str]))
     return ReductiveGroupData(n, IntMatrix.from_columns(coroots, n),
-                              IntMatrix.from_columns(roots, n), types, label=obj.get("label", ""))
+                              IntMatrix.from_columns(roots, n), types,
+                              label=json_field(obj, "label", str, ""))
 
 
 def group_to_json(g: ReductiveGroupData) -> dict:

@@ -125,6 +125,40 @@ def test_cli_main_input_errors(capsys):
     datum["cochar_rank"] = -1
     assert main(["--group", json.dumps(datum), "--family", "universal:2,1"]) == 1
     assert capsys.readouterr().err == "error: group: cocharacter rank -1 is negative\n"
+    # JSON values of the wrong type, and unknown keys, are errors naming the
+    # key: none is coerced into a run
+    for group, family, key in MALFORMED_INPUTS:
+        group = group if isinstance(group, str) else json.dumps(group)
+        assert main(["--group", group, "--family", json.dumps(family)]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+    # a list item that is not an integer names its flag
+    for flag, value in (("--delta", "x"), ("--delta", "1.5"), ("--lift-d", "2.5")):
+        assert main(["--group", "T(1)", "--delta", "2", "--family", "universal:2,1",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+
+
+SL2_DATUM = {"cochar_rank": 1, "simple_coroots": [[1]], "simple_roots": [[2]],
+             "factor_types": ["A1"]}
+FAMILY_G2 = {"genus": 2, "delta": 1, "rpic_surjective": True}
+
+# (group, family, the key the error must name): inputs that a reader which
+# coerced values, or ignored unknown keys, turned into a valid run
+MALFORMED_INPUTS = [
+    ({**SL2_DATUM, "simple_coroots": [[1.9]]}, FAMILY_G2, "simple_coroots"),
+    ({**SL2_DATUM, "simple_coroots": [[True]]}, FAMILY_G2, "simple_coroots"),
+    ({**SL2_DATUM, "cochar_rank": "1"}, FAMILY_G2, "cochar_rank"),
+    ({**SL2_DATUM, "cochar_rank": 1.9}, FAMILY_G2, "cochar_rank"),
+    ({**SL2_DATUM, "label": 5}, FAMILY_G2, "label"),
+    ({**SL2_DATUM, "lable": "SL(2)"}, FAMILY_G2, "lable"),
+    ("SL(2)", {**FAMILY_G2, "has_section": "false"}, "has_section"),
+    ("SL(2)", {**FAMILY_G2, "genus": 2.7}, "genus"),
+    ("SL(2)", {**FAMILY_G2, "genus": True}, "genus"),
+    ("SL(2)", {**FAMILY_G2, "label": None}, "label"),
+    ("SL(2)", {**FAMILY_G2, "genu": 2}, "genu"),
+]
 
 
 def test_cli_lift_d_flag(capsys):
@@ -181,8 +215,27 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
         json.dumps({"group": "T(21)", "delta": [0] * 21, "family": "universal:2,1"}),
         json.dumps({"group": 5, "delta": [], "family": "universal:2,1"}),
         json.dumps({"group": "T(1)", "delta": [1.7], "family": "universal:2,1"}),
-        json.dumps(good[1]),
     ]
+    # what each bad line's error must contain ("" for any message)
+    keys = ["family", "", "", "MAX_COCHAR_RANK", "group", "delta"]
+    for group, family, key in MALFORMED_INPUTS:
+        group = group if isinstance(group, str) else json.dumps(group)
+        lines.append(json.dumps({"group": group, "family": family}))
+        keys.append(key)
+    for line, key in (
+        ({"group": "T(1)", "delta": [2], "family": "universal:2,1", "compute": "pi1"},
+         "compute"),
+        ({"group": "T(1)", "delta": [2], "family": "universal:2,1", "comptue": ["pi1"]},
+         "comptue"),
+        ({"group": "T(1)", "delta": [2], "family": "universal:2,1", "format": "text"},
+         "format"),
+        ({"group": "T(1)", "delta": [2], "family": "universal:2,1", "lift_d": [2.0]},
+         "lift_d"),
+        ([1], "run config"),
+    ):
+        lines.append(json.dumps(line))
+        keys.append(key)
+    lines.append(json.dumps(good[1]))
     batch = tmp_path / "runs.jsonl"
     batch.write_text("\n".join(lines) + "\n")
 
@@ -190,21 +243,21 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     assert len(out) == len(lines)
-    for i, obj in ((0, good[0]), (7, good[1])):
+    for i, obj in ((0, good[0]), (len(lines) - 1, good[1])):
         _, report = run_report(RunConfig.from_json(obj))
         assert out[i] == emit(report, "json")
-    for i in (1, 2, 3, 4, 5, 6):
+    bad = range(1, len(lines) - 1)
+    for i, key in zip(bad, keys, strict=True):
         record = json.loads(out[i])
         assert sorted(record) == ["error", "line"] and record["line"] == i + 1
         assert out[i] == json.dumps(record, sort_keys=True, separators=(",", ":"))
-    assert "family" in json.loads(out[1])["error"]
-    assert "MAX_COCHAR_RANK" in json.loads(out[4])["error"]
+        assert key in record["error"], (key, record)
     assert json.loads(out[5])["error"] == "group must be a string, not 5"
     assert json.loads(out[6])["error"] == "delta must be a list of integers, not [1.7]"
 
     assert main(["--batch", str(batch), "--format", "text"]) == 1
     errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error: ")]
-    assert [e.split(": ")[1] for e in errors] == [f"line {i}" for i in range(2, 8)]
+    assert [e.split(": ")[1] for e in errors] == [f"line {i + 1}" for i in bad]
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
@@ -334,6 +387,45 @@ def test_large_rank_reports_match_pinned_digests(capsys, group, delta, family, c
 
     assert 10 <= build_group(group).cochar_rank <= 12
     assert full_report_digest(capsys, group, delta, family) == (code, digest)
+
+
+@pytest.mark.parametrize("group,delta,family,code", [
+    pinned[:4] for pinned in PINNED_REPORTS + PINNED_LARGE_RANK_REPORTS + PINNED_RANK_16_REPORTS])
+def test_report_datum_and_family_read_back(capsys, group, delta, family, code):
+    # the readers accept exactly what a report emits: its root datum and
+    # family, fed back as inline JSON, give the same report
+    every = ["--compute", "pi1,forms,ns,picard,rigidified,gerbe"]
+    assert main(["--group", group, "--delta", delta, "--family", family] + every) == code
+    first = json.loads(capsys.readouterr().out)
+    assert main(["--group", json.dumps(first["group"]["datum"]),
+                 "--delta", ",".join(map(str, first["delta"])),
+                 "--family", json.dumps(first["family"])] + every) == code
+    again = json.loads(capsys.readouterr().out)
+    for report in (first, again):
+        del report["group"]["input"]
+    assert again == first
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("flags,line", [
+    (["--group", "GL(2)*T(1)", "--delta", "1,2", "--family", "universal:3,2",
+      "--compute", "pi1,picard,gerbe"],
+     {"group": "GL(2)*T(1)", "delta": [1, 2], "family": "universal:3,2",
+      "compute": ["pi1", "picard", "gerbe"]}),
+    (["--group", "T(1)", "--delta", "2", "--lift-d", "2", "--family", "hyperelliptic:3",
+      "--compute", "poincare,gerbe"],
+     {"group": "T(1)", "delta": [2], "lift_d": [2], "family": "hyperelliptic:3",
+      "compute": ["poincare", "gerbe"]}),
+    (["--group", "SL(2)", "--family", json.dumps(FAMILY_G2)],
+     {"group": "SL(2)", "family": FAMILY_G2}),
+])
+def test_flags_and_batch_line_print_the_same_bytes(tmp_path, capsys, fmt, flags, line):
+    code = main(flags + ["--format", fmt])
+    single = capsys.readouterr().out
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text(json.dumps(line) + "\n")
+    assert main(["--batch", str(batch), "--format", fmt]) == code
+    assert capsys.readouterr().out == single
 
 
 def run_full_report(monkeypatch, group, delta, family):

@@ -109,16 +109,9 @@ def test_flag_monotonicity():
 
 
 def test_json_roundtrip():
-    fam = family_from_preset("hyperelliptic", 4)
-    again = CurveFamily.from_json(fam.to_json())
-    assert again == fam
-
-
-def test_flag_overrides():
-    fam = family_from_preset("fixed_curve", 2, end_jacobian_trivial=True)
-    assert fam.end_jacobian_trivial
-    with pytest.raises(InvalidParams):
-        family_from_preset("fixed_curve", 2, nonsense=True)
+    for name, params in ALL_PRESETS:
+        fam = family_from_preset(name, *params)
+        assert CurveFamily.from_json(fam.to_json()) == fam
 
 
 def test_hypothesis_thm39():

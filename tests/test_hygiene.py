@@ -1,5 +1,6 @@
 """Source hygiene of ``src/bunpic``, read from the syntax tree: no import that
-nothing uses, and no module-level private function that nothing calls."""
+nothing uses, no module-level private function that nothing calls, and no
+value read out of a JSON object coerced into a type."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,25 @@ def test_every_private_function_is_referenced():
     unused = [node.name for node in private
               if not any(node.name in names for other, names in top_level if other is not node)]
     assert unused == []
+
+
+def is_keyed_read(node) -> bool:
+    """A string-keyed subscript (``obj["genus"]``) or a ``.get("...")`` call."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get" and node.args):
+        key = node.args[0]
+    else:
+        return False
+    return isinstance(key, ast.Constant) and isinstance(key.value, str)
+
+
+def test_no_coercion_of_keyed_reads():
+    # int(obj["genus"]) turns 2.7 into 2 and bool(obj.get("flag")) "false" into
+    # True: JSON values are checked by root_datum.json_field instead
+    coercions = {"int", "bool", "str", "tuple"}
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(parse(path))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in coercions and any(map(is_keyed_read, node.args))]
+    assert found == []

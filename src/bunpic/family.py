@@ -117,6 +117,8 @@ def family_from_preset(name: str, *params: int) -> CurveFamily:
     """Catalog of families with known delta; see the module docstring for the
     flag policy."""
     name = name.lower()
+    for p in params:
+        _require(type(p) is int, f"{name} parameters must be integers, not {p!r}")
     if name == "universal":
         _require(len(params) == 2, "universal(g, n)")
         g, n = params

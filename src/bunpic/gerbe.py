@@ -29,6 +29,7 @@ from .family import CurveFamily
 from .invariant_forms import (
     _derived_quotient,
     _ns_rigidified,
+    _sc_coordinates,
     conditional_form_lattice,
     ns_rigidified,
     sc_even_forms,
@@ -39,6 +40,7 @@ from .root_datum import (
     ReductiveGroupData,
     cross_diagram,
     divisibility,
+    int_tuple,
     once_per_group,
     with_central_torus,
 )
@@ -119,7 +121,7 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
     obtained by gluing a torus along the full center (the A-type instance of
     which is GL_n)."""
     glued, gens = with_central_torus(sc_group)
-    coords = tuple(int(x) for x in delta_ad_coords)
+    coords = int_tuple(delta_ad_coords, "center class coordinates")
     if len(coords) != len(gens):
         raise ValueError(f"need {len(gens)} coordinates for the center classes")
     d = IntMatrix.from_columns(gens, glued.cochar_rank).mul_vector(coords)
@@ -136,15 +138,12 @@ def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
     derived lattice} together with the evaluation matrix into the derived
     quotient and its cokernel, for a checked lift (kept on the group, so the
     genus-0 rigidified and gerbe computations share it)."""
-    m = g.ss_rank
     forms = sc_even_forms(g)
     cd, _, target = _derived_quotient(g)
     # d^ss (column 0) and the derived basis u_j (the other columns) in sc
     # coordinates, as numerators over e
-    c = g.simple_roots.transpose().mul(g.simple_coroots)
-    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], m)
-    x, e = rational_coordinates(
-        c, d_ad.hstack(g.simple_roots.transpose().mul(cd.derived_lattice.basis)))
+    x, e = _sc_coordinates(
+        g, IntMatrix.from_columns([lift], g.cochar_rank).hstack(cd.derived_lattice.basis))
     # b(d^ss, u_j) for b = sum_k c_k b_k is (vals c)_j / denom
     vals = forms.values([(u, x.column(0)) for u in x.columns()[1:]])
     denom = e * e

@@ -9,27 +9,23 @@ is the output type.  Invariance is imposed only at the simple reflections
 (they generate the Weyl group).  The reflection of a (coroot, root) pair
 fixes b iff ``b(a^vee, 2 e_k - <a, e_k> a^vee) = 0`` for every basis vector
 e_k: n rows per reflection, the values of the Sym^2 coordinate forms at
-those pairs.  A congruence condition ((u, w), m) asks b(u, w) = 0 mod m:
-evenness takes (e, e), and integrality across a finite-index inclusion,
-written as integer numerators p over one common denominator
-(``rational_coordinates``), takes (e_a, p_b); a cut solves the congruences
-on the values of the basis forms.
+those pairs.  A congruence condition ((u, w), m) asks b(u, w) = 0 mod m
+(evenness takes (e, e)); a cut solves the congruences on the values of the
+basis forms.
+
+A group has one Weyl kernel, on Lambda(T_G); the even and D-even lattices
+are cuts of it.  By Cor C the even forms on the coroot lattice of G^sc are
+free on the basic inner products of the simple factors, and the conditional
+lattice is a cut of them in simple-coroot coordinates (``_sc_coordinates``).
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
-the values are immutable.  Below them, the Weyl kernel (``_weyl_kernel``,
-keyed by the rank and the (coroot, root) pairs) and the congruence cut
-(``_congruence_cut``, keyed by the forms cut and the conditions) are
-memoized on the group by their inputs, so equal inputs are solved once: the
-even and D-even lattices cut the one kernel on Lambda(T_G); when G is
-semisimple, Lambda(T_G) and Lambda(T_D(G)) give one kernel and one cut; and
-when the simple coroots are also the basis of Lambda(T_G), as for the named
-simply connected groups, the sc coroot lattice gives the same, so one kernel
-and one cut serve all five lattices.  The
-lift-dependent NS groups are kept the same way, keyed by the checked lift
-(one value per function, for the latest lift), so the computations of one
-report that share a lift share one NS group.  The CLI builds one group per
-report, so these values live for one report.
+the values are immutable.  The even and D-even cuts share the memo
+``_congruence_cut``, keyed by its inputs, so they are one cut when G is
+semisimple.  The lift-dependent NS groups are kept the same way, keyed by
+the checked lift (one value per function, for the latest lift), so the
+computations of one report that share a lift share one NS group.  The CLI
+builds one group per report, so these values live for one report.
 
 Values are built from their nonzero terms u_i w_j only (``_product_terms``).
 Most pairs hold a unit vector (b(d, e_k), b(e_j, v), b(e, e)), and such a
@@ -46,6 +42,7 @@ from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
+    divide_exactly,
     kernel_basis,
     preimage_lattice,
     rational_coordinates,
@@ -192,40 +189,38 @@ def _diagonal_even_conditions(n: int) -> tuple:
     return tuple(((e, e), 2) for e in IntMatrix.identity(n).columns())
 
 
+def _cut_coefficients(forms: FormLattice, conditions) -> Lattice:
+    """The basis coefficients of the forms b of ``forms`` with b(u, w) = 0 mod
+    m for every condition ((u, w), m), cut on their values."""
+    vals = forms.values([pair for pair, _ in conditions])
+    return solve_congruence_sublattice(forms.rank, zip(vals.entries, (mod for _, mod in conditions)))
+
+
+def _sc_coordinates(g: ReductiveGroupData, cols: IntMatrix):
+    """The cocharacters ``cols`` in simple-coroot coordinates, numerators x over
+    one denominator e: their images in Lambda(T_Gad) over the Cartan matrix."""
+    rt = g.simple_roots.transpose()
+    return rational_coordinates(rt.mul(g.simple_coroots), rt.mul(cols))
+
+
 # ---------------------------------------------------------------------------
 # the form lattices of the theory
 
 
-def _coroot_root_pairs(g: ReductiveGroupData) -> tuple:
-    """The simple (coroot, root) pairs of G on Lambda(T_G)."""
-    return tuple(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
-
-
-@once_per_group
-def _weyl_kernel(g: ReductiveGroupData, n: int, pairs: tuple) -> FormLattice:
-    """The forms on Z^n fixed by the reflections of the (coroot, root) pairs,
-    solved once per group for each distinct input: Lambda(T_G) and
-    Lambda(T_D(G)) give the same pairs when G is semisimple, and the sc
-    coroot lattice too when the simple coroots are the basis of Lambda(T_G)."""
-    cols = _invariant_coord_columns(n, pairs)     # already in HNF
-    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))
-
-
 @once_per_group
 def _congruence_cut(g: ReductiveGroupData, forms: FormLattice, conditions: tuple) -> FormLattice:
-    """The forms b of ``forms`` with b(u, w) = 0 mod m for every condition
-    ((u, w), m), cut on their values once per group for each distinct input:
-    the even, conditional and D-even cuts coincide when G is semisimple, and
-    the sc-even cut too when the simple coroots are the basis of Lambda(T_G)."""
-    vals = forms.values([pair for pair, _ in conditions])
-    cut = solve_congruence_sublattice(forms.rank, zip(vals.entries, (mod for _, mod in conditions)))
+    """The forms of ``forms`` that meet the conditions, cut once per group for
+    each distinct input (the even and D-even cuts when G is semisimple)."""
+    cut = _cut_coefficients(forms, conditions)
     return FormLattice.from_coord_columns(forms.ambient_rank, forms.coords.mul(cut.basis).columns())
 
 
 @once_per_group
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
-    return _weyl_kernel(g, g.cochar_rank, _coroot_root_pairs(g))
+    n = g.cochar_rank
+    cols = _invariant_coord_columns(n, zip(g.simple_coroots.columns(), g.simple_roots.columns()))
+    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))     # already in HNF
 
 
 @once_per_group
@@ -238,50 +233,47 @@ def basic_inner_product(t: SimpleType) -> BilinearForm:
     """The minimal Weyl-invariant even form on the coroot lattice of the
     simply connected group of type t, normalized so short coroots have square
     length 2; Gram matrix on the simple coroots."""
-    c = cartan_matrix(t)
-    ell = coroot_lengths(t)
-    n = t.rank
-    gram = [[c[i, j] * ell[i] for j in range(n)] for i in range(n)]
-    return BilinearForm(IntMatrix.from_rows(gram))
+    c, ell = cartan_matrix(t), coroot_lengths(t)
+    return BilinearForm(IntMatrix.from_rows([[c[i, j] * ell[i] for j in range(t.rank)]
+                                             for i in range(t.rank)]))
 
 
 @once_per_group
 def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
     """(Sym^2 of the weight lattice)^W: even invariant forms on the coroot
-    lattice of G^sc, in simple-coroot coordinates."""
+    lattice of G^sc, in simple-coroot coordinates; by Cor C, free on the
+    basic inner products of the simple factors, each on its block."""
     m = g.ss_rank
-    c = g.simple_roots.transpose().mul(g.simple_coroots)
-    forms = _weyl_kernel(g, m, tuple(zip(IntMatrix.identity(m).columns(), c.entries)))
-    return _congruence_cut(g, forms, _diagonal_even_conditions(m))
+    cols = []
+    for t, block in zip(g.factor_types, g.factor_blocks()):
+        gram, s = basic_inner_product(t).gram, block.start
+        cols.append([gram[i - s, j - s] if i in block and j in block else 0
+                     for i, j in sym2_pairs(m)])
+    return FormLattice.from_coord_columns(m, cols)
 
 
 @once_per_group
 def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     """Invariant even forms on Lambda(T_D(G)) whose rational extension is
     integral on Lambda(T_D(G)) x Lambda(T_Gss); Gram matrices are on the
-    basis of Lambda(T_D(G))."""
-    cd = cross_diagram(g)
-    m = cd.derived_lattice.rank
-    d_basis = cd.derived_lattice.basis
-    res = d_basis.transpose()
-    pairs = []
-    for coroot, root in _coroot_root_pairs(g):
-        x = cd.derived_lattice.coordinates(coroot)
-        if x is None:
-            raise ArithmeticError("derived lattice does not contain the coroots")
-        pairs.append((x, res.mul_vector(root)))
-    forms = _weyl_kernel(g, m, tuple(pairs))
-    conditions = list(_diagonal_even_conditions(m))
+    basis of Lambda(T_D(G)).
 
-    # integrality of b against Lambda(T_Gss): express the ss basis rationally
-    # (numerators p over denom) in the images of the derived basis vectors (the
-    # Gram's own basis), both inside the adjoint coweight lattice
-    a_d = g.simple_roots.transpose().mul(d_basis)
-    p, denom = rational_coordinates(a_d, cd.ss_in_adjoint.basis)
-    if denom > 1:
-        conditions += [((e_a, p_b), denom)
-                       for e_a in IntMatrix.identity(m).columns() for p_b in p.columns()]
-    return _congruence_cut(g, forms, tuple(conditions))
+    Such a form extends an sc even form b.  In sc coordinates, as numerators
+    over one denominator e, the derived basis u and the images w of the
+    basis of Lambda(T_G) in Lambda(T_Gss) give the conditions b(u, u) = 0
+    mod 2e^2 and b(u, w) = 0 mod e^2, and the Gram entries b(u_i, u_j) / e^2.
+    This cut stays out of the one-slot ``_congruence_cut``, where it would
+    evict the even cut that the D-even lattice shares."""
+    forms = sc_even_forms(g)
+    d_basis = cross_diagram(g).derived_lattice.basis
+    m = d_basis.cols
+    x, e = _sc_coordinates(g, d_basis.hstack(IntMatrix.identity(g.cochar_rank)))
+    u, w = x.columns()[:m], x.columns()[m:]
+    conditions = [((a, a), 2 * e * e) for a in u] + [((a, b), e * e) for a in u for b in w]
+    cut = _cut_coefficients(forms, conditions)
+    vals = forms.values([(u[i], u[j]) for i, j in sym2_pairs(m)]).mul(cut.basis)
+    return FormLattice.from_coord_columns(
+        m, divide_exactly(vals, e * e, "conditional form is not integral").columns())
 
 
 @once_per_group
@@ -406,9 +398,7 @@ def _ns_bun_p1(g: ReductiveGroupData, d: tuple) -> NSGroup:
     n, mm = g.cochar_rank, g.ss_rank
     forms = sc_even_forms(g)
     s = forms.rank
-    c = g.simple_roots.transpose().mul(g.simple_coroots)
-    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(d)], mm)
-    v, denom = rational_coordinates(c, d_ad)      # d^ss = v / denom in sc coordinates
+    v, denom = _sc_coordinates(g, IntMatrix.from_columns([d], n))   # d^ss = v / denom
     vals = forms.values([(e, v.column(0)) for e in IntMatrix.identity(mm).columns()])
     at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
     rows = [tuple(denom * x for x in at.row(j)) + tuple(-x for x in vals.row(j))

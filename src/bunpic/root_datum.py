@@ -55,6 +55,16 @@ class InputError(ValueError):
     """Outside input (a flag, a run config, a JSON file) of the wrong form."""
 
 
+def int_tuple(values, what: str) -> tuple:
+    """``values`` as ints: an int stays, a string is read by ``int``, and any
+    other entry (a float, which ``int`` would truncate) is an InputError."""
+    values = tuple(values)
+    for x in values:
+        if type(x) not in (int, str):
+            raise InputError(f"{what} must be integers, not {x!r}")
+    return tuple(int(x) for x in values)
+
+
 # ---------------------------------------------------------------------------
 # simple types and Cartan data
 
@@ -242,10 +252,9 @@ def once_per_group(fn):
     others recomputes and replaces it.  So a caller sweeping many arguments
     over one group keeps one value per function, not one per argument
     tuple.  The arguments are values compared with ``==``: ints, tuples of
-    ints (a lift of delta, a genus, (coroot, root) pairs, congruence
-    conditions) and frozen ``FormLattice`` values (compared by their rank
-    and coordinate matrix).  ``==``, ``hash`` and ``group_to_json`` read
-    only the declared fields.
+    ints (a lift of delta, a genus, congruence conditions) and frozen
+    ``FormLattice`` values (compared by their rank and coordinate matrix).
+    ``==``, ``hash`` and ``group_to_json`` read only the declared fields.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -607,7 +616,7 @@ class Pi1Element:
     @staticmethod
     def from_coords(g: ReductiveGroupData, coords) -> "Pi1Element":
         p = pi1_presentation(g)
-        return Pi1Element(g, p.reduce(tuple(int(x) for x in coords)), p)
+        return Pi1Element(g, p.reduce(int_tuple(coords, "delta coordinates")), p)
 
     @staticmethod
     def zero(g: ReductiveGroupData) -> "Pi1Element":
@@ -621,10 +630,10 @@ class Pi1Element:
 
     def lift(self, lift=None, generic: bool = False) -> tuple:
         """``lift`` as ints, checked (``ValueError`` unless it has ``cochar_rank``
-        entries and represents this class); without one, the canonical lift,
-        or :func:`generic_lift` when ``generic`` is true."""
+        integer entries and represents this class); without one, the
+        canonical lift, or :func:`generic_lift` when ``generic`` is true."""
         if lift is not None:
-            d = tuple(int(x) for x in lift)
+            d = int_tuple(lift, "lift entries")
             if len(d) != self.group.cochar_rank:
                 raise ValueError(f"a lift of delta needs {self.group.cochar_rank} coordinates")
             if self.presentation.coords(d) != self.coords:

@@ -3,7 +3,10 @@
 No engine, the CLI or the benchmark calls these: ``solve`` works on any
 matrix through the Smith normal form, ``rational_solve`` by Gaussian
 elimination over ``Fraction``, and ``cokernel`` of a ``GroupHom`` on the
-generators of two canonical groups.
+generators of two canonical groups.  The sc even forms and the conditional
+form lattice are rebuilt by Weyl kernels of their own, on the simple-coroot
+basis and on the basis of Lambda(T_D(G)), where the library builds the
+first from the basic inner products and cuts the second from it.
 """
 
 from dataclasses import dataclass
@@ -13,8 +16,16 @@ from bunpic.exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     group_from_relations,
+    rational_coordinates,
     smith_normal_form,
 )
+from bunpic.invariant_forms import (
+    FormLattice,
+    _cut_coefficients,
+    _diagonal_even_conditions,
+    _invariant_coord_columns,
+)
+from bunpic.root_datum import cross_diagram
 
 
 def solve(m: IntMatrix, b) -> tuple | None:
@@ -105,3 +116,44 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
     """Canonical ``target / im(f)``: stack f with the target relations, take SNF."""
     stacked = f.matrix.hstack(f.target.relation_matrix())
     return group_from_relations(f.target.ngens, stacked)
+
+
+# ---------------------------------------------------------------------------
+# form lattices by their own Weyl kernels
+
+
+def _kernel_cut(m, pairs, conditions, kernel):
+    """The forms on Z^m fixed by the reflections of the (coroot, root) pairs
+    (Sym^2 columns from ``kernel``) that meet the congruence conditions."""
+    forms = FormLattice.from_coord_columns(m, kernel(m, pairs))
+    cut = _cut_coefficients(forms, conditions)
+    return FormLattice.from_coord_columns(m, forms.coords.mul(cut.basis).columns())
+
+
+def sc_even_forms_by_kernel(g, kernel=_invariant_coord_columns):
+    """The even forms of the Weyl kernel on the simple-coroot basis: coroot
+    e_i, and root i paired with coroot j as the Cartan entry."""
+    m = g.ss_rank
+    cartan = g.simple_roots.transpose().mul(g.simple_coroots)
+    pairs = list(zip(IntMatrix.identity(m).columns(), cartan.entries))
+    return _kernel_cut(m, pairs, _diagonal_even_conditions(m), kernel)
+
+
+def conditional_form_lattice_by_kernel(g, kernel=_invariant_coord_columns):
+    """The even forms of the Weyl kernel on Lambda(T_D(G)) (the coroots and
+    the restricted roots in its basis) that are integral against
+    Lambda(T_Gss): the basis of Lambda(T_Gss), written rationally (numerators
+    p over denom) in the images of the derived basis in Lambda(T_Gad), gives
+    the conditions b(e_a, p_b) = 0 mod denom."""
+    cd = cross_diagram(g)
+    derived = cd.derived_lattice
+    m, d_basis = derived.rank, derived.basis
+    res = d_basis.transpose()
+    pairs = [(derived.coordinates(coroot), res.mul_vector(root))
+             for coroot, root in zip(g.simple_coroots.columns(), g.simple_roots.columns())]
+    conditions = list(_diagonal_even_conditions(m))
+    p, denom = rational_coordinates(g.simple_roots.transpose().mul(d_basis),
+                                    cd.ss_in_adjoint.basis)
+    conditions += [((e_a, p_b), denom)
+                   for e_a in IntMatrix.identity(m).columns() for p_b in p.columns()]
+    return _kernel_cut(m, pairs, conditions, kernel)

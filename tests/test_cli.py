@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from bunpic.cli import RunConfig, emit, main, parse_family, run_report
+from test_invariant_forms import count_form_work
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "schema.json").read_text())
 
@@ -454,41 +455,31 @@ def assert_equals_a_fresh_group(g, group):
     assert group_to_json(g) == group_to_json(fresh)
 
 
-@pytest.mark.parametrize("group,delta,kernels,cuts", [
-    # D(G) = G simply connected, simple coroots the basis of Lambda(T_G):
-    # Lambda(T_G), Lambda(T_D(G)) and the sc coroot lattice give one Weyl
-    # kernel, and the even, conditional, D-even and sc-even lattices one
-    # congruence cut
-    ("E8", (), 1, 1),
-    # D(G) = G: Lambda(T_G) and Lambda(T_D(G)) share a kernel and a cut, the
-    # sc coroot lattice has its own
-    ("SO(10)*PGL(4)", (1, 1), 2, 2),
-    # three distinct kernels and four distinct cuts
-    ("GL(3)*T(1)", (1, 1), 3, 4),
-    # the derived and sc kernels of a torus are both the empty rank-0 kernel,
-    # asked for one after the other; its two rank-0 cuts are asked for with
-    # the D-even cut between them, which takes the memo's one slot
-    ("T(2)", (1, 2), 2, 4),
-])
-def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, kernels, cuts):
-    # one run of the Weyl kernel and of the congruence cut per distinct input,
-    # as the memo's one slot allows; the values are kept on the group without
-    # changing it
-    runs = count_body_runs(monkeypatch, FORM_MEMOS)
+@pytest.mark.parametrize("group,delta,cuts", [pytest.param(*case, id=case[0]) for case in [
+    # semisimple: the even cut of Lambda(T_G), which the D-even lattice
+    # shares, and the conditional lattice's own cut of the sc forms
+    ("E8", (), 2), ("E7ad", (1,), 2), ("SO(10)*PGL(4)", (1, 1), 2),
+    # the even, D-even and conditional cuts
+    ("GL(8)", (1,), 3), ("GL(3)*T(1)", (1, 1), 3), ("T(2)", (1, 2), 3),
+]])
+def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, cuts):
+    # one Weyl kernel per report, the one on Lambda(T_G), and one run of the
+    # congruence cut per distinct input; the values are kept on the group
+    # without changing it
+    runs = count_form_work(monkeypatch)
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
-    assert runs == {"_weyl_kernel": kernels, "_congruence_cut": cuts}
+    assert runs == {"_invariant_coord_columns": 1, "_cut_coefficients": cuts}
     assert_equals_a_fresh_group(g, group)
 
 
-# the memoized bodies below the form lattices, and those of the lift-dependent
-# results, by the module that defines them
-FORM_MEMOS = (("invariant_forms", "_weyl_kernel"), ("invariant_forms", "_congruence_cut"))
+# the memoized bodies of the lift-dependent results, by the module that
+# defines them
 LIFT_MEMOS = (("invariant_forms", "_ns_bun"), ("invariant_forms", "_ns_rigidified"),
               ("invariant_forms", "_ns_bun_p1"), ("gerbe", "_gamma_bar"),
               ("gerbe", "_ev_hat_data"))
 
 
-def count_body_runs(monkeypatch, memos=LIFT_MEMOS):
+def count_body_runs(monkeypatch):
     """Count the runs of each memoized body: each memo is rebuilt around a
     counting copy of its body, under the same name in every module that holds
     it."""
@@ -497,7 +488,7 @@ def count_body_runs(monkeypatch, memos=LIFT_MEMOS):
 
     modules = {"invariant_forms": invariant_forms, "gerbe": gerbe}
     runs = collections.Counter()
-    for home, name in memos:
+    for home, name in LIFT_MEMOS:
         body = getattr(modules[home], name).__wrapped__
 
         def counted(g, *args, _body=body, _name=name):

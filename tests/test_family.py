@@ -75,6 +75,17 @@ def test_invalid_presets():
         family_from_preset("hyperelliptic", 1)
 
 
+@pytest.mark.parametrize("name,params", [
+    ("universal", (2.5, 1)), ("universal", (2, 1.0)), ("plane_curve", (True,)),
+    ("complete_intersection", (2, 3.0)), ("fixed_curve", ("2",)),
+])
+def test_preset_parameters_must_be_integers(name, params):
+    # universal(2.5, 1) used to give a family of genus 2.5
+    bad = next(p for p in params if type(p) is not int)
+    with pytest.raises(InvalidParams, match=repr(bad)):
+        family_from_preset(name, *params)
+
+
 def test_every_preset_validates():
     for name, params in ALL_PRESETS:
         fam = family_from_preset(name, *params)

@@ -45,6 +45,11 @@ def test_ev_table_sl_n():
     assert evaluation_cokernel_table(sl3, (0,)) == FGAbelianGroup.cyclic(3)
 
 
+def test_ev_table_refuses_coordinates_that_are_not_integers():
+    with pytest.raises(ValueError, match=r"1\.5"):
+        evaluation_cokernel_table(build_group("SL(3)"), (1.5,))
+
+
 def test_ev_simply_connected_delta_zero():
     # G semisimple simply connected: delta = 0, coker = full center dual
     for name, order in [("SL(4)", 4), ("Sp(4)", 2), ("Spin(7)", 2), ("E6sc", 3)]:

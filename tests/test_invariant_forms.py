@@ -1,4 +1,4 @@
-import dataclasses
+import collections
 import inspect
 import random
 
@@ -32,6 +32,7 @@ from bunpic.invariant_forms import (
 )
 from bunpic.root_datum import (
     Pi1Element,
+    ReductiveGroupData,
     SimpleType,
     build_group,
     cross_diagram,
@@ -39,7 +40,7 @@ from bunpic.root_datum import (
     pi1_presentation,
     with_central_torus,
 )
-from reference import solve
+from reference import conditional_form_lattice_by_kernel, sc_even_forms_by_kernel, solve
 from test_root_datum import NAMED
 
 
@@ -94,6 +95,7 @@ def test_basic_inner_product_golden():
 
 def test_basic_inner_product_matches_solver():
     # two independent routes: Cartan+lengths vs the reflection-constraint solver
+    # on the simple-coroot basis
     for name, t in [
         ("SL(3)", SimpleType("A", 2)),
         ("Sp(4)", SimpleType("C", 2)),
@@ -104,7 +106,7 @@ def test_basic_inner_product_matches_solver():
         ("E6sc", SimpleType("E", 6)),
     ]:
         g = build_group(name)
-        fl = sc_even_forms(g)
+        fl = sc_even_forms_by_kernel(g)
         assert fl.rank == 1
         assert fl.basis_forms[0].gram == basic_inner_product(t).gram
         assert reflection_invariant(g, fl.basis_forms[0])
@@ -174,12 +176,26 @@ def test_simply_connected_collapse():
         )
 
 
-def test_simply_connected_groups_have_one_even_lattice():
+def count_form_work(monkeypatch):
+    """Count the runs of the Weyl kernel and of the congruence-cut solver
+    below the form lattices."""
+    runs = collections.Counter()
+    for name in ("_invariant_coord_columns", "_cut_coefficients"):
+        def counted(*args, _body=getattr(invariant_forms, name), _name=name):
+            runs[_name] += 1
+            return _body(*args)
+
+        monkeypatch.setattr(invariant_forms, name, counted)
+    return runs
+
+
+def test_simply_connected_groups_have_one_even_lattice(monkeypatch):
     # G = D(G) simply connected, and a named group's simple coroots are the
     # basis of Lambda(T_G): Lambda(T_G), Lambda(T_D(G)) and the sc coroot
     # lattice are one lattice in one basis, so the four even lattices have
-    # equal coords, computed on groups of their own; on one group they are
-    # the one value of one congruence cut
+    # equal coords, computed on groups of their own; on one group they take
+    # one Weyl kernel, the even cut that the D-even lattice shares, and the
+    # conditional lattice's own cut of the sc forms
     even_lattices = [sc_even_forms, even_invariant_forms, d_even_forms, conditional_form_lattice]
     checked = 0
     for name in NAMED:
@@ -188,7 +204,11 @@ def test_simply_connected_groups_have_one_even_lattice():
             continue
         coords = [fn(build_group(name)).coords for fn in even_lattices]
         assert coords == [coords[0]] * len(coords), name
-        assert len({id(fn(g)) for fn in even_lattices}) == 1, name
+        with monkeypatch.context() as mp:
+            runs = count_form_work(mp)
+            for fn in even_lattices:
+                fn(g)
+        assert runs == {"_invariant_coord_columns": 1, "_cut_coefficients": 2}, name
         checked += 1
     assert checked == 16
 
@@ -427,14 +447,11 @@ def assert_kernel_matches_sym2_reference(g):
     assert even_invariant_forms(g) == FormLattice.from_coord_columns(n, even_part(n, inv))
     sc = sym2_conjugation_kernel(m, sc_reflections(g))
     assert sc_even_forms(g) == FormLattice.from_coord_columns(m, even_part(m, sc))
-    # the conditional lattice adds integrality congruences to the kernel on
-    # Lambda(T_D); rebuild it with the reference kernel in place of the linear
-    # one, on a copy of g, since the lattice is kept on the group it was built on
+    # the conditional lattice as integrality congruences on the kernel on
+    # Lambda(T_D), with the reference kernel in place of the linear one
     derived = derived_reflections(g)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(invariant_forms, "_invariant_coord_columns",
-                   lambda k, roots: sym2_conjugation_kernel(k, derived))
-        reference = conditional_form_lattice(dataclasses.replace(g))
+    reference = conditional_form_lattice_by_kernel(
+        g, kernel=lambda k, roots: sym2_conjugation_kernel(k, derived))
     assert conditional_form_lattice(g) == reference
 
 
@@ -459,6 +476,51 @@ SMALL_FACTORS = ["T(1)", "SL(2)", "GL(2)", "PGL(2)", "SL(3)", "GL(3)", "PGL(3)",
 @given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3))
 def test_invariant_kernel_matches_sym2_conjugation_on_random_products(factors):
     assert_kernel_matches_sym2_reference(build_group("*".join(factors)))
+
+
+def modulo_diagonal_torus(g):
+    """G / GL(1) for the central cocharacter (1, ..., 1) of a product of GL
+    factors: Lambda(T_G) becomes Z^n / Z(1, ..., 1), in the images of
+    e_1, ..., e_{n-1}.  G^ss is the product of the PGL factors, and when two
+    factors have a common divisor D(G) is not simply connected either, so
+    Lambda(T_D(G)) lies strictly between the coroots and Lambda(T_Gss)."""
+    n = g.cochar_rank
+    coroots = [tuple(a - c[-1] for a in c[:-1]) for c in g.simple_coroots.columns()]
+    roots = [r[:-1] for r in g.simple_roots.columns()]
+    return ReductiveGroupData(n - 1, IntMatrix.from_columns(coroots, n - 1),
+                              IntMatrix.from_columns(roots, n - 1), g.factor_types,
+                              label=f"({g})/GL(1)")
+
+
+def test_conditional_lattice_is_integral_against_the_semisimplification():
+    # (GL(2)*GL(2))/GL(1): D(G) = (SL(2)*SL(2))/mu_2 and G^ss = PGL(2)*PGL(2);
+    # the forms c_1 b_1 + c_2 b_2 even on Lambda(T_D(G)) have c_1 + c_2 = 0
+    # mod 4, and integrality against Lambda(T_Gss) also makes c_1 even
+    g = modulo_diagonal_torus(build_group("GL(2)*GL(2)"))
+    assert not cross_diagram(g).derived_simply_connected
+    fl = conditional_form_lattice(g)
+    assert [gram(f) for f in fl.basis_forms] == [[[2, 0], [0, 2]], [[0, 2], [2, 0]]]
+    assert fl == conditional_form_lattice_by_kernel(g)
+
+
+SC_FACTORS = ["SL(2)", "SL(3)", "Sp(4)", "Spin(7)", "G2"]
+SMALL_GROUPS = st.one_of(
+    st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3).map(
+        lambda factors: build_group("*".join(factors))),
+    st.lists(st.sampled_from(SC_FACTORS), min_size=1, max_size=2).map(
+        lambda factors: with_central_torus(build_group("*".join(factors)))[0]),
+    st.lists(st.sampled_from(["GL(2)", "GL(3)", "GL(4)"]), min_size=2, max_size=3).map(
+        lambda factors: modulo_diagonal_torus(build_group("*".join(factors)))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_GROUPS)
+def test_sc_and_conditional_lattices_match_their_own_weyl_kernels(g):
+    # the basic inner products against the kernel on the simple-coroot basis,
+    # and the cut of the sc forms against the kernel on Lambda(T_D(G))
+    assert sc_even_forms(g) == sc_even_forms_by_kernel(g)
+    assert conditional_form_lattice(g) == conditional_form_lattice_by_kernel(g)
 
 
 # ---------------------------------------------------------------------------

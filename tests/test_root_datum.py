@@ -216,6 +216,20 @@ def test_pi1_element_keeps_its_presentation_and_checks_lifts():
                 delta.lift(other.lift())
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, None])
+def test_pi1_element_refuses_entries_that_are_not_integers(bad):
+    # from_coords and lift used to truncate with int(): [1.7] gave (1,)
+    t = build_group("T(1)")
+    with pytest.raises(ValueError, match=repr(bad)):
+        Pi1Element.from_coords(t, [bad])
+    delta = Pi1Element.from_coords(t, [1])
+    with pytest.raises(ValueError, match=repr(bad)):
+        delta.lift([bad])
+    with pytest.raises(ValueError, match=r"1\.2"):
+        delta.lift([1.2])
+    assert delta.lift([1]) == delta.lift(["1"]) == (1,)
+
+
 def test_divisibility():
     full = Lattice.full(2)
     assert divisibility((0, 0), full) == 0

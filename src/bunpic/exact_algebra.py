@@ -28,18 +28,23 @@ results are exact and canonical:
 Which normal form does which job:
 
 * one column-echelon routine, ``_echelon``, gives the Hermite normal form
-  (:func:`hermite_normal_form`, on ``[m; I]`` for the transform), integer
-  kernels (:func:`kernel_basis`) and congruence lattices
-  (:func:`solve_congruence_sublattice`, which first cuts each modulus's
-  functionals to an echelon basis of their span): a kernel is the lower
-  block of the echeloned columns whose top block vanishes, already in HNF;
+  (:func:`hermite_normal_form`, on ``[m; I]`` for the transform) and, in
+  ``_preimage_basis``, the HNF basis of ``{x : m*x in the span of rel}``:
+  the lower blocks of the columns of ``[[m, rel], [I, 0]]`` whose top block
+  the echelon clears.  That one routine builds integer kernels
+  (:func:`kernel_basis`, no ``rel``), preimages (:func:`preimage_lattice`),
+  intersections (:meth:`Lattice.intersection`) and congruence lattices
+  (:func:`solve_congruence_sublattice`, ``rel = diag(m)`` after each
+  modulus's functionals are cut to an echelon basis of their span);
 * membership and coordinates in a lattice back-substitute along the pivot
   rows of its HNF basis (:meth:`Lattice.coordinates`);
-* the Smith normal form is used only where invariant factors or a basis
-  adapted to them are the output: :func:`group_from_relations`,
-  :func:`canonical_generators` (which also splits off the free quotient in
-  ``root_datum.cross_diagram``), :func:`rational_coordinates` and the glue
-  basis of ``root_datum.with_central_torus``.
+* one Smith normal form, :func:`smith_normal_form`, which also carries the
+  inverse of its row transform, is used only where invariant factors or a
+  basis adapted to them are the output: :func:`group_from_relations`,
+  :func:`canonical_generators` (generator lifts from that inverse; it also
+  splits off the free quotient in ``root_datum.cross_diagram``),
+  :func:`rational_coordinates` and the glue basis of
+  ``root_datum.with_central_torus``.
 """
 
 from __future__ import annotations
@@ -137,13 +142,6 @@ class IntMatrix:
         terms = [(j, x) for j, x in enumerate(v) if x]
         return tuple(sum(row[j] * x for j, x in terms) for row in self.entries)
 
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in sum")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r, s))
-                               for r, s in zip(self.entries, other.entries)))
-
     def neg(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(-a for a in r) for r in self.entries))
@@ -153,35 +151,6 @@ class IntMatrix:
             raise ValueError("row mismatch in hstack")
         return IntMatrix(self.rows, self.cols + other.cols,
                          tuple(r + s for r, s in zip(self.entries, other.entries)))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
     def to_lists(self) -> list:
         return [list(row) for row in self.entries]
@@ -257,21 +226,26 @@ def hermite_normal_form(m: IntMatrix):
 
 
 def smith_normal_form(m: IntMatrix):
-    """Smith normal form: returns ``(s, u, v)`` with ``s = u*m*v`` diagonal,
-    ``u, v`` unimodular, and nonnegative diagonal in a divisibility chain.
+    """Smith normal form: returns ``(s, u, v, w)`` with ``s = u*m*v``
+    diagonal, ``u, v`` unimodular, ``w`` the inverse of ``u``, and
+    nonnegative diagonal in a divisibility chain.
 
     Pivots are chosen with minimal absolute value to control entry growth;
-    the output is canonical independently of that strategy.
+    the output is canonical independently of that strategy.  Each row
+    operation on ``u`` is applied to ``w`` as the inverse column operation,
+    so ``u * w = I`` throughout; ``w`` is kept as its list of columns.
     """
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    w = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def row_sub(dst, src, q):
         if q:
             a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
             u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+            w[src] = [x + q * y for x, y in zip(w[src], w[dst])]
 
     def col_sub(dst, src, q):
         if q:
@@ -283,6 +257,7 @@ def smith_normal_form(m: IntMatrix):
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def col_swap(i, j):
         for r in range(nr):
@@ -326,48 +301,46 @@ def smith_normal_form(m: IntMatrix):
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+            w[t] = [-x for x in w[t]]
         t += 1
 
-    return IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr), IntMatrix.from_rows(v, nc)
+    return (IntMatrix.from_rows(a, nc), IntMatrix.from_rows(u, nr), IntMatrix.from_rows(v, nc),
+            IntMatrix.from_columns(w, nr))
 
 
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Integer inverse of a unimodular matrix.
+def _preimage_basis(m: IntMatrix, rel_cols=()) -> IntMatrix:
+    """Basis of ``{x : m*x in the span of rel_cols}``, columns in HNF.
 
-    The column HNF of a unimodular ``u`` is the identity, so its transform
-    ``w`` satisfies ``u * w = I``; raises ``ValueError`` when ``u`` is not
-    unimodular.
+    One echelon of ``[[m, rel], [I, 0]]`` on all its rows clears the top
+    block first, so the columns whose top vanishes are ``(0, x)`` with
+    ``m*x + rel*y = 0`` for some ``y``.  They span every such ``x`` because
+    the column operations are unimodular (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4), and their lower blocks come out in column
+    HNF, the canonical basis of the lattice they span.
     """
-    h, w = hermite_normal_form(u)
-    if h != IntMatrix.identity(u.rows):
-        raise ValueError("matrix is not unimodular")
-    return w
-
-
-def _lower_blocks(cols, top: int, nrows: int) -> list:
-    """Echelon the columns on all ``nrows`` rows and return, below row
-    ``top``, the columns whose first ``top`` rows vanish.
-
-    The echelon clears the first ``top`` rows first, so those columns span
-    every combination with a vanishing top; their lower blocks come out in
-    column HNF, the canonical basis of the lattice they span.
-    """
-    return [c[top:] for c in _echelon(cols, nrows) if not any(c[:top])]
+    top = m.rows
+    cols = _over_identity(m) + [tuple(c) + (0,) * m.cols for c in rel_cols]
+    return IntMatrix.from_columns([c[top:] for c in _echelon(cols, top + m.cols)
+                                   if not any(c[:top])], m.cols)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel ``{x : m*x = 0}``, columns in HNF.
-
-    The columns of ``[m; I]`` echeloned with a zero top block are ``(0, x)``
-    with ``x`` in the kernel, and they span all of it because the column
-    operations are unimodular (Cohen, *A Course in Computational Algebraic
-    Number Theory*, 2.4).
-    """
-    return IntMatrix.from_columns(_lower_blocks(_over_identity(m), m.rows, m.rows + m.cols), m.cols)
+    """Basis of the integer kernel ``{x : m*x = 0}``, columns in HNF."""
+    return _preimage_basis(m)
 
 
 # ---------------------------------------------------------------------------
 # lattices
+
+
+def _int_list(values, what: str) -> list:
+    """``values`` as a list, refusing any entry whose type is not ``int``: a
+    float, which ``int`` would truncate, or a bool."""
+    values = list(values)
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers, not {x!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -397,8 +370,9 @@ class Lattice:
     def coordinates(self, v) -> tuple | None:
         """Coordinates of ``v`` in the basis, or ``None`` when ``v`` is not in
         the lattice: back-substitution along the pivot rows of the echelon
-        basis, each of which fixes one coordinate."""
-        r = [int(a) for a in v]
+        basis, each of which fixes one coordinate.  An entry that is not an
+        ``int`` raises ``ValueError``."""
+        r = _int_list(v, "vector entries")
         if len(r) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
         x = []
@@ -424,20 +398,12 @@ class Lattice:
                                     self.basis.columns() + other.basis.columns())
 
     def intersection(self, other: "Lattice") -> "Lattice":
-        stacked = self.basis.hstack(other.basis.neg())
-        k = kernel_basis(stacked)
-        cols = [self.basis.mul_vector(k.column(j)[: self.rank]) for j in range(k.cols)]
-        return Lattice.from_columns(self.ambient_rank, cols)
-
-    def index_in(self, other: "Lattice") -> int | None:
-        """Index ``[other : self]``; ``None`` when infinite."""
-        if not other.contains_lattice(self):
-            raise ValueError("not a sublattice")
-        if self.rank < other.rank:
-            return None
-        coords = [other.coordinates(c) for c in self.basis.columns()]
-        m = IntMatrix.from_columns(coords, other.rank)
-        return abs(m.det())
+        """The basis of ``self`` applied to the coordinates ``x`` with
+        ``basis * x`` in ``other``."""
+        if other.ambient_rank != self.ambient_rank:
+            raise ValueError("ambient rank mismatch")
+        coords = _preimage_basis(self.basis, other.basis.columns())
+        return Lattice.from_columns(self.ambient_rank, self.basis.mul(coords).columns())
 
 
 def saturation(l: Lattice) -> Lattice:
@@ -461,29 +427,28 @@ def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:
     The lattice depends only on the Z-span of the functionals of each
     modulus, so after the checks each modulus keeps the echelon basis of its
     functionals (at most ``n`` of them) and modulus 1 drops out; the
-    construction below then grows with ``n``, not with the number of
-    conditions.
+    lattice is then the preimage of ``diag(m) Z^k`` under the ``k`` kept
+    functionals, whose size grows with ``n``, not with the number of
+    conditions.  An entry or modulus that is not an ``int`` raises
+    ``ValueError``.
     """
-    conditions = [(tuple(f), int(m)) for f, m in conditions]
     by_modulus: dict = {}
     for f, m in conditions:
+        f = _int_list(f, "functional entries")
         if len(f) != ambient_rank:
             raise ValueError("functional length does not match ambient rank")
+        if type(m) is not int:
+            raise ValueError(f"moduli must be integers, not {m!r}")
         if m < 0:
             raise ValueError("modulus must be nonnegative")
         if m != 1:
             by_modulus.setdefault(m, []).append(f)
     conditions = [(f, m) for m, fs in sorted(by_modulus.items())
                   for f in _echelon(fs, ambient_rank)]
-    # the lattice spanned by the columns of [[F, -diag(m)], [I, 0]] meets the
-    # zero-top subspace in the pairs (0, v) with F v in diag(m) Z^k
-    k = len(conditions)
-    unit = IntMatrix.identity(ambient_rank).entries
-    cols = [tuple(f[j] for f, _ in conditions) + unit[j] for j in range(ambient_rank)]
-    cols += [tuple(-m if i == j else 0 for i in range(k)) + (0,) * ambient_rank
-             for j, (_, m) in enumerate(conditions)]
-    return Lattice(ambient_rank,
-                   IntMatrix.from_columns(_lower_blocks(cols, k, k + ambient_rank), ambient_rank))
+    funcs = IntMatrix.from_rows([f for f, _ in conditions], ambient_rank)
+    rel = [tuple(m if i == j else 0 for i in range(funcs.rows))
+           for j, (_, m) in enumerate(conditions) if m]
+    return Lattice(ambient_rank, _preimage_basis(funcs, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +525,6 @@ class FGAbelianGroup:
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def relation_matrix(self) -> IntMatrix:
-        """Relations in the generator ordering: free generators first."""
-        n = self.ngens
-        cols = []
-        for t, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.free_rank + t] = d
-            cols.append(col)
-        return IntMatrix.from_columns(cols, n)
-
 
 def _canonical_from_factors(free_rank: int, factors) -> FGAbelianGroup:
     """Canonicalize an arbitrary list of cyclic orders into invariant factors.
@@ -593,7 +548,7 @@ def group_from_relations(rank: int, relations: IntMatrix) -> FGAbelianGroup:
     """Canonical form of ``Z^rank`` modulo the column span of ``relations``."""
     if relations.rows != rank:
         raise ValueError("relation matrix has wrong number of rows")
-    s, _, _ = smith_normal_form(relations)
+    s, _, _, _ = smith_normal_form(relations)
     diags = [s[i, i] for i in range(min(s.rows, s.cols))]
     nonzero = [d for d in diags if d != 0]
     free = rank - len(nonzero)
@@ -608,11 +563,13 @@ def canonical_generators(rank: int, relations: IntMatrix):
     Returns ``(group, gens, proj, orders)``: the canonical group, the
     generator lifts as columns of ``gens``, the coordinate map ``proj`` (so
     ``proj * gens`` is the identity modulo ``orders``), and the order of each
-    generator (0 for a free one).
+    generator (0 for a free one).  The lifts are columns of the inverse of
+    the Smith transform ``u``, the coordinate map is rows of ``u``.
     """
-    s, u, _ = smith_normal_form(relations)
+    if relations.rows != rank:
+        raise ValueError("relation matrix has wrong number of rows")
+    s, u, _, uinv = smith_normal_form(relations)
     diags = [s[i, i] for i in range(min(rank, relations.cols))]
-    uinv = unimodular_inverse(u)
     free_idx = [i for i in range(rank) if i >= len(diags) or diags[i] == 0]
     tors_idx = sorted((i for i in range(len(diags)) if diags[i] >= 2), key=lambda i: diags[i])
     order_idx = free_idx + tors_idx
@@ -658,8 +615,7 @@ def preimage_lattice(m: IntMatrix, rel: Lattice) -> Lattice:
     """Lattice ``{v : m*v lies in rel}``."""
     if m.rows != rel.ambient_rank:
         raise ValueError("codomain mismatch")
-    ker = kernel_basis(m.hstack(rel.basis.neg()))
-    return Lattice.from_columns(m.cols, [c[: m.cols] for c in ker.columns()])
+    return Lattice(m.cols, _preimage_basis(m, rel.basis.columns()))
 
 
 def hom_cokernel(m: IntMatrix, rel: Lattice) -> FGAbelianGroup:
@@ -684,7 +640,7 @@ def rational_coordinates(m: IntMatrix, b: IntMatrix):
     n = m.rows
     if n != m.cols:
         raise ValueError("rational coordinates need a square matrix")
-    s, u, v = smith_normal_form(m)
+    s, u, v, _ = smith_normal_form(m)
     diag = [s[i, i] for i in range(n)]
     if 0 in diag:
         raise ValueError("matrix is singular")

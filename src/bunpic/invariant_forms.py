@@ -116,9 +116,6 @@ class BilinearForm:
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
 
-    def is_even(self) -> bool:
-        return all(self.gram[i, i] % 2 == 0 for i in range(self.gram.rows))
-
     def coords(self) -> tuple:
         return gram_to_coords(self.gram)
 

@@ -216,18 +216,6 @@ class ReductiveGroupData:
             start += t.rank
         return blocks
 
-    def reflection(self, i: int) -> IntMatrix:
-        """Simple reflection s_i on the cocharacter lattice:
-        x -> x - <alpha_i, x> alpha_i^vee."""
-        n = self.cochar_rank
-        a = self.simple_roots.column(i)
-        av = self.simple_coroots.column(i)
-        rows = [
-            tuple((1 if r == c else 0) - av[r] * a[c] for c in range(n))
-            for r in range(n)
-        ]
-        return IntMatrix.from_rows(rows)
-
     def coroot_lattice(self) -> Lattice:
         return Lattice.from_columns(self.cochar_rank, self.simple_coroots.columns())
 
@@ -670,13 +658,6 @@ class CrossDiagram:
     ss_in_adjoint: Lattice            # image of Lambda(T_G) in Z^m
     adjoint_rank: int                 # m
 
-    def chain_holds(self) -> bool:
-        return (
-            self.derived_in_adjoint.contains_lattice(self.sc_in_adjoint)
-            and self.ss_in_adjoint.contains_lattice(self.derived_in_adjoint)
-            and Lattice.full(self.adjoint_rank).contains_lattice(self.ss_in_adjoint)
-        )
-
 
 def cross_diagram(g: ReductiveGroupData) -> CrossDiagram:
     n, m = g.cochar_rank, g.ss_rank
@@ -756,7 +737,7 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
         raise InvalidSpec("with_central_torus expects a simply connected group")
     m = g_sc.cochar_rank
     c = g_sc.simple_roots.transpose().mul(g_sc.simple_coroots)  # Cartan matrix
-    s, _, v = smith_normal_form(c)
+    s, _, v, _ = smith_normal_form(c)
     nontrivial = [i for i in range(m) if s[i, i] >= 2]
     k = len(nontrivial)
     denom = s[m - 1, m - 1] if m else 1      # last invariant factor: lcm of the d_j

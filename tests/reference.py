@@ -2,11 +2,13 @@
 
 No engine, the CLI or the benchmark calls these: ``solve`` works on any
 matrix through the Smith normal form, ``rational_solve`` by Gaussian
-elimination over ``Fraction``, and ``cokernel`` of a ``GroupHom`` on the
-generators of two canonical groups.  The sc even forms and the conditional
-form lattice are rebuilt by Weyl kernels of their own, on the simple-coroot
-basis and on the basis of Lambda(T_D(G)), where the library builds the
-first from the basic inner products and cuts the second from it.
+elimination over ``Fraction``, ``det`` by Bareiss elimination,
+``reflection`` is a simple reflection from its defining formula, and
+``cokernel`` of a ``GroupHom`` on the generators of two canonical groups.
+The sc even forms and the conditional form lattice are rebuilt by Weyl
+kernels of their own, on the simple-coroot basis and on the basis of
+Lambda(T_D(G)), where the library builds the first from the basic inner
+products and cuts the second from it.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ def solve(m: IntMatrix, b) -> tuple | None:
     in HNF bases with ``Lattice.coordinates``; this is the reference the
     tests check spans and coordinates against.
     """
-    s, u, v = smith_normal_form(m)
+    s, u, v, _ = smith_normal_form(m)
     ub = u.mul_vector(tuple(b))
     y = [0] * m.cols
     r = min(s.rows, s.cols)
@@ -83,12 +85,49 @@ def rational_solve(m: IntMatrix, b):
     return tuple(x)
 
 
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def reflection(g, i: int) -> IntMatrix:
+    """Simple reflection s_i of the group g on its cocharacter lattice:
+    x -> x - <alpha_i, x> alpha_i^vee."""
+    n = g.cochar_rank
+    a = g.simple_roots.column(i)
+    av = g.simple_coroots.column(i)
+    return IntMatrix.from_rows([[int(r == c) - av[r] * a[c] for c in range(n)]
+                                for r in range(n)])
+
+
 @dataclass(frozen=True)
 class GroupHom:
     """Homomorphism between groups in canonical form, as a matrix on generators.
 
-    Generator ordering matches ``FGAbelianGroup.relation_matrix``: free
-    generators first, then torsion generators in invariant-factor order.
+    Generators are ordered free ones first, then torsion generators in
+    invariant-factor order.
     """
 
     source: FGAbelianGroup
@@ -113,9 +152,13 @@ class GroupHom:
 
 
 def cokernel(f: GroupHom) -> FGAbelianGroup:
-    """Canonical ``target / im(f)``: stack f with the target relations, take SNF."""
-    stacked = f.matrix.hstack(f.target.relation_matrix())
-    return group_from_relations(f.target.ngens, stacked)
+    """Canonical ``target / im(f)``: stack f with the target relations (the
+    invariant factors on the torsion generators), take SNF."""
+    t = f.target
+    relations = IntMatrix.from_columns(
+        [[d if i == t.free_rank + k else 0 for i in range(t.ngens)]
+         for k, d in enumerate(t.torsion)], t.ngens)
+    return group_from_relations(t.ngens, f.matrix.hstack(relations))
 
 
 # ---------------------------------------------------------------------------

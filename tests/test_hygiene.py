@@ -1,24 +1,28 @@
 """Source hygiene of ``src/bunpic``, read from the syntax tree: no import that
-nothing uses, no module-level private function that nothing calls, and no
-value read out of a JSON object coerced into a type."""
+nothing uses, no module-level private function that nothing calls, no public
+method or unexported public function that only the tests read, and no value
+read out of a JSON object coerced into a type."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bunpic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bunpic"
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = sorted((ROOT / "bench").rglob("*.py"))
 
 
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def names_read(node) -> set:
-    """Every name the node reads: bare names and attribute names."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def name_reads(node) -> Counter:
+    """How often the node reads each name: bare names and attribute names."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def imported_names(tree) -> list:
@@ -36,14 +40,14 @@ def imported_names(tree) -> list:
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = parse(path)
-    used = names_read(tree)
+    used = name_reads(tree)
     assert [name for name in imported_names(tree) if name not in used] == []
 
 
 def test_every_private_function_is_referenced():
     # a reference is a read of the name anywhere in src outside the function's
     # own definition (importing it alone does not count)
-    top_level = [(node, names_read(node)) for path in MODULES for node in parse(path).body]
+    top_level = [(node, name_reads(node)) for path in MODULES for node in parse(path).body]
     private = [node for node, _ in top_level
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
@@ -51,6 +55,30 @@ def test_every_private_function_is_referenced():
     unused = [node.name for node in private
               if not any(node.name in names for other, names in top_level if other is not node)]
     assert unused == []
+
+
+def test_every_public_api_has_a_reader_outside_the_tests():
+    # a public method of a class, or a public function that bunpic/__init__.py
+    # does not export, must be read by name in src or bench/ outside its own
+    # definition: an API only the tests read belongs in tests/reference.py
+    trees = {path: parse(path) for path in MODULES + BENCH}
+    reads = sum((name_reads(tree) for tree in trees.values()), Counter())
+    exported = {alias.asname or alias.name for node in trees[SRC / "__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    public = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef):
+                public += [(f"{node.name}.{d.name}", d) for d in node.body
+                           if isinstance(d, functions) and not d.name.startswith("_")]
+            elif (isinstance(node, functions) and not node.name.startswith("_")
+                  and node.name not in exported):
+                public.append((node.name, node))
+    assert public, "no public method found: is SRC right?"
+    unread = [label for label, node in public
+              if reads[node.name] == name_reads(node)[node.name]]
+    assert unread == []
 
 
 def is_keyed_read(node) -> bool:

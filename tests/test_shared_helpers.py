@@ -1,5 +1,5 @@
 """Property tests for the shared lattice helpers: canonicalization of cyclic
-orders, the integer inverse of a unimodular matrix, the canonical generator
+orders, the inverse row transform of the Smith form, the canonical generator
 choice of a presented group, rational coordinates over one common
 denominator, and the echelon kernels, congruence lattices and lattice
 coordinates checked against their Smith-form references, the quotients
@@ -23,7 +23,7 @@ from bunpic.exact_algebra import (
     IntMatrix,
     Lattice,
     _canonical_from_factors,
-    _lower_blocks,
+    _echelon,
     canonical_generators,
     group_from_relations,
     hermite_normal_form,
@@ -35,7 +35,6 @@ from bunpic.exact_algebra import (
     smith_normal_form,
     solve_congruence_sublattice,
     subgroup_generators,
-    unimodular_inverse,
 )
 from bunpic.family import family_from_preset
 from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel, _mod_delta_image
@@ -54,7 +53,7 @@ from bunpic.invariant_forms import (
 )
 from bunpic.picard import reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, cross_diagram, fundamental_group
-from reference import rational_solve, solve
+from reference import det, rational_solve, solve
 from test_invariant_forms import SMALL_FACTORS
 from test_root_datum import NAMED
 
@@ -129,25 +128,6 @@ def unimodular_matrices(draw, size=st.integers(min_value=0, max_value=5)):
     return IntMatrix(n, n, tuple(tuple(r) for r in rows))
 
 
-@SETTINGS
-@given(unimodular_matrices())
-def test_unimodular_inverse_is_the_inverse(u):
-    w = unimodular_inverse(u)
-    assert w.mul(u) == IntMatrix.identity(u.rows)
-    assert u.mul(w) == IntMatrix.identity(u.rows)
-
-
-@SETTINGS
-@given(unimodular_matrices().filter(lambda u: u.rows > 0))
-def test_unimodular_inverse_rejects_determinant_two(u):
-    double_first_row = IntMatrix.from_rows(
-        [[2 * x for x in u.row(0)]] + [u.row(i) for i in range(1, u.rows)]
-    )
-    assert abs(double_first_row.det()) == 2
-    with pytest.raises(ValueError):
-        unimodular_inverse(double_first_row)
-
-
 @st.composite
 def relation_matrices(draw):
     rank = draw(st.integers(min_value=0, max_value=4))
@@ -195,7 +175,7 @@ def square_systems(draw):
 @given(square_systems())
 def test_rational_coordinates_are_least_numerators_of_the_solution(system):
     m, b = system
-    assume(m.det() != 0)
+    assume(det(m) != 0)
     x, d = rational_coordinates(m, b)
     assert d >= 1 and (x.rows, x.cols) == (b.rows, b.cols)
     assert m.mul(x) == IntMatrix(b.rows, b.cols, tuple(tuple(d * a for a in row)
@@ -212,7 +192,7 @@ def test_rational_coordinates_reject_a_singular_matrix(system, k):
     # last row = k * first row (a zero row when m has one row)
     rows = list(m.entries[:-1]) + [tuple(k * a if m.rows > 1 else 0 for a in m.row(0))]
     singular = IntMatrix(m.rows, m.cols, tuple(rows))
-    assert singular.det() == 0
+    assert det(singular) == 0
     with pytest.raises(ValueError):
         rational_coordinates(singular, b)
 
@@ -224,7 +204,7 @@ def test_rational_coordinates_reject_a_singular_matrix(system, k):
 def snf_kernel_basis(m):
     """Reference kernel: the columns of the Smith transform ``v`` beyond the
     rank, put in HNF."""
-    s, _, v = smith_normal_form(m)
+    s, _, v, _ = smith_normal_form(m)
     rank = sum(1 for i in range(min(s.rows, s.cols)) if s[i, i] != 0)
     return Lattice.from_columns(m.cols, [v.column(j) for j in range(rank, m.cols)]).basis
 
@@ -267,7 +247,7 @@ def integer_matrices(draw):
 def test_kernel_basis_matches_the_smith_reference(m):
     k = kernel_basis(m)
     assert k == snf_kernel_basis(m)
-    assert m.mul(k).is_zero()
+    assert m.mul(k) == IntMatrix.zero(m.rows, k.cols)
 
 
 @SETTINGS
@@ -275,7 +255,19 @@ def test_kernel_basis_matches_the_smith_reference(m):
 def test_hermite_transform_is_unimodular(m):
     h, u = hermite_normal_form(m)
     assert h == m.mul(u)
-    assert abs(u.det()) == 1
+    assert abs(det(u)) == 1
+
+
+@SETTINGS
+@given(st.one_of(unimodular_matrices(), integer_matrices(),
+                 st.builds(IntMatrix.zero, st.integers(min_value=0, max_value=4),
+                           st.integers(min_value=0, max_value=4))))
+def test_smith_form_carries_the_inverse_row_transform(m):
+    # unimodular, zero, empty and non-square matrices alike
+    s, u, v, w = smith_normal_form(m)
+    assert u.mul(m).mul(v) == s
+    assert u.mul(w) == IntMatrix.identity(m.rows)
+    assert w.mul(u) == IntMatrix.identity(m.rows)
 
 
 @st.composite
@@ -486,7 +478,8 @@ def test_from_rows_takes_the_column_count(n):
 def test_smith_form_of_an_empty_matrix(nr, nc):
     # reference: a zero s and identity transforms
     assert (smith_normal_form(IntMatrix.zero(nr, nc))
-            == (IntMatrix.zero(nr, nc), IntMatrix.identity(nr), IntMatrix.identity(nc)))
+            == (IntMatrix.zero(nr, nc), IntMatrix.identity(nr), IntMatrix.identity(nc),
+                IntMatrix.identity(nr)))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -511,6 +504,8 @@ def test_intersection_with_a_rank_zero_lattice(n):
     for other in (zero, Lattice.full(n), Lattice.from_columns(n, [tuple(range(1, n + 1))])):
         assert other.intersection(zero) == zero
         assert zero.intersection(other) == zero
+    with pytest.raises(ValueError):
+        zero.intersection(Lattice.full(n + 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -564,15 +559,15 @@ def test_mod_delta_groups_match_the_reference(m, delta_cs):
 
 def unreduced_congruence_sublattice(ambient_rank, conditions):
     """Reference: the echelon of ``[[F, -diag(m)], [I, 0]]`` over every raw
-    condition, none dropped or reduced."""
-    conditions = [(tuple(f), int(m)) for f, m in conditions]
+    condition, none dropped or reduced; the columns whose top ``k`` rows it
+    clears carry the lattice's HNF basis below them."""
     k = len(conditions)
     unit = IntMatrix.identity(ambient_rank).entries
     cols = [tuple(f[j] for f, _ in conditions) + unit[j] for j in range(ambient_rank)]
     cols += [tuple(-m if i == j else 0 for i in range(k)) + (0,) * ambient_rank
              for j, (_, m) in enumerate(conditions)]
-    return Lattice(ambient_rank,
-                   IntMatrix.from_columns(_lower_blocks(cols, k, k + ambient_rank), ambient_rank))
+    lower = [c[k:] for c in _echelon(cols, k + ambient_rank) if not any(c[:k])]
+    return Lattice(ambient_rank, IntMatrix.from_columns(lower, ambient_rank))
 
 
 @st.composite

@@ -466,9 +466,12 @@ class FGAbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
+        # exactly int, as in ``_int_list``: a bool or a float is no rank or order
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank must be an int >= 0, not {self.free_rank!r}")
         for d in self.torsion:
-            if d < 2:
-                raise ValueError("invariant factors must be >= 2")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"invariant factors must be ints >= 2, not {d!r}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisibility chain")

@@ -38,7 +38,6 @@ from .picard import PicardReport, _delta_ab_two_divisible, _test_points, require
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
-    cross_diagram,
     divisibility,
     int_tuple,
     once_per_group,
@@ -166,7 +165,7 @@ def _partial_matrix(g: ReductiveGroupData, rig, lift, genus: int) -> IntMatrix:
     """The connecting map on the rigidified NS basis: b -> (x -> b(d, x~) +
     (1-g) b(x~, x~)), read off as b(x~, d + (1-g) x~) by bilinearity, over
     the fixed lifts x~ of a basis of Lambda(G^ab)."""
-    section = cross_diagram(g).ab_section
+    section = _derived_quotient(g)[0].ab_section
     pairs = [(xt, tuple(a + (1 - genus) * b for a, b in zip(lift, xt)))
              for xt in section.columns()]
     return rig.form_basis.values(pairs).mul(rig.key)
@@ -380,9 +379,10 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     if f.genus > 0:
         require_hypotheses(f, g, "Thm4.3")
         image, cok = _gamma_bar(g, delta.lift(lift), f.genus, f.delta)
+        ab_rank = _derived_quotient(g)[0].ab_rank
         return PicardReport(
             theorem_applied="Thm4.3",
-            kernel_summand=f"chars(G^ab) (rank {cross_diagram(g).ab_rank}) x RPic^0(C/S) (formal)",
+            kernel_summand=f"chars(G^ab) (rank {ab_rank}) x RPic^0(C/S) (formal)",
             image_lattice=image,
             image_ambient="coefficients on the rigidified NS basis",
             cokernel=cok,

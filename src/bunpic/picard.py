@@ -24,12 +24,13 @@ from .invariant_forms import (
     BilinearForm,
     FormLattice,
     NSGroup,
+    _derived_quotient,
     conditional_form_lattice,
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
 )
-from .root_datum import Pi1Element, ReductiveGroupData, cross_diagram
+from .root_datum import Pi1Element, ReductiveGroupData
 
 
 class WrongGenus(ValueError):
@@ -361,7 +362,7 @@ def reductive_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
 def _reductive_picard_positive(g, delta, f, lift):
     require_hypotheses(f, g, "ThmB")
     lift = delta.lift(lift)     # checked even where the NS-level image is skipped
-    cd = cross_diagram(g)
+    cd = _derived_quotient(g)[0]
     cfl = conditional_form_lattice(g)
     s = cfl.rank
     theorem = "Thm3.14" if cd.derived_simply_connected else "Thm3.16"
@@ -451,5 +452,5 @@ def _reductive_picard_genus0(g, delta, f, lift):
 def _delta_ab_two_divisible(g: ReductiveGroupData, delta: Pi1Element) -> bool:
     """Whether the image of delta in the cocharacter lattice of G^ab is
     2-divisible."""
-    ab = cross_diagram(g).ab_projection.mul_vector(delta.lift())
+    ab = _derived_quotient(g)[0].ab_projection.mul_vector(delta.lift())
     return all(x % 2 == 0 for x in ab)

@@ -514,6 +514,39 @@ def test_positive_genus_report_computes_each_ns_group_once(monkeypatch, group, d
     assert_equals_a_fresh_group(g, group)
 
 
+def count_cross_diagram_builds(monkeypatch):
+    """Count the builds of ``cross_diagram`` by the module that calls it: the
+    builder is wrapped under its name in every bunpic module that holds it."""
+    from bunpic.root_datum import cross_diagram
+
+    callers = collections.Counter()
+
+    def counted(g):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return cross_diagram(g)
+
+    for name, module in list(sys.modules.items()):
+        holds = getattr(module, "cross_diagram", None) is cross_diagram
+        if name.partition(".")[0] == "bunpic" and holds:
+            monkeypatch.setattr(module, "cross_diagram", counted)
+    return callers
+
+
+@pytest.mark.parametrize("group,delta,family", [
+    ("E8", (), "universal:2,1"), ("SO(10)*PGL(4)", (1, 1), "universal:2,1"),
+    ("GL(3)*T(1)", (1, 1), "universal:2,1"),
+    ("E8", (), "genus0_nontrivial"), ("GL(2)", (1,), "genus0_nontrivial"),
+])
+def test_report_engines_build_one_cross_diagram(monkeypatch, group, delta, family):
+    # the form, NS, Picard and gerbe engines read the cross diagram kept by
+    # _derived_quotient; only the hypothesis gates of bunpic.family build
+    # their own
+    builds = count_cross_diagram_builds(monkeypatch)
+    run_full_report(monkeypatch, group, delta, family)
+    engines = {caller: n for caller, n in builds.items() if caller != "bunpic.family"}
+    assert engines == {"bunpic.invariant_forms": 1}
+
+
 @pytest.mark.parametrize("group,delta", [("E8", ()), ("GL(3)*T(1)", (1, 1)), ("GL(2)", (1,))])
 def test_genus0_report_computes_each_ns_group_once(monkeypatch, group, delta):
     # ns and picard share the generic lift of NS Bun(P^1); rigidified and gerbe

@@ -304,6 +304,20 @@ def test_congruences_refuse_entries_and_moduli_that_are_not_integers(bad):
         solve_congruence_sublattice(2, [((bad, 1), 2)])
 
 
+@pytest.mark.parametrize("build,bad", [
+    (lambda: FGAbelianGroup.cyclic(2.5), 2.5),
+    (lambda: FGAbelianGroup(1.5, ()), 1.5),
+    (lambda: FGAbelianGroup(True, ()), True),
+    (lambda: FGAbelianGroup(-1, ()), -1),
+    (lambda: FGAbelianGroup(0, (2.0,)), 2.0),     # it described itself as Z/2.0
+])
+def test_abelian_groups_refuse_ranks_and_orders_that_are_not_valid_ints(build, bad):
+    # the free rank is an int >= 0 and each invariant factor an int >= 2,
+    # exactly int: a bool or a float is refused, not compared
+    with pytest.raises(ValueError, match=f"not {bad!r}$"):
+        build()
+
+
 @pytest.mark.parametrize("rank", [1, 3])
 def test_canonical_generators_refuse_relations_of_another_rank(rank):
     # diag(2, 3) has two rows: rank 1 once read as the trivial group, and

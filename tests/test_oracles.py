@@ -1,5 +1,5 @@
-"""Brute-force oracles for small groups: each form lattice checked against
-its definition on a box of candidate Gram matrices.
+"""Brute-force oracles for small groups: each form lattice and NS(Bun)
+checked against its definition on a box of candidates.
 
 The golden records and pinned digests pin bytes, and the property tests
 compare one algorithm with another.  Here every symmetric integer matrix in
@@ -11,21 +11,30 @@ integer points of the rational span of the coroots, tested on the box points
 that ``reference.rational_solve`` puts in that span.  The oracle uses no
 ``Lattice``, echelon or Smith form; the library's answer is read through
 ``FormLattice.lattice().contains``.
+
+NS(Bun^delta) membership of (chi, c), c the coefficients of b = sum c_k b_k
+on the D-even basis forms, is decided from its definition: res(chi - b(d, -))
+lies in the lattice of restricted roots.  The restricted roots are a rational
+basis of Lambda^*(T_D), and the coroots one of Lambda(T_D), so that holds iff
+the rational n with sum_j n_j <alpha_j, alpha_i^vee> = chi(alpha_i^vee) -
+b(d, alpha_i^vee) for every i is integral (``reference.rational_solve``).
 """
 
 from itertools import product
 
 import pytest
 
+from bunpic.exact_algebra import Lattice
 from bunpic.invariant_forms import (
     d_even_forms,
     even_invariant_forms,
     invariant_sym_forms,
+    ns_bun,
     sym2_pairs,
 )
-from bunpic.root_datum import build_group, with_central_torus
+from bunpic.root_datum import Pi1Element, build_group, fundamental_group, with_central_torus
 from reference import rational_solve, reflection
-from test_invariant_forms import SMALL_FACTORS
+from test_invariant_forms import SMALL_FACTORS, _coroot_shifts
 
 SMALL_PRODUCTS = ["T(1)*T(1)", "SL(2)*SL(2)", "SL(2)*PGL(2)",
                   "T(1)*PGL(2)*SL(2)", "SL(2)*GL(2)", "PGL(3)*T(1)"]
@@ -95,3 +104,49 @@ def test_form_lattices_match_the_brute_force_oracle_central_torus():
     g, _ = with_central_torus(build_group("Sp(4)"))
     assert g.cochar_rank == 3
     assert_form_lattices_match_the_oracle(g)
+
+
+def pi1_classes(g):
+    """Every class of pi_1(G) with free coordinates in [-1, 1]."""
+    pi1 = fundamental_group(g)
+    ranges = [range(-1, 2)] * pi1.free_rank + [range(t) for t in pi1.torsion]
+    for coords in product(*ranges):
+        delta = Pi1Element.from_coords(g, coords)
+        assert delta.coords == coords
+        yield delta
+
+
+def assert_ns_bun_matches_the_oracle(g):
+    n = g.cochar_rank
+    grams = [f.gram.to_lists() for f in d_even_forms(g).basis_forms]
+    coroots = g.simple_coroots.columns()
+    cartan_t = g.simple_coroots.transpose().mul(g.simple_roots)    # <alpha_j, alpha_i^vee>
+    # [-2, 2] up to 4 ambient coordinates; beyond, [-1, 1] to stay under 5 s
+    # (it meets every class mod 2 and mod 3, the moduli of those groups' conditions)
+    bound = 2 if n + len(grams) <= 4 else 1
+    chis = list(product(range(-bound, bound + 1), repeat=n))
+    chi_at = {chi: tuple(sum(a * x for a, x in zip(chi, c)) for c in coroots) for chi in chis}
+    integral = {}   # v -> whether the rational n solving the roots' system is integral
+    for delta in pi1_classes(g):
+        lifts = _coroot_shifts(g, delta.lift(), 3) if coroots else [delta.lift()]
+        for d in lifts:
+            key = ns_bun(g, delta, lift=d).key
+            members = Lattice(key.rows, key)
+            pair_d = [[form(gram, d, c) for c in coroots] for gram in grams]   # b_k(d, a_i^vee)
+            for coeffs in product(range(-bound, bound + 1), repeat=len(grams)):
+                b_at = [sum(c * p[i] for c, p in zip(coeffs, pair_d)) for i in range(len(coroots))]
+                for chi in chis:
+                    v = tuple(x - y for x, y in zip(chi_at[chi], b_at))
+                    if v not in integral:
+                        integral[v] = all(x.denominator == 1 for x in rational_solve(cartan_t, v))
+                    assert members.contains(chi + coeffs) == integral[v], (g, delta, d, chi, coeffs)
+
+
+@pytest.mark.parametrize("name", SMALL_FACTORS + SMALL_PRODUCTS)
+def test_ns_bun_matches_the_brute_force_oracle(name):
+    assert_ns_bun_matches_the_oracle(build_group(name))
+
+
+def test_ns_bun_matches_the_brute_force_oracle_central_torus():
+    g, _ = with_central_torus(build_group("Sp(4)"))
+    assert_ns_bun_matches_the_oracle(g)

@@ -74,14 +74,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(_int_list(row, "matrix entries")) for row in rows)
         if ncols is None:
             ncols = len(data[0]) if data else 0
         return IntMatrix(len(data), ncols, data)
 
     @staticmethod
     def from_columns(cols, nrows: int | None = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = [tuple(_int_list(c, "matrix entries")) for c in cols]
         if nrows is None:
             if not cols:
                 raise ValueError("need nrows for an empty column list")
@@ -389,9 +389,6 @@ class Lattice:
                 r = [a - q * b for a, b in zip(r, col)]
             x.append(q)
         return None if any(r) else tuple(x)
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(c) for c in other.basis.columns())
 
     def sum(self, other: "Lattice") -> "Lattice":
         return Lattice.from_columns(self.ambient_rank,

@@ -21,7 +21,6 @@ from .exact_algebra import (
     group_from_relations,
     hom_cokernel,
     preimage_lattice,
-    quotient_group,
     rational_coordinates,
     solve_congruence_sublattice,
 )
@@ -57,10 +56,6 @@ class GradedPieces:
         """|sub| * |quotient|, or ``None`` when the group is infinite."""
         so, qo = self.sub.order(), self.quotient.order()
         return None if so is None or qo is None else so * qo
-
-    def describe(self) -> str:
-        return (f"extension of {self.quotient.describe()} by {self.sub.describe()}"
-                f" (order {self.total_order})")
 
     def to_json(self) -> dict:
         return {"graded": True, "sub": self.sub.to_json(), "quotient": self.quotient.to_json(),
@@ -171,42 +166,12 @@ def _partial_matrix(g: ReductiveGroupData, rig, lift, genus: int) -> IntMatrix:
     return rig.form_basis.values(pairs).mul(rig.key)
 
 
-def _delta_relations(rows: int, delta_cs: int) -> IntMatrix:
-    """delta * I, the relations of (Z/delta)^rows (zero columns when delta = 0)."""
-    return IntMatrix.from_rows([[delta_cs if i == j else 0 for j in range(rows)]
-                                for i in range(rows)], rows)
-
-
 def _mod_delta_cokernel(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
-    """(Z/delta)^rows divided by the column span of m (delta = 0 gives Z^rows)."""
-    return group_from_relations(m.rows, m.hstack(_delta_relations(m.rows, delta_cs)))
-
-
-def _mod_delta_image(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
-    """Subgroup of (Z/delta)^rows generated by the columns of m."""
-    rel = _delta_relations(m.rows, delta_cs).columns()
-    return quotient_group(Lattice.from_columns(m.rows, m.columns() + rel),
-                          Lattice.from_columns(m.rows, rel))
-
-
-def _torus_partial_bar(t: ReductiveGroupData, d, genus: int):
-    """The connecting matrix of the torus closed form, written in a basis of
-    the cocharacter lattice adapted to d (first vector d/div(d))."""
-    r = t.cochar_rank
-    d = tuple(d)
-    div = divisibility(d, Lattice.full(r))
-    cols = []
-    # columns indexed by the adapted Sym^2 basis: e1e1, eiei, e1ei, eiej
-    cols.append(tuple((div + 1 - genus) if i == 0 else 0 for i in range(r)))
-    for i in range(1, r):
-        cols.append(tuple((1 - genus) if j == i else 0 for j in range(r)))
-    for i in range(1, r):
-        cols.append(tuple(div if j == i else 0 for j in range(r)))
-    # remaining mixed pairs map to zero
-    pairs_rest = (r - 1) * (r - 2) // 2
-    for _ in range(pairs_rest):
-        cols.append(tuple(0 for _ in range(r)))
-    return IntMatrix.from_columns(cols, r), div
+    """(Z/delta)^rows divided by the column span of m: relations m and delta * I
+    (delta = 0 gives Z^rows)."""
+    n = m.rows
+    return group_from_relations(n, m.hstack(IntMatrix.from_rows(
+        [[delta_cs if i == j else 0 for j in range(n)] for i in range(n)], n)))
 
 
 def torus_weight_cokernel_closed_form(genus: int, delta_cs: int, div: int, dim: int):
@@ -221,9 +186,11 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
                     lift=None) -> GerbeReport:
     """Cokernel of the weight homomorphism (the gerbe obstruction kernel).
 
-    Positive genus: assembled from the connecting map on the rigidified NS
-    group; exact for a torus (via the adapted-basis matrix) or whenever one of
-    the two graded pieces vanishes, otherwise reported as GradedPieces.
+    Positive genus: coker(wt) is an extension of coker(ev) by the cokernel
+    of the connecting map on the rigidified NS group, taken mod delta; it is
+    exact whenever one of the two graded pieces vanishes (always for a torus,
+    where coker(ev) is trivial and the result is checked against the printed
+    closed form of Cor 4.5), otherwise reported as GradedPieces.
     Genus zero: the extension of the hatted evaluation cokernel by the
     2-divisibility kernel.
     """
@@ -232,15 +199,22 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     require_hypotheses(f, g, "Thm4.4")
     lift = delta.lift(lift)
     notes = []
-    certificate = {}
     delta_cs = f.delta
     ev_cok = evaluation_cokernel(g, delta, lift=lift)
+    rig = ns_rigidified(g, delta, lift=lift)
+    _, coker_gamma = _gamma_bar(g, lift, f.genus, delta_cs)
+    pmat = _partial_matrix(g, rig, lift, f.genus)
+    ab_rank = pmat.rows
+    sub = _mod_delta_cokernel(pmat, delta_cs)      # Hom(Lambda(G^ab), Z/delta)/Im(partial)
+    # coker(ev) is trivial for a torus, so there coker(wt) is the sub piece
+    certificate = _bookkeeping(coker_gamma, sub if g.is_torus else None, delta_cs, ab_rank,
+                               ev_cok)
+    poincare = None
 
     if g.is_torus:
-        pb, div = _torus_partial_bar(g, lift, f.genus)
-        coker_wt = _mod_delta_cokernel(pb, delta_cs)
-        coker_gamma = _mod_delta_image(pb, delta_cs)
-        closed = torus_weight_cokernel_closed_form(f.genus, delta_cs, div, g.cochar_rank)
+        coker_wt: FGAbelianGroup | GradedPieces = sub
+        closed = torus_weight_cokernel_closed_form(
+            f.genus, delta_cs, divisibility(lift, Lattice.full(ab_rank)), ab_rank)
         if coker_wt != closed:
             notes.append(f"closed-form mismatch for coker(wt): {coker_wt.describe()} "
                          f"vs printed {closed.describe()}")
@@ -250,31 +224,12 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
                 f"factors of coker(gamma-bar) (computed {coker_gamma.describe()}, "
                 f"printed {closed.describe()}); the computed value is kept"
             )
-        poincare = None
-        if g.cochar_rank == 1:
+        if ab_rank == 1:
             poincare = poincare_bundle_exists(lift[0], f)
             if poincare != coker_wt.is_trivial:
                 raise ArithmeticError("Poincare criterion disagrees with coker(wt)")
-        certificate = _bookkeeping(coker_gamma, coker_wt, delta_cs, g.cochar_rank,
-                                   FGAbelianGroup.trivial())
-        return GerbeReport(
-            ev_cokernel=ev_cok,
-            coker_gamma_bar=coker_gamma,
-            coker_wt=coker_wt,
-            poincare_exists=poincare,
-            exact_sequence_certificate=certificate,
-            notes=tuple(notes),
-        )
-
-    # general reductive group, positive genus
-    rig = ns_rigidified(g, delta, lift=lift)
-    _, coker_gamma = _gamma_bar(g, lift, f.genus, delta_cs)
-    pmat = _partial_matrix(g, rig, lift, f.genus)
-    ab_rank = pmat.rows
-    sub = _mod_delta_cokernel(pmat, delta_cs)      # Hom(Lambda(G^ab), Z/delta)/Im(partial)
-    certificate = _bookkeeping(coker_gamma, None, delta_cs, ab_rank, ev_cok)
-    if delta_cs == 1 or sub.is_trivial:
-        coker_wt: FGAbelianGroup | GradedPieces = ev_cok
+    elif delta_cs == 1 or sub.is_trivial:
+        coker_wt = ev_cok
         notes.append("coker(wt) = coker(ev) (sub piece vanishes)")
     elif ev_cok.is_trivial:
         coker_wt = sub
@@ -287,7 +242,7 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         ev_cokernel=ev_cok,
         coker_gamma_bar=coker_gamma,
         coker_wt=coker_wt,
-        poincare_exists=None,
+        poincare_exists=poincare,
         exact_sequence_certificate=certificate,
         notes=tuple(notes),
     )

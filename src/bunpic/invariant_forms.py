@@ -90,11 +90,6 @@ def _product_terms(n: int, u, w):
                 yield (_pair_index(n, i, j) if i <= j else _pair_index(n, j, i)), a * b
 
 
-def gram_to_coords(gram: IntMatrix) -> tuple:
-    n = gram.rows
-    return tuple(gram[i, j] for i, j in sym2_pairs(n))
-
-
 def coords_to_gram(n: int, coords) -> IntMatrix:
     coords = list(coords)
     g = [[0] * n for _ in range(n)]
@@ -119,9 +114,6 @@ class BilinearForm:
         if self.gram != self.gram.transpose():
             raise ValueError("Gram matrix must be symmetric")
 
-    def coords(self) -> tuple:
-        return gram_to_coords(self.gram)
-
 
 @dataclass(frozen=True)
 class FormLattice:
@@ -144,12 +136,6 @@ class FormLattice:
         """The basis forms as Gram matrices, for output."""
         return tuple(BilinearForm(coords_to_gram(self.ambient_rank, c))
                      for c in self.coords.columns())
-
-    def lattice(self) -> Lattice:
-        return Lattice(sym2_dim(self.ambient_rank), self.coords)
-
-    def contains(self, other: "FormLattice") -> bool:
-        return self.lattice().contains_lattice(other.lattice())
 
     def values(self, pairs) -> IntMatrix:
         """The matrix with one row per pair (u, w) and one column per basis

@@ -724,7 +724,7 @@ def divisibility(d, l: Lattice) -> int:
 # full-center torus cover (realizes the golden-table groups)
 
 
-def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
+def with_central_torus(g_sc: ReductiveGroupData):
     """Glue a torus to a simply connected group along its full center.
 
     Returns ``(G, gens)`` where G is reductive with D(G) = g_sc and
@@ -768,7 +768,7 @@ def with_central_torus(g_sc: ReductiveGroupData, label: str = ""):
                                "root not integral on the glued lattice").transpose()
     group = ReductiveGroupData(
         m + k, new_coroots, new_roots, g_sc.factor_types,
-        label=label or f"({g_sc}xT{k})/Z",
+        label=f"({g_sc}xT{k})/Z",
     )
     gen_cochars = [tuple(to_new_coords(vec)) for vec in glue]
     return group, gen_cochars

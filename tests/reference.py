@@ -8,7 +8,13 @@ elimination over ``Fraction``, ``det`` by Bareiss elimination,
 The sc even forms and the conditional form lattice are rebuilt by Weyl
 kernels of their own, on the simple-coroot basis and on the basis of
 Lambda(T_D(G)), where the library builds the first from the basic inner
-products and cuts the second from it.
+products and cuts the second from it.  ``torus_partial_bar`` and
+``mod_delta_image`` are the adapted-basis route of the proof of Cor 4.5,
+which the library replaces by the general connecting map on tori too.
+``gram_to_coords`` reads a Gram matrix as Sym^2 coordinates,
+``form_lattice`` views a ``FormLattice`` as a ``Lattice`` of those
+coordinates, and ``contains_lattice`` tests lattice inclusion column by
+column.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,9 @@ from fractions import Fraction
 from bunpic.exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
+    Lattice,
     group_from_relations,
+    quotient_group,
     rational_coordinates,
     smith_normal_form,
 )
@@ -26,8 +34,10 @@ from bunpic.invariant_forms import (
     _cut_coefficients,
     _diagonal_even_conditions,
     _invariant_coord_columns,
+    sym2_dim,
+    sym2_pairs,
 )
-from bunpic.root_datum import cross_diagram
+from bunpic.root_datum import cross_diagram, divisibility
 
 
 def solve(m: IntMatrix, b) -> tuple | None:
@@ -159,6 +169,57 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
         [[d if i == t.free_rank + k else 0 for i in range(t.ngens)]
          for k, d in enumerate(t.torsion)], t.ngens)
     return group_from_relations(t.ngens, f.matrix.hstack(relations))
+
+
+def contains_lattice(big: Lattice, small: Lattice) -> bool:
+    """Whether ``small`` is a sublattice of ``big``: every basis column of
+    ``small`` lies in ``big``."""
+    return all(big.contains(c) for c in small.basis.columns())
+
+
+# ---------------------------------------------------------------------------
+# the torus weight cokernel on a basis adapted to d (proof of Cor 4.5)
+
+
+def torus_partial_bar(t, d, genus: int):
+    """The connecting matrix of the torus closed form, written in a basis of
+    the cocharacter lattice adapted to d (first vector d/div(d))."""
+    r = t.cochar_rank
+    d = tuple(d)
+    div = divisibility(d, Lattice.full(r))
+    cols = []
+    # columns indexed by the adapted Sym^2 basis: e1e1, eiei, e1ei, eiej
+    cols.append(tuple((div + 1 - genus) if i == 0 else 0 for i in range(r)))
+    for i in range(1, r):
+        cols.append(tuple((1 - genus) if j == i else 0 for j in range(r)))
+    for i in range(1, r):
+        cols.append(tuple(div if j == i else 0 for j in range(r)))
+    # remaining mixed pairs map to zero
+    pairs_rest = (r - 1) * (r - 2) // 2
+    for _ in range(pairs_rest):
+        cols.append(tuple(0 for _ in range(r)))
+    return IntMatrix.from_columns(cols, r)
+
+
+def mod_delta_image(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
+    """Subgroup of (Z/delta)^rows generated by the columns of m."""
+    rel = [tuple(delta_cs if i == j else 0 for i in range(m.rows)) for j in range(m.rows)]
+    return quotient_group(Lattice.from_columns(m.rows, m.columns() + rel),
+                          Lattice.from_columns(m.rows, rel))
+
+
+# ---------------------------------------------------------------------------
+# form lattices
+
+
+def gram_to_coords(gram: IntMatrix) -> tuple:
+    """The Sym^2 coordinates of a Gram matrix: its entries (i, j), i <= j."""
+    return tuple(gram[i, j] for i, j in sym2_pairs(gram.rows))
+
+
+def form_lattice(forms: FormLattice) -> Lattice:
+    """The forms as a lattice of Sym^2 coordinates."""
+    return Lattice(sym2_dim(forms.ambient_rank), forms.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from bunpic.exact_algebra import (
     smith_normal_form,
     solve_congruence_sublattice,
 )
-from reference import GroupHom, cokernel, det, rational_solve, solve
+from reference import GroupHom, cokernel, contains_lattice, det, rational_solve, solve
 
 
 def spans_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -251,7 +251,7 @@ def test_saturation_idempotent():
         l = Lattice.from_columns(n, cols)
         s = saturation(l)
         assert saturation(s) == s
-        assert s.contains_lattice(l)
+        assert contains_lattice(s, l)
         assert s.rank == l.rank
 
 
@@ -294,6 +294,17 @@ def test_lattice_refuses_entries_that_are_not_integers(bad):
         Lattice.full(2).contains((bad, 0))
     with pytest.raises(ValueError, match=f"not {bad!r}"):
         Lattice.from_columns(1, [(2,)]).coordinates((bad,))
+
+
+@pytest.mark.parametrize("build,bad", [
+    (lambda: IntMatrix.from_rows([[1.5]]), 1.5),
+    (lambda: IntMatrix.from_columns([[True]], 1), True),
+    (lambda: IntMatrix.from_rows([["2"]]), "2"),
+])
+def test_matrices_refuse_entries_that_are_not_integers(build, bad):
+    # int() read these as 1, 1 and 2
+    with pytest.raises(ValueError, match=f"not {bad!r}"):
+        build()
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.5, 2.0, True])

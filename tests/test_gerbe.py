@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import gcd
 
@@ -8,6 +9,7 @@ from bunpic.exact_algebra import FGAbelianGroup
 from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import (
     GradedPieces,
+    _mod_delta_cokernel,
     evaluation_cokernel,
     evaluation_cokernel_table,
     poincare_bundle_exists,
@@ -18,7 +20,7 @@ from bunpic.gerbe import (
 from bunpic.invariant_forms import ns_bun, ns_bun_p1, ns_rigidified
 from bunpic.picard import HypothesisNotSatisfied, reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, pi1_presentation, product
-from reference import det
+from reference import det, mod_delta_image, torus_partial_bar
 
 
 def synthetic(genus, delta):
@@ -228,23 +230,20 @@ def test_weight_cokernel_delta1_collapse():
 
 
 def test_torus_partial_matrix_agrees_with_general_connecting_map():
-    # the adapted-basis matrix route (Cor 4.5 proof) and the general
-    # reductive connecting-map machinery give isomorphic cokernels on tori
-    from bunpic.gerbe import _gamma_bar, _mod_delta_image, _torus_partial_bar
-
-    rng = random.Random(47)
-    for _ in range(10):
-        r = rng.randint(1, 3)
+    # the adapted-basis matrix route (Cor 4.5 proof, tests/reference.py) and
+    # the general connecting map that weight_cokernel takes for every group
+    # give the same coker(wt) and coker(gamma-bar) on tori
+    cases = [(1, 0)] + [(g_, d) for g_ in (1, 2, 3) for d in range(1, max(2 * g_ - 1, 2))
+                        if (2 * g_ - 2) % d == 0]
+    for r in (1, 2, 3):
         t = build_group(f"T({r})")
-        g_ = rng.randint(1, 3)
-        delta_cs = rng.choice([d for d in range(1, max(2 * g_ - 1, 2))
-                               if (2 * g_ - 2) % d == 0] or [1])
-        d = tuple(rng.randint(-3, 3) for _ in range(r))
-        delta = Pi1Element.from_coords(t, d)
-        _, via_general = _gamma_bar(t, delta.lift(d), g_, delta_cs)
-        pb, _ = _torus_partial_bar(t, d, g_)
-        via_matrix = _mod_delta_image(pb, delta_cs)
-        assert via_general == via_matrix, (r, g_, delta_cs, d)
+        for d in itertools.product(range(-3, 4), repeat=r):
+            delta = Pi1Element.from_coords(t, d)
+            for g_, delta_cs in cases:
+                rep = weight_cokernel(t, delta, synthetic(g_, delta_cs))
+                pb = torus_partial_bar(t, d, g_)
+                assert rep.coker_wt == _mod_delta_cokernel(pb, delta_cs), (r, g_, delta_cs, d)
+                assert rep.coker_gamma_bar == mod_delta_image(pb, delta_cs), (r, g_, delta_cs, d)
 
 
 def test_weight_cokernel_reductive_graded():

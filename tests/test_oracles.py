@@ -10,7 +10,7 @@ from the diagonal, and evenness on the derived lattice Lambda(T_D(G)) = the
 integer points of the rational span of the coroots, tested on the box points
 that ``reference.rational_solve`` puts in that span.  The oracle uses no
 ``Lattice``, echelon or Smith form; the library's answer is read through
-``FormLattice.lattice().contains``.
+``reference.form_lattice(...).contains``.
 
 NS(Bun^delta) membership of (chi, c), c the coefficients of b = sum c_k b_k
 on the D-even basis forms, is decided from its definition: res(chi - b(d, -))
@@ -33,7 +33,7 @@ from bunpic.invariant_forms import (
     sym2_pairs,
 )
 from bunpic.root_datum import Pi1Element, build_group, fundamental_group, with_central_torus
-from reference import rational_solve, reflection
+from reference import form_lattice, rational_solve, reflection
 from test_invariant_forms import SMALL_FACTORS, _coroot_shifts
 
 SMALL_PRODUCTS = ["T(1)*T(1)", "SL(2)*SL(2)", "SL(2)*PGL(2)",
@@ -79,9 +79,9 @@ def assert_form_lattices_match_the_oracle(g):
     # s as the images of the unit vectors (the columns of the reflection)
     reflections = [reflection(g, i).transpose().to_lists() for i in range(g.ss_rank)]
     derived = derived_box_points(g)
-    invariant = invariant_sym_forms(g).lattice()
-    even = even_invariant_forms(g).lattice()
-    d_even = d_even_forms(g).lattice()
+    invariant = form_lattice(invariant_sym_forms(g))
+    even = form_lattice(even_invariant_forms(g))
+    d_even = form_lattice(d_even_forms(g))
     for coords, gram in gram_candidates(n):
         inv = is_weyl_invariant(gram, reflections)
         is_even = inv and all(gram[i][i] % 2 == 0 for i in range(n))

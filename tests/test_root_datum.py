@@ -25,6 +25,7 @@ from bunpic.root_datum import (
     pi1_presentation,
     with_central_torus,
 )
+from reference import contains_lattice
 
 NAMED = [
     "SL(2)", "SL(3)", "SL(4)", "SL(5)", "GL(2)", "GL(3)", "GL(4)",
@@ -160,9 +161,9 @@ def test_cross_diagram_gl_n():
 
 def adjoint_chain_holds(cd):
     """The coroot lattice, Lambda(T_D) and Lambda(T_G) map into Z^m in a chain."""
-    return (cd.derived_in_adjoint.contains_lattice(cd.sc_in_adjoint)
-            and cd.ss_in_adjoint.contains_lattice(cd.derived_in_adjoint)
-            and Lattice.full(cd.adjoint_rank).contains_lattice(cd.ss_in_adjoint))
+    return (contains_lattice(cd.derived_in_adjoint, cd.sc_in_adjoint)
+            and contains_lattice(cd.ss_in_adjoint, cd.derived_in_adjoint)
+            and contains_lattice(Lattice.full(cd.adjoint_rank), cd.ss_in_adjoint))
 
 
 def test_cross_diagram_sl2_indexes():

@@ -32,10 +32,10 @@ Which normal form does which job:
   ``_preimage_basis``, the HNF basis of ``{x : m*x in the span of rel}``:
   the lower blocks of the columns of ``[[m, rel], [I, 0]]`` whose top block
   the echelon clears.  That one routine builds integer kernels
-  (:func:`kernel_basis`, no ``rel``), preimages (:func:`preimage_lattice`),
-  intersections (:meth:`Lattice.intersection`) and congruence lattices
-  (:func:`solve_congruence_sublattice`, ``rel = diag(m)`` after each
-  modulus's functionals are cut to an echelon basis of their span);
+  (:func:`kernel_basis`, no ``rel``), preimages (:func:`preimage_lattice`)
+  and congruence lattices (:func:`solve_congruence_sublattice`,
+  ``rel = diag(m)`` after each modulus's functionals are cut to an echelon
+  basis of their span);
 * membership and coordinates in a lattice back-substitute along the pivot
   rows of its HNF basis (:meth:`Lattice.coordinates`);
 * one Smith normal form, :func:`smith_normal_form`, which also carries the
@@ -389,18 +389,6 @@ class Lattice:
                 r = [a - q * b for a, b in zip(r, col)]
             x.append(q)
         return None if any(r) else tuple(x)
-
-    def sum(self, other: "Lattice") -> "Lattice":
-        return Lattice.from_columns(self.ambient_rank,
-                                    self.basis.columns() + other.basis.columns())
-
-    def intersection(self, other: "Lattice") -> "Lattice":
-        """The basis of ``self`` applied to the coordinates ``x`` with
-        ``basis * x`` in ``other``."""
-        if other.ambient_rank != self.ambient_rank:
-            raise ValueError("ambient rank mismatch")
-        coords = _preimage_basis(self.basis, other.basis.columns())
-        return Lattice.from_columns(self.ambient_rank, self.basis.mul(coords).columns())
 
 
 def saturation(l: Lattice) -> Lattice:

@@ -28,12 +28,13 @@ from .family import CurveFamily
 from .invariant_forms import (
     _derived_quotient,
     _ns_rigidified,
+    _root_relations,
     _sc_coordinates,
     conditional_form_lattice,
     ns_rigidified,
     sc_even_forms,
 )
-from .picard import PicardReport, _delta_ab_two_divisible, _test_points, require_hypotheses
+from .picard import PicardReport, _delta_ab_two_divisible, _divisibility_image, require_hypotheses
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
@@ -209,10 +210,8 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     # coker(ev) is trivial for a torus, so there coker(wt) is the sub piece
     certificate = _bookkeeping(coker_gamma, sub if g.is_torus else None, delta_cs, ab_rank,
                                ev_cok)
-    poincare = None
-
+    coker_wt, vanishing = _extension(sub, ev_cok)
     if g.is_torus:
-        coker_wt: FGAbelianGroup | GradedPieces = sub
         closed = torus_weight_cokernel_closed_form(
             f.genus, delta_cs, divisibility(lift, Lattice.full(ab_rank)), ab_rank)
         if coker_wt != closed:
@@ -224,28 +223,44 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
                 f"factors of coker(gamma-bar) (computed {coker_gamma.describe()}, "
                 f"printed {closed.describe()}); the computed value is kept"
             )
-        if ab_rank == 1:
-            poincare = poincare_bundle_exists(lift[0], f)
-            if poincare != coker_wt.is_trivial:
-                raise ArithmeticError("Poincare criterion disagrees with coker(wt)")
-    elif delta_cs == 1 or sub.is_trivial:
-        coker_wt = ev_cok
-        notes.append("coker(wt) = coker(ev) (sub piece vanishes)")
-    elif ev_cok.is_trivial:
-        coker_wt = sub
-        notes.append("coker(wt) = Hom(Lambda(G^ab), Z/delta)/Im(partial) "
-                     "(quotient piece vanishes)")
     else:
-        coker_wt = GradedPieces(sub=sub, quotient=ev_cok)
-        notes.append("coker(wt) determined only up to extension; reporting graded pieces")
+        notes.append({
+            "sub": "coker(wt) = coker(ev) (sub piece vanishes)",
+            "quotient": "coker(wt) = Hom(Lambda(G^ab), Z/delta)/Im(partial) "
+                        "(quotient piece vanishes)",
+            None: "coker(wt) determined only up to extension; reporting graded pieces",
+        }[vanishing])
     return GerbeReport(
         ev_cokernel=ev_cok,
         coker_gamma_bar=coker_gamma,
         coker_wt=coker_wt,
-        poincare_exists=poincare,
+        poincare_exists=_poincare_check(g, lift, f, coker_wt),
         exact_sequence_certificate=certificate,
         notes=tuple(notes),
     )
+
+
+def _extension(sub: FGAbelianGroup, quotient: FGAbelianGroup):
+    """coker(wt) from its graded pieces, an extension of ``quotient`` by
+    ``sub``: exact when one piece vanishes (the sub piece is tried first),
+    else GradedPieces.  Returns it with the piece that vanished ("sub",
+    "quotient" or None)."""
+    if sub.is_trivial:
+        return quotient, "sub"
+    if quotient.is_trivial:
+        return sub, "quotient"
+    return GradedPieces(sub=sub, quotient=quotient), None
+
+
+def _poincare_check(g: ReductiveGroupData, lift: tuple, f: CurveFamily, coker_wt):
+    """For T(1), the Mestrano-Ramanan criterion, checked against coker(wt):
+    a Poincare bundle exists iff coker(wt) vanishes.  None for other groups."""
+    if not (g.is_torus and g.cochar_rank == 1):
+        return None
+    poincare = poincare_bundle_exists(lift[0], f)
+    if poincare != (isinstance(coker_wt, FGAbelianGroup) and coker_wt.is_trivial):
+        raise ArithmeticError("Poincare criterion disagrees with coker(wt)")
+    return poincare
 
 
 def _bookkeeping(coker_gamma, coker_wt, delta_cs, ab_rank, ev_cok) -> dict:
@@ -271,19 +286,17 @@ def _gamma_bar(g: ReductiveGroupData, lift: tuple, genus: int, delta_cs: int):
 
     The image is in coefficients on the rigidified NS basis: the forms for
     which some root-lattice character beta repairs the divisibility
-    delta | beta(x) + b(d, x) + (g-1) b(x, x) at the basis and pairwise test
-    points (the weight class of a line bundle on the rigidification is only
-    zero modulo the root lattice, which makes this set lift-independent).
-    The form part is read off as b(x, d + (g-1) x), by bilinearity.  Kept on
-    the group, so the rigidified and gerbe computations share it."""
+    delta | beta(x) + b(d, x) + (g-1) b(x, x) at the test points of
+    ``picard._divisibility_image`` (the weight class of a line bundle on the
+    rigidification is only zero modulo the root lattice, which makes this set
+    lift-independent).  That routine reads the condition of Thm 3.18, with
+    -b(d, x) where Thm 4.3 has +b(d, x), so it is passed the lift -d.  Kept
+    on the group, so the rigidified and gerbe computations share it."""
     rig = _ns_rigidified(g, lift)
-    nroots, nforms = g.ss_rank, rig.key.cols
-    points = _test_points(g.cochar_rank)
-    vals = rig.form_basis.values(
-        [(x, tuple(a + (genus - 1) * b for a, b in zip(lift, x))) for x in points])
-    funcs = IntMatrix.from_rows(points).mul(g.simple_roots).hstack(vals.mul(rig.key))
-    sols = solve_congruence_sublattice(nroots + nforms, [(f, delta_cs) for f in funcs.entries])
-    image = Lattice.from_columns(nforms, [c[nroots:] for c in sols.basis.columns()])
+    key = rig.key
+    members = IntMatrix.from_rows([(0,) * key.cols] * g.cochar_rank + list(key.entries), key.cols)
+    image = _divisibility_image(members, _root_relations(g, key.rows),
+                                tuple(-a for a in lift), genus, delta_cs, rig.form_basis)
     return image, group_from_relations(image.ambient_rank, image.basis)
 
 
@@ -294,20 +307,8 @@ def _weight_cokernel_genus0(g, delta, f, lift):
     two_div = _delta_ab_two_divisible(g, delta)
     kernel_piece = (FGAbelianGroup.trivial()
                     if f.delta == 1 or two_div else FGAbelianGroup.cyclic(2))
-    notes = []
-    if kernel_piece.is_trivial:
-        coker_wt: FGAbelianGroup | GradedPieces = ev_cok
-    elif ev_cok.is_trivial:
-        coker_wt = kernel_piece
-    else:
-        coker_wt = GradedPieces(sub=kernel_piece, quotient=ev_cok)
-        notes.append("genus-0 coker(wt) reported as graded pieces")
-    poincare = None
-    if g.is_torus and g.cochar_rank == 1:
-        poincare = poincare_bundle_exists(lift[0], f)
-        wt_triv = coker_wt.is_trivial if isinstance(coker_wt, FGAbelianGroup) else False
-        if poincare != wt_triv:
-            raise ArithmeticError("Poincare criterion disagrees with genus-0 coker(wt)")
+    coker_wt, vanishing = _extension(kernel_piece, ev_cok)
+    notes = [] if vanishing else ["genus-0 coker(wt) reported as graded pieces"]
     cert = {
         "ev_cokernel_order": ev_cok.order(),
         "kernel_piece_order": kernel_piece.order(),
@@ -316,7 +317,7 @@ def _weight_cokernel_genus0(g, delta, f, lift):
         ev_cokernel=ev_cok,
         coker_gamma_bar=None,
         coker_wt=coker_wt,
-        poincare_exists=poincare,
+        poincare_exists=_poincare_check(g, lift, f, coker_wt),
         exact_sequence_certificate=cert,
         notes=tuple(notes),
     )

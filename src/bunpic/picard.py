@@ -23,7 +23,6 @@ from .family import CurveFamily, hypothesis_check
 from .invariant_forms import (
     BilinearForm,
     FormLattice,
-    NSGroup,
     _derived_quotient,
     conditional_form_lattice,
     invariant_sym_forms,
@@ -275,20 +274,32 @@ def _test_points(n: int) -> list:
                for i in range(n) for j in range(i + 1, n)])
 
 
-def _divisibility_conditions(n: int, d, genus: int, delta_cs: int, forms: FormLattice):
-    """Linear congruence conditions (on chi coordinates + form coefficients)
-    expressing: delta(C/S) divides chi(x) - b(d, x) + (g-1) b(x, x) for all x.
-    The form part is read off as b(x, (g-1) x - d), by bilinearity.
+def _divisibility_image(members: IntMatrix, relations: IntMatrix, d, genus: int,
+                        delta_cs: int, forms: FormLattice) -> Lattice:
+    """The lattice of coordinates x on the columns of ``members`` (ambient
+    chi coordinates, then coefficients on ``forms``) for which some y on the
+    columns of ``relations`` makes (chi, b) = members * x + relations * y
+    satisfy delta(C/S) | chi(v) - b(d, v) + (g-1) b(v, v) for every
+    cocharacter v.  The form part is read off as b(v, (g-1) v - d), by
+    bilinearity.
 
     It is enough to impose the condition at the basis vectors e_i and the
-    sums e_i + e_j: the defect c(x+y) - c(x) - c(y) = 2(g-1) b(x, y) is
+    sums e_i + e_j: the defect c(v+w) - c(v) - c(w) = 2(g-1) b(v, w) is
     generated by the pairwise conditions, and the remaining diagonal defect
-    (g-1)(k^2-k) b(x, x) lies in (2g-2) Z, a multiple of delta(C/S) for every
+    (g-1)(k^2-k) b(v, v) lies in (2g-2) Z, a multiple of delta(C/S) for every
     valid family (in genus 1 the quadratic part vanishes outright).
+
+    One congruence solve runs on (x, y).  Its HNF columns whose pivot lies in
+    the x rows, cut to those rows, are the HNF basis of the projection onto
+    x: every other column has x = 0.
     """
-    points = _test_points(n)
+    points = _test_points(len(d))
     vals = forms.values([(x, tuple((genus - 1) * a - b for a, b in zip(x, d))) for x in points])
-    return [(x + vals.row(i), delta_cs) for i, x in enumerate(points)]
+    funcs = IntMatrix.from_rows([x + vals.row(i) for i, x in enumerate(points)],
+                                members.rows).mul(members.hstack(relations))
+    k = members.cols
+    sols = solve_congruence_sublattice(k + relations.cols, [(f, delta_cs) for f in funcs.entries])
+    return Lattice(k, IntMatrix.from_columns([c[:k] for c in sols.basis.columns() if any(c[:k])], k))
 
 
 def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
@@ -301,9 +312,10 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
     n = t.cochar_rank
     d = tuple(d)
     forms = invariant_sym_forms(t)
-    conds = _divisibility_conditions(n, d, f.genus, f.delta, forms)
-    image = solve_congruence_sublattice(n + forms.rank, conds)
-    cok = group_from_relations(n + forms.rank, image.basis)
+    total = n + forms.rank
+    image = _divisibility_image(IntMatrix.identity(total), IntMatrix.zero(total, 0),
+                                d, f.genus, f.delta, forms)
+    cok = group_from_relations(total, image.basis)
     complete = hypothesis_check(f, t, "Thm3.9")
     rows = (
         ExtensionRow("char lattice x RPic^0(C/S)", "RPic^taut",
@@ -333,19 +345,6 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
 
 # ---------------------------------------------------------------------------
 # reductive groups
-
-
-def _ns_image_sublattice(ns: NSGroup, genus: int, delta_cs: int) -> Lattice:
-    """Members of NS(Bun) satisfying the divisibility condition, computed in
-    the ambient (chi, form-coefficient) coordinates.  The weight entry of an
-    NS class is only a class modulo the root lattice, so the condition is
-    intersected after adjoining the root-lattice directions: a class belongs
-    to the image iff some representative satisfies the congruences."""
-    n = ns.chi_rank
-    conds = _divisibility_conditions(n, ns.lift, genus, delta_cs, ns.form_basis)
-    cond_lat = solve_congruence_sublattice(n + ns.form_basis.rank, conds)
-    rel_lat = Lattice.from_columns(cond_lat.ambient_rank, ns.relations.columns())
-    return Lattice(ns.key.rows, ns.key).intersection(cond_lat.sum(rel_lat))
 
 
 def reductive_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
@@ -380,10 +379,13 @@ def _reductive_picard_positive(g, delta, f, lift):
     ns_hyp = hypothesis_check(f, g, "Thm4.3")  # same hypotheses as Thm 3.18
     if ns_hyp:
         ns = ns_bun(g, delta, lift=lift)
-        image = _ns_image_sublattice(ns, f.genus, f.delta)
+        # Thm 3.18: the classes key * x of NS(Bun) with a representative that
+        # meets the divisibility condition; the image holds the relations
+        x = _divisibility_image(ns.key, ns.relations, ns.lift, f.genus, f.delta, ns.form_basis)
+        image = Lattice.from_columns(ns.key.rows, ns.key.mul(x.basis).columns())
         ambient = ("NS(Bun) coordinates: characters then d-even form coefficients, "
                    "classes taken modulo the root lattice")
-        img_cok = quotient_group(Lattice(ns.key.rows, ns.key), image)   # image holds the relations
+        img_cok = group_from_relations(x.ambient_rank, x.basis)
         index = img_cok.order()
         notes.append(
             f"Thm 3.18 image inside NS(Bun): cokernel {img_cok.describe()} "
@@ -419,11 +421,11 @@ def _reductive_picard_genus0(g, delta, f, lift):
         image = members
         cok = FGAbelianGroup.trivial()
     else:
-        parity = solve_congruence_sublattice(total, [(ns.lift + (0,) * ns.form_basis.rank, 2)])
-        certs = Lattice(total, ns.certificates)
-        even_certs = certs.intersection(parity)
-        rels = Lattice.from_columns(total, ns.relations.columns())
-        image = even_certs.sum(rels)
+        # the certificates c * x with chi(d) even, plus the relations
+        parity = ns.certificates.transpose().mul_vector(ns.lift + (0,) * ns.form_basis.rank)
+        even = solve_congruence_sublattice(ns.certificates.cols, [(parity, 2)])
+        image = Lattice.from_columns(
+            total, ns.certificates.mul(even.basis).columns() + ns.relations.columns())
         cok = quotient_group(members, image)
     index = cok.order()
     # Cor 3.21 bookkeeping: coker(c) is an extension of coker(p) by the

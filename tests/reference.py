@@ -13,8 +13,14 @@ products and cuts the second from it.  ``torus_partial_bar`` and
 which the library replaces by the general connecting map on tori too.
 ``gram_to_coords`` reads a Gram matrix as Sym^2 coordinates,
 ``form_lattice`` views a ``FormLattice`` as a ``Lattice`` of those
-coordinates, and ``contains_lattice`` tests lattice inclusion column by
-column.
+coordinates, ``contains_lattice`` tests lattice inclusion column by column,
+and ``lattice_sum`` and ``intersection`` compose lattices.
+``ns_image_sublattice`` and ``gamma_bar_image`` are the divisibility images
+of Thm 3.18 and Thm 4.3 composed from those lattice operations and a second
+echelon, where the library solves each with one congruence solve in the
+member and relation coordinates together; ``divisibility_conditions`` gives
+the torus image of Thm 3.8 as one congruence lattice, and ``parity_image``
+the genus-0 image of Thm 3.20 as an intersection and a sum.
 """
 
 from dataclasses import dataclass
@@ -25,9 +31,11 @@ from bunpic.exact_algebra import (
     IntMatrix,
     Lattice,
     group_from_relations,
+    preimage_lattice,
     quotient_group,
     rational_coordinates,
     smith_normal_form,
+    solve_congruence_sublattice,
 )
 from bunpic.invariant_forms import (
     FormLattice,
@@ -175,6 +183,72 @@ def contains_lattice(big: Lattice, small: Lattice) -> bool:
     """Whether ``small`` is a sublattice of ``big``: every basis column of
     ``small`` lies in ``big``."""
     return all(big.contains(c) for c in small.basis.columns())
+
+
+def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
+    """The lattice spanned by ``a`` and ``b``."""
+    return Lattice.from_columns(a.ambient_rank, a.basis.columns() + b.basis.columns())
+
+
+def intersection(a: Lattice, b: Lattice) -> Lattice:
+    """The basis of ``a`` applied to the coordinates ``x`` with ``basis * x``
+    in ``b``."""
+    coords = preimage_lattice(a.basis, b)
+    return Lattice.from_columns(a.ambient_rank, a.basis.mul(coords.basis).columns())
+
+
+# ---------------------------------------------------------------------------
+# the Picard images of Thm 3.8, 3.18, 3.20 and 4.3 by composed lattices
+
+
+def divisibility_points(n: int) -> list:
+    """The basis vectors e_i, then the sums e_i + e_j for i < j."""
+    return ([tuple(int(k == i) for k in range(n)) for i in range(n)]
+            + [tuple(int(k in (i, j)) for k in range(n))
+               for i in range(n) for j in range(i + 1, n)])
+
+
+def divisibility_conditions(n: int, d, genus: int, delta_cs: int, forms) -> list:
+    """The congruences delta(C/S) | chi(x) - b(d, x) + (g-1) b(x, x) at the
+    test points, on chi coordinates then coefficients on ``forms``."""
+    points = divisibility_points(n)
+    vals = forms.values([(x, tuple((genus - 1) * a - b for a, b in zip(x, d))) for x in points])
+    return [(x + vals.row(i), delta_cs) for i, x in enumerate(points)]
+
+
+def ns_image_sublattice(ns, genus: int, delta_cs: int) -> Lattice:
+    """Members of NS(Bun) with a representative modulo the root lattice that
+    meets the divisibility condition: the members intersected with
+    (congruence lattice + relations)."""
+    n, forms = ns.chi_rank, ns.form_basis
+    total = n + forms.rank
+    cond = solve_congruence_sublattice(
+        total, divisibility_conditions(n, ns.lift, genus, delta_cs, forms))
+    rel = Lattice.from_columns(total, ns.relations.columns())
+    return intersection(Lattice(total, ns.key), lattice_sum(cond, rel))
+
+
+def parity_image(ns) -> Lattice:
+    """The Thm 3.20 image for a family that is not Zariski-locally trivial:
+    the certificates (chi, b) with chi(d) even, plus the relations."""
+    total = ns.key.rows
+    parity = solve_congruence_sublattice(total, [(ns.lift + (0,) * ns.form_basis.rank, 2)])
+    even = intersection(Lattice(total, ns.certificates), parity)
+    return lattice_sum(even, Lattice.from_columns(total, ns.relations.columns()))
+
+
+def gamma_bar_image(g, rig, genus: int, delta_cs: int) -> Lattice:
+    """Coefficients c on the rigidified NS basis for which some root
+    coefficients beta meet delta(C/S) | beta(x) + b(d, x) + (g-1) b(x, x) at
+    the test points: the solutions (beta, c), projected to c and put in HNF
+    again."""
+    nroots, nforms = g.ss_rank, rig.key.cols
+    points = divisibility_points(g.cochar_rank)
+    vals = rig.form_basis.values(
+        [(x, tuple(a + (genus - 1) * b for a, b in zip(rig.lift, x))) for x in points])
+    funcs = IntMatrix.from_rows(points).mul(g.simple_roots).hstack(vals.mul(rig.key))
+    sols = solve_congruence_sublattice(nroots + nforms, [(f, delta_cs) for f in funcs.entries])
+    return Lattice.from_columns(nforms, [c[nroots:] for c in sols.basis.columns()])
 
 
 # ---------------------------------------------------------------------------

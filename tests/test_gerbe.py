@@ -9,6 +9,7 @@ from bunpic.exact_algebra import FGAbelianGroup
 from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import (
     GradedPieces,
+    _extension,
     _mod_delta_cokernel,
     evaluation_cokernel,
     evaluation_cokernel_table,
@@ -247,13 +248,28 @@ def test_torus_partial_matrix_agrees_with_general_connecting_map():
 
 
 def test_weight_cokernel_reductive_graded():
-    # GL(2) over a delta(C/S) = 2 family: both pieces can be nontrivial
-    g = build_group("GL(2)")
-    fam = synthetic(2, 2)
-    rep = weight_cokernel(g, Pi1Element.from_coords(g, (0,)), fam)
-    if isinstance(rep.coker_wt, GradedPieces):
-        assert rep.coker_wt.total_order == (rep.coker_wt.sub.order()
-                                            * rep.coker_wt.quotient.order())
+    # GL(4), delta = 0, universal:3,0 (genus 3, delta(C/S) = 4): at the
+    # canonical lift both pieces are nontrivial, the one graded record of the
+    # held-out sweep_small; the sub piece is not pinned, as it can depend on
+    # the lift (ROADMAP item 2)
+    g = build_group("GL(4)")
+    delta = Pi1Element.from_coords(g, (0,))
+    rep = weight_cokernel(g, delta, parse_family("universal:3,0"))
+    assert isinstance(rep.coker_wt, GradedPieces)
+    assert not rep.coker_wt_is_exact
+    assert rep.coker_wt.quotient == evaluation_cokernel(g, delta) == FGAbelianGroup.cyclic(4)
+    assert rep.coker_wt.total_order == rep.coker_wt.sub.order() * 4
+
+
+@pytest.mark.parametrize("piece", [FGAbelianGroup.cyclic(6), FGAbelianGroup.free(1),
+                                   FGAbelianGroup.direct_sum(FGAbelianGroup.cyclic(2),
+                                                             FGAbelianGroup.cyclic(4))])
+def test_extension_with_a_trivial_piece_is_the_direct_sum(piece):
+    trivial = FGAbelianGroup.trivial()
+    assert _extension(trivial, piece) == (FGAbelianGroup.direct_sum(trivial, piece), "sub")
+    assert _extension(piece, trivial) == (FGAbelianGroup.direct_sum(piece, trivial), "quotient")
+    assert _extension(trivial, trivial) == (trivial, "sub")
+    assert _extension(piece, piece) == (GradedPieces(sub=piece, quotient=piece), None)
 
 
 def test_weight_cokernel_hypothesis_gate():

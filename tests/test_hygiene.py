@@ -1,8 +1,8 @@
 """Source hygiene of ``src/bunpic``, read from the syntax tree: no import that
 nothing uses, no module-level private function that nothing calls, no public
-method or unexported public function that only the tests read (a static
-method counts as read only through its class), and no value read out of a
-JSON object coerced into a type."""
+method or unexported public function that only the tests read (a method
+counts as read only through an attribute, a static method only through its
+class), and no value read out of a JSON object coerced into a type."""
 
 import ast
 from collections import Counter
@@ -24,6 +24,11 @@ def name_reads(node) -> Counter:
     """How often the node reads each name: bare names and attribute names."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def attribute_reads(node) -> Counter:
+    """How often the node reads each name as an attribute (``obj.name``)."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def imported_names(tree) -> list:
@@ -61,12 +66,15 @@ def test_every_private_function_is_referenced():
 def test_every_public_api_has_a_reader_outside_the_tests():
     # a public method of a class, or a public function that bunpic/__init__.py
     # does not export, must be read by name in src or bench/ outside its own
-    # definition, and a public static method as Class.name (a bare attribute
-    # read proves nothing: IntMatrix.zero and FGAbelianGroup.free share their
+    # definition: a method only as an attribute (.name; a bare name proves
+    # nothing: the builtin sum would keep a method Lattice.sum alive), and a
+    # public static method as Class.name (a bare attribute read proves
+    # nothing either: IntMatrix.zero and FGAbelianGroup.free share their
     # names with other methods and fields): an API only the tests read
     # belongs in tests/reference.py
     trees = {path: parse(path) for path in MODULES + BENCH}
-    reads = sum((name_reads(tree) for tree in trees.values()), Counter())
+    reads = {how: sum((how(tree) for tree in trees.values()), Counter())
+             for how in (name_reads, attribute_reads)}
     class_reads = {f"{n.value.id}.{n.attr}" for tree in trees.values() for n in ast.walk(tree)
                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
     exported = {alias.asname or alias.name for node in trees[SRC / "__init__.py"].body
@@ -76,14 +84,14 @@ def test_every_public_api_has_a_reader_outside_the_tests():
     for path in MODULES:
         for node in trees[path].body:
             if isinstance(node, ast.ClassDef):
-                public += [(f"{node.name}.{d.name}", d) for d in node.body
+                public += [(f"{node.name}.{d.name}", d, attribute_reads) for d in node.body
                            if isinstance(d, functions) and not d.name.startswith("_")]
             elif (isinstance(node, functions) and not node.name.startswith("_")
                   and node.name not in exported):
-                public.append((node.name, node))
+                public.append((node.name, node, name_reads))
     assert public, "no public method found: is SRC right?"
-    unread = [label for label, node in public
-              if reads[node.name] == name_reads(node)[node.name]
+    unread = [label for label, node, how in public
+              if reads[how][node.name] == how(node)[node.name]
               or (label not in class_reads and any(
                   isinstance(d, ast.Name) and d.id == "staticmethod"
                   for d in node.decorator_list))]

@@ -13,6 +13,8 @@ from bunpic.exact_algebra import (
     kernel_basis,
     solve_congruence_sublattice,
 )
+from bunpic.family import CurveFamily
+from bunpic.gerbe import evaluation_cokernel, rigidified_picard, weight_cokernel
 from bunpic.invariant_forms import (
     BilinearForm,
     FormLattice,
@@ -29,6 +31,7 @@ from bunpic.invariant_forms import (
     sym2_dim,
     sym2_pairs,
 )
+from bunpic.picard import reductive_picard
 from bunpic.root_datum import (
     Pi1Element,
     ReductiveGroupData,
@@ -334,12 +337,32 @@ def test_ns_bun_gl2_matches_hand_enumeration():
                     assert members.contains(vec) == expected, (chi1, chi2, p, q)
 
 
+def lift_independent_outputs(g, delta, lift, family):
+    """The Picard and gerbe outputs the paper states independent of the lift
+    of delta.  coker(wt) is left out: it can depend on the lift (ROADMAP
+    item 2)."""
+    reductive = reductive_picard(g, delta, family, lift=lift)
+    rigidified = rigidified_picard(g, delta, family, lift=lift)
+    return (reductive.image_lattice, reductive.image_index, rigidified.image_lattice,
+            rigidified.cokernel, weight_cokernel(g, delta, family, lift=lift).coker_gamma_bar,
+            evaluation_cokernel(g, delta, lift=lift))
+
+
+# positive genus, every hypothesis flag set; genus 2 with delta(C/S) = 3
+# does not divide 2g - 2
+LIFT_FAMILIES = [
+    CurveFamily(genus=genus, delta=delta_cs, end_jacobian_trivial=True, rpic_surjective=True,
+                rpic0_torsion_free=True)
+    for genus, delta_cs in ((1, 0), (1, 2), (2, 2), (2, 3), (3, 4))
+]
+
+
 def test_lift_independence_named_sample():
     rng = random.Random(23)
     names = [
         "SL(2)", "SL(3)", "GL(2)", "GL(3)", "PGL(2)", "PGL(3)", "Sp(4)",
         "PSp(4)", "SO(5)", "SO(6)", "Spin(7)", "PSO(6)", "SL(2)*SL(2)",
-        "GL(2)*T(1)", "E6ad",
+        "GL(2)*T(1)", "E6ad", "GL(4)", "SO(5)*GL(2)", "PGL(3)*T(1)",
     ]
     for name in names:
         g = build_group(name)
@@ -357,6 +380,9 @@ def test_lift_independence_named_sample():
         d2 = tuple(a + b for a, b in zip(d1, shift))
         assert ns_bun(g, delta, lift=d1).key == ns_bun(g, delta, lift=d2).key
         assert ns_rigidified(g, delta, lift=d1).key == ns_rigidified(g, delta, lift=d2).key
+        for family in LIFT_FAMILIES:
+            assert (lift_independent_outputs(g, delta, d1, family)
+                    == lift_independent_outputs(g, delta, d2, family)), (name, family)
 
 
 def test_ns_bun_p1_lift_independence_uses_generic_lifts():

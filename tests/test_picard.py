@@ -1,11 +1,26 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from bunpic.exact_algebra import FGAbelianGroup, Lattice
+from bunpic.exact_algebra import (
+    FGAbelianGroup,
+    IntMatrix,
+    Lattice,
+    group_from_relations,
+    quotient_group,
+    solve_congruence_sublattice,
+)
 from bunpic.family import CurveFamily, family_from_preset
-from bunpic.invariant_forms import basic_inner_product
+from bunpic.gerbe import evaluation_cokernel, rigidified_picard, weight_cokernel
+from bunpic.invariant_forms import (
+    basic_inner_product,
+    invariant_sym_forms,
+    ns_bun,
+    ns_bun_p1,
+    ns_rigidified,
+)
 from bunpic.picard import (
     GenusZero,
     HypothesisNotSatisfied,
@@ -21,6 +36,13 @@ from bunpic.picard import (
     torus_picard_genus0,
 )
 from bunpic.root_datum import Pi1Element, SimpleType, build_group
+from reference import (
+    divisibility_conditions,
+    gamma_bar_image,
+    ns_image_sublattice,
+    parity_image,
+    rational_solve,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +377,121 @@ def test_reductive_positive_semisimple_cor_c():
         rep = reductive_picard(g, Pi1Element.zero(g), family_from_preset("universal", 2, 1))
         assert rep.cokernel == FGAbelianGroup.free(1)
         assert rep.cokernel_generators[0].gram == basic_inner_product(t).gram
+
+
+# ---------------------------------------------------------------------------
+# the Picard images against the reference route, and under changes of
+# cocharacter coordinates
+
+# genus 1-3 with every delta(C/S) up to 5, so delta does not divide 2g - 2
+# for some of them (families validate_family refuses; the API takes them)
+IMAGE_FAMILIES = [synthetic_family(genus, delta_cs)
+                  for genus in (1, 2, 3) for delta_cs in range(6)]
+IMAGE_GROUPS = ["T(1)", "T(2)", "GL(2)", "PGL(2)", "GL(3)", "SO(5)", "PSp(4)",
+                "SL(2)*PGL(2)", "GL(2)*T(1)", "PGL(3)*T(1)"]
+
+
+def random_delta(rng, g):
+    ngens = len(Pi1Element.zero(g).coords)
+    return Pi1Element.from_coords(g, tuple(rng.randint(-2, 3) for _ in range(ngens)))
+
+
+def shifted_lift(rng, g, delta):
+    """The canonical lift of delta plus a random coroot-lattice vector."""
+    shift = g.simple_coroots.mul_vector(tuple(rng.randint(-2, 2) for _ in range(g.ss_rank)))
+    return tuple(a + b for a, b in zip(delta.lift(), shift))
+
+
+@pytest.mark.parametrize("name", IMAGE_GROUPS)
+def test_divisibility_images_match_the_reference_route(name):
+    rng = random.Random(name)
+    g = build_group(name)
+    for _ in range(2):
+        delta = random_delta(rng, g)
+        lift = shifted_lift(rng, g, delta)
+        ns = ns_bun(g, delta, lift=lift)
+        members = Lattice(ns.key.rows, ns.key)
+        for fam in IMAGE_FAMILIES:
+            case = (name, delta.coords, lift, fam.genus, fam.delta)
+            rep = reductive_picard(g, delta, fam, lift=lift)
+            image = ns_image_sublattice(ns, fam.genus, fam.delta)
+            assert rep.image_lattice == image, case
+            assert rep.image_index == quotient_group(members, image).order(), case
+            rig = rigidified_picard(g, delta, fam, lift=lift)
+            image = gamma_bar_image(g, ns_rigidified(g, delta, lift=lift), fam.genus, fam.delta)
+            assert rig.image_lattice == image, case
+            assert rig.cokernel == group_from_relations(image.ambient_rank, image.basis), case
+            if g.is_torus:
+                forms = invariant_sym_forms(g)
+                conditions = divisibility_conditions(g.cochar_rank, lift, fam.genus, fam.delta,
+                                                     forms)
+                assert (torus_picard(g, lift, fam).image_lattice
+                        == solve_congruence_sublattice(g.cochar_rank + forms.rank, conditions))
+
+
+@pytest.mark.parametrize("name", IMAGE_GROUPS)
+def test_genus0_image_matches_the_reference_route(name):
+    rng = random.Random(name)
+    g = build_group(name)
+    fam = family_from_preset("genus0_nontrivial")
+    for _ in range(3):
+        delta = random_delta(rng, g)
+        assert reductive_picard(g, delta, fam).image_lattice == parity_image(ns_bun_p1(g, delta))
+
+
+def random_unimodular(rng, n):
+    """A random U in GL_n(Z): elementary column operations, then a sign."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            for row in u:
+                row[j] += c * row[i]
+    k = rng.randrange(n)
+    for row in u:
+        row[k] = -row[k]
+    return IntMatrix.from_rows(u)
+
+
+def in_new_coordinates(g, u):
+    """g with cocharacters x written as u*x: coroots u*C, roots u^-T * R."""
+    n = g.cochar_rank
+    inv = [rational_solve(u, e) for e in IntMatrix.identity(n).columns()]
+    assert all(x.denominator == 1 for col in inv for x in col)
+    u_inv = IntMatrix.from_columns([[int(x) for x in col] for col in inv], n)
+    return replace(g, simple_coroots=u.mul(g.simple_coroots),
+                   simple_roots=u_inv.transpose().mul(g.simple_roots))
+
+
+def coordinate_free_outputs(g, delta, lift, family):
+    """The groups and indices of the Picard and gerbe reports.  coker(wt) is
+    left out: it can depend on the lift of delta (ROADMAP item 2)."""
+    rigidified = rigidified_picard(g, delta, family, lift=lift)
+    out = (reductive_picard(g, delta, family, lift=lift).image_index, rigidified.cokernel,
+           rigidified.image_index, weight_cokernel(g, delta, family, lift=lift).coker_gamma_bar,
+           evaluation_cokernel(g, delta, lift=lift))
+    if g.is_torus:
+        out += (torus_picard(g, lift, family).cokernel,)
+    return out
+
+
+@pytest.mark.parametrize("name", IMAGE_GROUPS + ["SO(5)*GL(2)"])
+def test_picard_groups_do_not_depend_on_the_coordinates(name):
+    rng = random.Random(name)
+    g = build_group(name)
+    # delta(C/S) | 2g - 2 in each family: the test points of the divisibility
+    # condition only suffice then, so elsewhere the images can move with the
+    # coordinates (genus 2 with delta(C/S) = 3 moves them for GL(2))
+    families = [synthetic_family(genus, delta_cs)
+                for genus, delta_cs in ((1, 0), (1, 3), (2, 1), (2, 2), (3, 2), (3, 4))]
+    for _ in range(2):
+        delta = random_delta(rng, g)
+        lift = delta.lift()
+        u = random_unimodular(rng, g.cochar_rank)
+        h = in_new_coordinates(g, u)
+        u_lift = u.mul_vector(lift)
+        u_delta = Pi1Element.from_cocharacter(h, u_lift)
+        for fam in families:
+            assert (coordinate_free_outputs(g, delta, lift, fam)
+                    == coordinate_free_outputs(h, u_delta, u_lift, fam)), (name, u, fam)

@@ -25,7 +25,7 @@ from bunpic.root_datum import (
     pi1_presentation,
     with_central_torus,
 )
-from reference import contains_lattice
+from reference import contains_lattice, lattice_sum
 
 NAMED = [
     "SL(2)", "SL(3)", "SL(4)", "SL(5)", "GL(2)", "GL(3)", "GL(4)",
@@ -314,7 +314,7 @@ def test_with_central_torus_contract(factors):
         order = next(t for t in range(1, d_j + 1)
                      if cd.sc_in_adjoint.contains([t * x for x in ad]))
         assert order == d_j
-    assert cd.sc_in_adjoint.sum(Lattice.from_columns(m, ads)) == Lattice.full(m)
+    assert lattice_sum(cd.sc_in_adjoint, Lattice.from_columns(m, ads)) == Lattice.full(m)
 
 
 AT_RANK_LIMIT = ["T(20)", "GL(20)", "SL(21)", "PGL(21)", "Sp(40)", "PSp(40)", "Spin(40)",

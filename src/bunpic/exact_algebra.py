@@ -40,7 +40,8 @@ Which normal form does which job:
   rows of its HNF basis (:meth:`Lattice.coordinates`);
 * one Smith normal form, :func:`smith_normal_form`, which also carries the
   inverse of its row transform, is used only where invariant factors or a
-  basis adapted to them are the output: :func:`group_from_relations`,
+  basis adapted to them are the output: :func:`group_from_relations` (on
+  the non-unit core of the relations' echelon form),
   :func:`canonical_generators` (generator lifts from that inverse; it also
   splits off the free quotient in ``root_datum.cross_diagram``),
   :func:`rational_coordinates` and the glue basis of
@@ -536,11 +537,14 @@ def group_from_relations(rank: int, relations: IntMatrix) -> FGAbelianGroup:
     """Canonical form of ``Z^rank`` modulo the column span of ``relations``."""
     if relations.rows != rank:
         raise ValueError("relation matrix has wrong number of rows")
-    s, _, _, _ = smith_normal_form(relations)
-    diags = [s[i, i] for i in range(min(s.rows, s.cols))]
-    nonzero = [d for d in diags if d != 0]
-    free = rank - len(nonzero)
-    return _canonical_from_factors(free, nonzero)
+    # in a column echelon form a pivot 1 is alone in its row, so its
+    # generator and its relation drop out; the rest is the non-unit core
+    h = _echelon(relations.columns(), rank)
+    pivots = [next(i for i, a in enumerate(c) if a) for c in h]
+    units = {p for c, p in zip(h, pivots) if c[p] == 1}
+    core = [[a for i, a in enumerate(c) if i not in units] for c, p in zip(h, pivots) if c[p] != 1]
+    s, _, _, _ = smith_normal_form(IntMatrix.from_columns(core, rank - len(units)))
+    return _canonical_from_factors(rank - len(h), [s[i, i] for i in range(len(core))])
 
 
 def canonical_generators(rank: int, relations: IntMatrix):

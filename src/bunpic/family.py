@@ -61,6 +61,19 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
+def _delta_violation(genus: int, delta: int) -> Violation:
+    return Violation("delta-divides-2g-2", f"delta = {delta} does not divide 2g-2 = {2 * genus - 2}")
+
+
+def require_delta_divides_2g_2(genus: int, delta: int) -> None:
+    """Raise ValueError, with the text of the delta-divides-2g-2 violation,
+    unless delta | 2g-2 (0 divides only 0, so delta = 0 needs genus 1).
+    Every real family meets it; ``validate_family`` names the locally
+    projective violation instead where delta = 0 and the genus is not 1."""
+    if (2 * genus - 2) % delta if delta else genus != 1:
+        raise ValueError(str(_delta_violation(genus, delta)))
+
+
 def validate_family(f: CurveFamily) -> list:
     """All invariant violations of the record; empty iff consistent."""
     out = []
@@ -68,10 +81,7 @@ def validate_family(f: CurveFamily) -> list:
         out.append(Violation("nonnegative", "genus and delta must be nonnegative"))
         return out
     if f.genus >= 2 and f.delta > 0 and (2 * f.genus - 2) % f.delta:
-        out.append(Violation(
-            "delta-divides-2g-2",
-            f"delta = {f.delta} does not divide 2g-2 = {2 * f.genus - 2}",
-        ))
+        out.append(_delta_violation(f.genus, f.delta))
     if f.delta == 0 and f.genus != 1:
         out.append(Violation(
             "locally-projective",

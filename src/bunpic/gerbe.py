@@ -286,7 +286,7 @@ def _gamma_bar(g: ReductiveGroupData, lift: tuple, genus: int, delta_cs: int):
 
     The image is in coefficients on the rigidified NS basis: the forms for
     which some root-lattice character beta repairs the divisibility
-    delta | beta(x) + b(d, x) + (g-1) b(x, x) at the test points of
+    delta | beta(x) + b(d, x) + (g-1) b(x, x) at the basis vectors, as in
     ``picard._divisibility_image`` (the weight class of a line bundle on the
     rigidification is only zero modulo the root lattice, which makes this set
     lift-independent).  That routine reads the condition of Thm 3.18, with

@@ -3,20 +3,24 @@
 Forms are handled in exact Sym^2 coordinates: a symmetric form on ``Z^n`` is
 the vector of its Gram entries ``b_ij`` over pairs ``i <= j``.  A
 ``FormLattice`` is the column HNF basis of its Sym^2 coordinates, and
-``FormLattice.values`` (rows of that matrix summed over the nonzero terms of
-each value) is the one evaluator of forms; ``BilinearForm``, a Gram matrix,
-is the output type.  Invariance is imposed only at the simple reflections
-(they generate the Weyl group).  The reflection of a (coroot, root) pair
-fixes b iff ``b(a^vee, 2 e_k - <a, e_k> a^vee) = 0`` for every basis vector
-e_k: n rows per reflection, the values of the Sym^2 coordinate forms at
-those pairs.  A congruence condition ((u, w), m) asks b(u, w) = 0 mod m
+``FormLattice.values`` (one sparse product of the pairs' term rows with that
+matrix) is the one evaluator of forms; ``BilinearForm``, a Gram matrix, is
+the output type.  A congruence condition ((u, w), m) asks b(u, w) = 0 mod m
 (evenness takes (e, e)); a cut solves the congruences on the values of the
 basis forms.
 
-A group has one Weyl kernel, on Lambda(T_G); the even and D-even lattices
-are cuts of it.  By Cor C the even forms on the coroot lattice of G^sc are
-free on the basic inner products of the simple factors, and the conditional
-lattice is a cut of them in simple-coroot coordinates (``_sc_coordinates``).
+The invariant forms on Lambda(T_G) come from the root datum in closed form
+(``_invariant_form_coords``).  Over Q they are spanned by the basic inner
+product of each simple factor, read on the simple-coroot coordinates of the
+projection to the span of the coroots, and by the forms on the radical (the
+products of two functionals that kill the coroots); the integral forms are
+the integral points of that span, found by one congruence solve.  A torus
+has every form.  The even and D-even lattices are cuts of the invariant
+forms.  By Cor C the even forms on the coroot lattice of G^sc are free on
+the basic inner products of the simple factors, and the conditional lattice
+is a cut of them in simple-coroot coordinates (``_sc_coordinates``).  One
+solve of the Cartan matrix per group (``_cartan_inverse``) gives both those
+coordinates and the projection.
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
@@ -30,7 +34,7 @@ lift-dependent NS groups are kept the same way, keyed by the checked lift
 report that share a lift share one NS group.  The CLI builds one group per
 report, so these values live for one report.
 
-Values are built from their nonzero terms u_i w_j only (``_product_terms``).
+Values are built from their nonzero terms u_i w_j only (``FormLattice.values``).
 Most pairs hold a unit vector (b(d, e_k), b(e_j, v), b(e, e)), and such a
 pair touches at most n of the sym2_dim(n) coordinates.  The Gram
 matrices of the generators of an NS group, which only output reads, come
@@ -39,12 +43,15 @@ from one product of the coordinate matrix with their coefficient columns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
+    _echelon,
     divide_exactly,
     kernel_basis,
     preimage_lattice,
@@ -75,19 +82,12 @@ def sym2_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def _pair_index(n: int, i: int, j: int) -> int:
-    """Position of the pair (i, j), i <= j, in ``sym2_pairs(n)``."""
-    return i * (2 * n - i + 1) // 2 + j - i
-
-
-def _product_terms(n: int, u, w):
-    """The nonzero terms of b(u, w) on Sym^2 coordinates: (pair index,
-    u_i w_j) for each u_i w_j != 0, (i, j) and (j, i) at the same index."""
-    w_terms = [(j, b) for j, b in enumerate(w) if b]
-    for i, a in enumerate(u):
-        if a:
-            for j, b in w_terms:
-                yield (_pair_index(n, i, j) if i <= j else _pair_index(n, j, i)), a * b
+@functools.lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple:
+    """The position of the pair (i, j) or (j, i) in ``sym2_pairs(n)``, as an
+    n x n table."""
+    return tuple(tuple(min(i, j) * (2 * n - min(i, j) + 1) // 2 + abs(j - i) for j in range(n))
+                 for i in range(n))
 
 
 def coords_to_gram(n: int, coords) -> IntMatrix:
@@ -139,16 +139,20 @@ class FormLattice:
 
     def values(self, pairs) -> IntMatrix:
         """The matrix with one row per pair (u, w) and one column per basis
-        form b_k, holding b_k(u, w): the row of (u, w) adds up the rows of
-        ``coords`` at the nonzero terms u_i w_j only."""
-        n, coords = self.ambient_rank, self.coords.entries
+        form b_k, holding b_k(u, w): one sparse product of the pairs' term
+        rows (b(u, w) on the Sym^2 coordinates, from the nonzero terms u_i w_j
+        only) with ``coords``."""
+        index, dim = _pair_indices(self.ambient_rank), sym2_dim(self.ambient_rank)
         rows = []
         for u, w in pairs:
-            row = [0] * self.rank
-            for k, c in _product_terms(n, u, w):
-                row = [a + c * b for a, b in zip(row, coords[k])]
-            rows.append(row)
-        return IntMatrix.from_rows(rows, self.rank)
+            row = [0] * dim
+            w_terms = [(j, b) for j, b in enumerate(w) if b]
+            for at, a in zip(index, u):
+                if a:
+                    for j, b in w_terms:
+                        row[at[j]] += a * b
+            rows.append(tuple(row))
+        return IntMatrix(len(rows), dim, tuple(rows)).mul(self.coords)
 
     def forms_from_coeffs(self, coeffs: IntMatrix) -> tuple:
         """The forms whose basis coefficients are the columns of ``coeffs``,
@@ -157,36 +161,87 @@ class FormLattice:
         return tuple(BilinearForm(coords_to_gram(n, c)) for c in self.coords.mul(coeffs).columns())
 
 
-def _invariant_coord_columns(n: int, roots) -> list:
-    """Sym^2 coordinates of the forms fixed by the reflections of the given
-    (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
-    for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows.
-    By bilinearity the row for e_k is b -> b(a^vee, 2 e_k - a_k a^vee), read as
-    the values of the Sym^2 coordinate forms (the identity ``FormLattice``),
-    so a row with a_k = 0 has the few terms of a^vee alone.  The kernel basis
-    is already in HNF."""
-    sym2 = FormLattice(n, IntMatrix.identity(sym2_dim(n)))
-    pairs = [(coroot, tuple(2 * (i == k) - a_k * c for i, c in enumerate(coroot)))
-             for coroot, root in roots for k, a_k in enumerate(root)]
-    return kernel_basis(sym2.values(pairs)).columns()
-
-
 def _diagonal_even_conditions(n: int) -> tuple:
     return tuple(((e, e), 2) for e in IntMatrix.identity(n).columns())
 
 
 def _cut_coefficients(forms: FormLattice, conditions) -> Lattice:
     """The basis coefficients of the forms b of ``forms`` with b(u, w) = 0 mod
-    m for every condition ((u, w), m), cut on their values."""
+    m for every condition ((u, w), m), cut on their values (modulus 1 asks
+    nothing, so those pairs are never evaluated)."""
+    conditions = [c for c in conditions if c[1] != 1]
     vals = forms.values([pair for pair, _ in conditions])
     return solve_congruence_sublattice(forms.rank, zip(vals.entries, (mod for _, mod in conditions)))
 
 
+@once_per_group
+def _cartan_inverse(g: ReductiveGroupData):
+    """The inverse of the Cartan matrix <alpha_i, alpha_j^vee> as numerators
+    x over one denominator e, solved once per group."""
+    rt = g.simple_roots.transpose()
+    return rational_coordinates(rt.mul(g.simple_coroots), IntMatrix.identity(g.ss_rank))
+
+
 def _sc_coordinates(g: ReductiveGroupData, cols: IntMatrix):
     """The cocharacters ``cols`` in simple-coroot coordinates, numerators x over
-    one denominator e: their images in Lambda(T_Gad) over the Cartan matrix."""
+    one denominator e, the least one: their images in Lambda(T_Gad) over the
+    Cartan matrix."""
+    inv, e = _cartan_inverse(g)
+    x = inv.mul(g.simple_roots.transpose().mul(cols))
+    c = gcd(e, *(a for row in x.entries for a in row))
+    return IntMatrix(x.rows, x.cols, tuple(tuple(a // c for a in row) for row in x.entries)), e // c
+
+
+def _saturated_span(cols, dim: int) -> list:
+    """A basis of the integral vectors in the rational span of the linearly
+    independent columns ``cols`` of length ``dim``.
+
+    With h their echelon basis and P its pivot rows, h_P is lower triangular
+    with determinant d, the product of the pivots, so a vector x of the span
+    is h h_P^-1 x_P, and x is integral iff x_P is and (d h h_P^-1) x_P = 0
+    mod d: one congruence solve on the rank-many coordinates x_P.  The
+    adjugate d h_P^-1 comes from forward substitution, each division exact.
+    One column spans its saturation once divided by the gcd of its entries."""
+    if len(cols) == 1:
+        c = gcd(*cols[0])
+        return [[a // c for a in cols[0]]]
+    h = _echelon(cols, dim)
+    pivots = [next(i for i, a in enumerate(c) if a) for c in h]
+    lower = [[c[p] for c in h] for p in pivots]                     # h_P
+    d = prod(row[i] for i, row in enumerate(lower))
+    adj = []
+    for i, row in enumerate(lower):
+        adj.append([(d * (i == j) - sum(row[b] * adj[b][j] for b in range(i))) // row[i]
+                    for j in range(len(h))])
+    a = IntMatrix.from_columns(h, dim).mul(IntMatrix.from_rows(adj, len(h)))
+    xp = solve_congruence_sublattice(len(h), [(row, d) for row in a.entries])
+    return divide_exactly(a.mul(xp.basis), d, "saturated vector is not integral").columns()
+
+
+def _invariant_form_coords(g: ReductiveGroupData) -> IntMatrix:
+    """Sym^2 coordinates of the Weyl-invariant forms on Lambda(T_G), in HNF.
+
+    Over Q the invariant forms are the basic inner products of the simple
+    factors f, put on the projection y = C^-1 A^T x of x to the span of the
+    coroots (C the Cartan matrix, A the roots): b_f(x, x') = sum over i in f
+    of l_i y_i <alpha_i, x'>, with l the coroot lengths; and the products of
+    two functionals that kill the coroots, the forms on the radical.  The
+    integral forms are the integral vectors of that span.  A torus has every
+    form."""
+    n = g.cochar_rank
+    dim = sym2_dim(n)
+    if g.is_torus:
+        return IntMatrix.identity(dim)
+    inv, _ = _cartan_inverse(g)
     rt = g.simple_roots.transpose()
-    return rational_coordinates(rt.mul(g.simple_coroots), rt.mul(cols))
+    y = inv.mul(rt).entries                            # e * y, row i for coroot i
+    ell = [l for t in g.factor_types for l in coroot_lengths(t)]
+    cols = [tuple(sum(ell[i] * y[i][p] * rt[i, q] for i in block) for p, q in sym2_pairs(n))
+            for block in g.factor_blocks()]
+    perp = kernel_basis(g.simple_coroots.transpose()).columns()
+    cols += [tuple(u[p] * w[q] + u[q] * w[p] for p, q in sym2_pairs(n))
+             for i, u in enumerate(perp) for w in perp[i:]]
+    return IntMatrix.from_columns(_echelon(_saturated_span(cols, dim), dim), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +259,7 @@ def _congruence_cut(g: ReductiveGroupData, forms: FormLattice, conditions: tuple
 @once_per_group
 def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
     """All Weyl-invariant symmetric forms on Lambda(T_G)."""
-    n = g.cochar_rank
-    cols = _invariant_coord_columns(n, zip(g.simple_coroots.columns(), g.simple_roots.columns()))
-    return FormLattice(n, IntMatrix.from_columns(cols, sym2_dim(n)))     # already in HNF
+    return FormLattice(g.cochar_rank, _invariant_form_coords(g))
 
 
 @once_per_group

@@ -19,7 +19,7 @@ from .exact_algebra import (
     quotient_group,
     solve_congruence_sublattice,
 )
-from .family import CurveFamily, hypothesis_check
+from .family import CurveFamily, hypothesis_check, require_delta_divides_2g_2
 from .invariant_forms import (
     BilinearForm,
     FormLattice,
@@ -267,36 +267,30 @@ def torus_picard_genus0(t: ReductiveGroupData, d, f: CurveFamily) -> PicardRepor
     )
 
 
-def _test_points(n: int) -> list:
-    """The basis vectors e_i, then the sums e_i + e_j for i < j."""
-    return ([tuple(int(k == i) for k in range(n)) for i in range(n)]
-            + [tuple(int(k in (i, j)) for k in range(n))
-               for i in range(n) for j in range(i + 1, n)])
-
-
 def _divisibility_image(members: IntMatrix, relations: IntMatrix, d, genus: int,
                         delta_cs: int, forms: FormLattice) -> Lattice:
     """The lattice of coordinates x on the columns of ``members`` (ambient
     chi coordinates, then coefficients on ``forms``) for which some y on the
     columns of ``relations`` makes (chi, b) = members * x + relations * y
-    satisfy delta(C/S) | chi(v) - b(d, v) + (g-1) b(v, v) for every
+    satisfy delta(C/S) | c(v) = chi(v) - b(d, v) + (g-1) b(v, v) for every
     cocharacter v.  The form part is read off as b(v, (g-1) v - d), by
     bilinearity.
 
-    It is enough to impose the condition at the basis vectors e_i and the
-    sums e_i + e_j: the defect c(v+w) - c(v) - c(w) = 2(g-1) b(v, w) is
-    generated by the pairwise conditions, and the remaining diagonal defect
-    (g-1)(k^2-k) b(v, v) lies in (2g-2) Z, a multiple of delta(C/S) for every
-    valid family (in genus 1 the quadratic part vanishes outright).
+    It is enough to impose the condition at the basis vectors e_i, n
+    congruences: the defects c(v+w) - c(v) - c(w) = 2(g-1) b(v, w) and
+    c(v) + c(-v) = 2(g-1) b(v, v) lie in (2g-2) Z, so c is additive modulo
+    delta(C/S) whenever delta(C/S) | 2g-2 (in genus 1, c is linear).  Every
+    real family meets that; any other raises ``ValueError``.
 
     One congruence solve runs on (x, y).  Its HNF columns whose pivot lies in
     the x rows, cut to those rows, are the HNF basis of the projection onto
     x: every other column has x = 0.
     """
-    points = _test_points(len(d))
-    vals = forms.values([(x, tuple((genus - 1) * a - b for a, b in zip(x, d))) for x in points])
-    funcs = IntMatrix.from_rows([x + vals.row(i) for i, x in enumerate(points)],
-                                members.rows).mul(members.hstack(relations))
+    require_delta_divides_2g_2(genus, delta_cs)
+    points = IntMatrix.identity(len(d))
+    vals = forms.values([(x, tuple((genus - 1) * a - b for a, b in zip(x, d)))
+                         for x in points.columns()])
+    funcs = points.hstack(vals).mul(members.hstack(relations))
     k = members.cols
     sols = solve_congruence_sublattice(k + relations.cols, [(f, delta_cs) for f in funcs.entries])
     return Lattice(k, IntMatrix.from_columns([c[:k] for c in sols.basis.columns() if any(c[:k])], k))
@@ -324,6 +318,7 @@ def torus_picard(t: ReductiveGroupData, d, f: CurveFamily) -> PicardReport:
         ExtensionRow("char lattice x RPic(C/S) + Sym^2 chars", "RPic^taut",
                      "Hom(cochar lattice, Z/2)", True),
     )
+    # the basis points alone give the same image; the note's bytes are part of the report
     notes = ["weight+form image computed from the divisibility condition at basis and pairwise sums"]
     if f.delta == 0:
         notes.append("delta(C/S) = 0: divisibility conditions are exact vanishing")

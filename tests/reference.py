@@ -4,11 +4,16 @@ No engine, the CLI or the benchmark calls these: ``solve`` works on any
 matrix through the Smith normal form, ``rational_solve`` by Gaussian
 elimination over ``Fraction``, ``det`` by Bareiss elimination,
 ``reflection`` is a simple reflection from its defining formula, and
-``cokernel`` of a ``GroupHom`` on the generators of two canonical groups.
-The sc even forms and the conditional form lattice are rebuilt by Weyl
-kernels of their own, on the simple-coroot basis and on the basis of
-Lambda(T_D(G)), where the library builds the first from the basic inner
-products and cuts the second from it.  ``torus_partial_bar`` and
+``cokernel`` of a ``GroupHom`` on the generators of two canonical groups,
+and ``group_by_smith`` a quotient group from the Smith form of all its
+relations, where the library takes that of their echelon form's non-unit
+core.
+The form lattices are rebuilt by Weyl kernels of their own
+(``invariant_coord_columns``, n rows per simple reflection over the Sym^2
+coordinates): on Lambda(T_G), where the library saturates the span of the
+basic inner products and the forms on the radical; on the simple-coroot
+basis, where it takes the basic inner products; and on the basis of
+Lambda(T_D(G)), where it cuts the conditional lattice from the sc forms.  ``torus_partial_bar`` and
 ``mod_delta_image`` are the adapted-basis route of the proof of Cor 4.5,
 which the library replaces by the general connecting map on tori too.
 ``gram_to_coords`` reads a Gram matrix as Sym^2 coordinates,
@@ -31,6 +36,7 @@ from bunpic.exact_algebra import (
     IntMatrix,
     Lattice,
     group_from_relations,
+    kernel_basis,
     preimage_lattice,
     quotient_group,
     rational_coordinates,
@@ -41,7 +47,6 @@ from bunpic.invariant_forms import (
     FormLattice,
     _cut_coefficients,
     _diagonal_even_conditions,
-    _invariant_coord_columns,
     sym2_dim,
     sym2_pairs,
 )
@@ -179,6 +184,15 @@ def cokernel(f: GroupHom) -> FGAbelianGroup:
     return group_from_relations(t.ngens, f.matrix.hstack(relations))
 
 
+def group_by_smith(rank: int, relations: IntMatrix) -> FGAbelianGroup:
+    """Canonical ``Z^rank`` modulo the columns of ``relations`` from the Smith
+    form of the whole relation matrix."""
+    s, _, _, _ = smith_normal_form(relations)
+    diags = [s[i, i] for i in range(min(s.rows, s.cols))]
+    return FGAbelianGroup.direct_sum(FGAbelianGroup.free(rank - len(diags)),
+                                     *map(FGAbelianGroup.cyclic, diags))
+
+
 def contains_lattice(big: Lattice, small: Lattice) -> bool:
     """Whether ``small`` is a sublattice of ``big``: every basis column of
     ``small`` lies in ``big``."""
@@ -300,6 +314,20 @@ def form_lattice(forms: FormLattice) -> Lattice:
 # form lattices by their own Weyl kernels
 
 
+def invariant_coord_columns(n: int, roots) -> list:
+    """Sym^2 coordinates of the forms fixed by the reflections of the given
+    (coroot, root) pairs: s_a fixes b iff 2 b(a^vee, e_k) = b(a^vee, a^vee) <a, e_k>
+    for every k (Bourbaki, Lie VI 1.1), so each reflection gives n linear rows.
+    By bilinearity the row for e_k is b -> b(a^vee, 2 e_k - a_k a^vee), read as
+    the values of the Sym^2 coordinate forms (the identity ``FormLattice``),
+    so a row with a_k = 0 has the few terms of a^vee alone.  The kernel basis
+    is already in HNF."""
+    sym2 = FormLattice(n, IntMatrix.identity(sym2_dim(n)))
+    pairs = [(coroot, tuple(2 * (i == k) - a_k * c for i, c in enumerate(coroot)))
+             for coroot, root in roots for k, a_k in enumerate(root)]
+    return kernel_basis(sym2.values(pairs)).columns()
+
+
 def _kernel_cut(m, pairs, conditions, kernel):
     """The forms on Z^m fixed by the reflections of the (coroot, root) pairs
     (Sym^2 columns from ``kernel``) that meet the congruence conditions."""
@@ -308,7 +336,20 @@ def _kernel_cut(m, pairs, conditions, kernel):
     return FormLattice.from_coord_columns(m, forms.coords.mul(cut.basis).columns())
 
 
-def sc_even_forms_by_kernel(g, kernel=_invariant_coord_columns):
+def form_lattices_by_kernel(g):
+    """The invariant, even and D-even forms on Lambda(T_G) as the Weyl kernel
+    of the simple reflections and its cuts, and the conditional lattice by
+    its own kernel."""
+    n = g.cochar_rank
+    pairs = list(zip(g.simple_coroots.columns(), g.simple_roots.columns()))
+    derived = cross_diagram(g).derived_lattice.basis.columns()
+    return (_kernel_cut(n, pairs, (), invariant_coord_columns),
+            _kernel_cut(n, pairs, _diagonal_even_conditions(n), invariant_coord_columns),
+            _kernel_cut(n, pairs, [((u, u), 2) for u in derived], invariant_coord_columns),
+            conditional_form_lattice_by_kernel(g))
+
+
+def sc_even_forms_by_kernel(g, kernel=invariant_coord_columns):
     """The even forms of the Weyl kernel on the simple-coroot basis: coroot
     e_i, and root i paired with coroot j as the Cartan entry."""
     m = g.ss_rank
@@ -317,7 +358,7 @@ def sc_even_forms_by_kernel(g, kernel=_invariant_coord_columns):
     return _kernel_cut(m, pairs, _diagonal_even_conditions(m), kernel)
 
 
-def conditional_form_lattice_by_kernel(g, kernel=_invariant_coord_columns):
+def conditional_form_lattice_by_kernel(g, kernel=invariant_coord_columns):
     """The even forms of the Weyl kernel on Lambda(T_D(G)) (the coroots and
     the restricted roots in its basis) that are integral against
     Lambda(T_Gss): the basis of Lambda(T_Gss), written rationally (numerators

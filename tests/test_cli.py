@@ -463,12 +463,12 @@ def assert_equals_a_fresh_group(g, group):
     ("GL(8)", (1,), 3), ("GL(3)*T(1)", (1, 1), 3), ("T(2)", (1, 2), 3),
 ]])
 def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, cuts):
-    # one Weyl kernel per report, the one on Lambda(T_G), and one run of the
-    # congruence cut per distinct input; the values are kept on the group
-    # without changing it
+    # one build of the invariant forms per report, on Lambda(T_G), and one
+    # run of the congruence cut per distinct input; the values are kept on
+    # the group without changing it
     runs = count_form_work(monkeypatch)
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
-    assert runs == {"_invariant_coord_columns": 1, "_cut_coefficients": cuts}
+    assert runs == {"_invariant_form_coords": 1, "_cut_coefficients": cuts}
     assert_equals_a_fresh_group(g, group)
 
 
@@ -479,7 +479,7 @@ LIFT_MEMOS = (("invariant_forms", "_ns_bun"), ("invariant_forms", "_ns_rigidifie
               ("gerbe", "_ev_hat_data"))
 
 
-def count_body_runs(monkeypatch):
+def count_body_runs(monkeypatch, memos=LIFT_MEMOS):
     """Count the runs of each memoized body: each memo is rebuilt around a
     counting copy of its body, under the same name in every module that holds
     it."""
@@ -488,7 +488,7 @@ def count_body_runs(monkeypatch):
 
     modules = {"invariant_forms": invariant_forms, "gerbe": gerbe}
     runs = collections.Counter()
-    for home, name in LIFT_MEMOS:
+    for home, name in memos:
         body = getattr(modules[home], name).__wrapped__
 
         def counted(g, *args, _body=body, _name=name):
@@ -512,6 +512,18 @@ def test_positive_genus_report_computes_each_ns_group_once(monkeypatch, group, d
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
     assert runs == {"_ns_bun": 1, "_ns_rigidified": 1, "_ns_bun_p1": 1, "_gamma_bar": 1}
     assert_equals_a_fresh_group(g, group)
+
+
+@pytest.mark.parametrize("group,delta,family", [
+    ("E8", (), "universal:2,1"), ("SO(10)*PGL(4)", (1, 1), "universal:2,1"),
+    ("GL(3)*T(1)", (1, 1), "universal:2,1"), ("T(2)", (1, 2), "universal:2,1"),
+    ("E8", (), "genus0_nontrivial"), ("GL(2)", (1,), "genus0_nontrivial"),
+])
+def test_report_solves_the_cartan_matrix_once(monkeypatch, group, delta, family):
+    # the invariant forms and every simple-coroot coordinate read one solve
+    runs = count_body_runs(monkeypatch, [("invariant_forms", "_cartan_inverse")])
+    run_full_report(monkeypatch, group, delta, family)
+    assert runs == {"_cartan_inverse": 1}
 
 
 def count_cross_diagram_builds(monkeypatch):

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunpic.exact_algebra import (
     FGAbelianGroup,
@@ -17,7 +19,15 @@ from bunpic.exact_algebra import (
     smith_normal_form,
     solve_congruence_sublattice,
 )
-from reference import GroupHom, cokernel, contains_lattice, det, rational_solve, solve
+from reference import (
+    GroupHom,
+    cokernel,
+    contains_lattice,
+    det,
+    group_by_smith,
+    rational_solve,
+    solve,
+)
 
 
 def spans_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -266,6 +276,38 @@ def test_group_from_relations_mixed():
     g = group_from_relations(3, rels)
     assert g == FGAbelianGroup(1, (2, 4))
     assert g.describe() == "Z + Z/2 + Z/4"
+
+
+@st.composite
+def relation_matrices(draw):
+    """(rank, relations) whose echelon pivots are all 1, none 1, or include
+    zero columns and dependent columns (no pivot at all)."""
+    rank = draw(st.integers(0, 6))
+    k = draw(st.integers(0, rank))
+    entry = st.integers(-5, 5)
+    kind = draw(st.sampled_from(["all-unit", "no-unit", "zero", "mixed"]))
+    cols = [[draw(entry) for _ in range(rank)] for _ in range(k)]
+    if kind == "all-unit":
+        # [I; R]: unit pivots, then mixed by elementary column operations
+        cols = [[int(i == j) if i < k else c[i] for i in range(rank)] for j, c in enumerate(cols)]
+        for _ in range(draw(st.integers(0, 2 * k))):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            if i != j:
+                q = draw(entry)
+                cols[j] = [a + q * b for a, b in zip(cols[j], cols[i])]
+    elif kind == "no-unit":
+        cols = [[draw(st.sampled_from([2, 3, 4])) * a for a in c] for c in cols]
+    elif kind == "zero":
+        cols += [[0] * rank] * draw(st.integers(0, 2))
+        cols += [[2 * a for a in c] for c in cols[:draw(st.integers(0, len(cols)))]]
+    return rank, IntMatrix.from_columns(cols, rank)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_matrices())
+def test_quotient_from_the_non_unit_core_matches_the_full_smith_form(case):
+    rank, relations = case
+    assert group_from_relations(rank, relations) == group_by_smith(rank, relations)
 
 
 def test_kernel_basis():

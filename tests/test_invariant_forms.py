@@ -47,11 +47,13 @@ from reference import (
     contains_lattice,
     det,
     form_lattice,
+    form_lattices_by_kernel,
     gram_to_coords,
     reflection,
     sc_even_forms_by_kernel,
     solve,
 )
+from test_picard import divides_2g_2, in_new_coordinates, random_unimodular
 from test_root_datum import NAMED
 
 
@@ -189,10 +191,10 @@ def test_simply_connected_collapse():
 
 
 def count_form_work(monkeypatch):
-    """Count the runs of the Weyl kernel and of the congruence-cut solver
-    below the form lattices."""
+    """Count the runs of the invariant-form builder and of the congruence-cut
+    solver below the form lattices."""
     runs = collections.Counter()
-    for name in ("_invariant_coord_columns", "_cut_coefficients"):
+    for name in ("_invariant_form_coords", "_cut_coefficients"):
         def counted(*args, _body=getattr(invariant_forms, name), _name=name):
             runs[_name] += 1
             return _body(*args)
@@ -206,8 +208,8 @@ def test_simply_connected_groups_have_one_even_lattice(monkeypatch):
     # basis of Lambda(T_G): Lambda(T_G), Lambda(T_D(G)) and the sc coroot
     # lattice are one lattice in one basis, so the four even lattices have
     # equal coords, computed on groups of their own; on one group they take
-    # one Weyl kernel, the even cut that the D-even lattice shares, and the
-    # conditional lattice's own cut of the sc forms
+    # one build of the invariant forms, the even cut that the D-even lattice
+    # shares, and the conditional lattice's own cut of the sc forms
     even_lattices = [sc_even_forms, even_invariant_forms, d_even_forms, conditional_form_lattice]
     checked = 0
     for name in NAMED:
@@ -220,7 +222,7 @@ def test_simply_connected_groups_have_one_even_lattice(monkeypatch):
             runs = count_form_work(mp)
             for fn in even_lattices:
                 fn(g)
-        assert runs == {"_invariant_coord_columns": 1, "_cut_coefficients": 2}, name
+        assert runs == {"_invariant_form_coords": 1, "_cut_coefficients": 2}, name
         checked += 1
     assert checked == 16
 
@@ -348,8 +350,8 @@ def lift_independent_outputs(g, delta, lift, family):
             evaluation_cokernel(g, delta, lift=lift))
 
 
-# positive genus, every hypothesis flag set; genus 2 with delta(C/S) = 3
-# does not divide 2g - 2
+# positive genus, every hypothesis flag set; delta(C/S) = 3 does not divide
+# 2g - 2 in genus 2, so the engines refuse that family
 LIFT_FAMILIES = [
     CurveFamily(genus=genus, delta=delta_cs, end_jacobian_trivial=True, rpic_surjective=True,
                 rpic0_torsion_free=True)
@@ -381,6 +383,11 @@ def test_lift_independence_named_sample():
         assert ns_bun(g, delta, lift=d1).key == ns_bun(g, delta, lift=d2).key
         assert ns_rigidified(g, delta, lift=d1).key == ns_rigidified(g, delta, lift=d2).key
         for family in LIFT_FAMILIES:
+            if not divides_2g_2(family):
+                for d in (d1, d2):
+                    with pytest.raises(ValueError, match="delta-divides-2g-2"):
+                        lift_independent_outputs(g, delta, d, family)
+                continue
             assert (lift_independent_outputs(g, delta, d1, family)
                     == lift_independent_outputs(g, delta, d2, family)), (name, family)
 
@@ -556,6 +563,39 @@ def test_sc_and_conditional_lattices_match_their_own_weyl_kernels(g):
     # and the cut of the sc forms against the kernel on Lambda(T_D(G))
     assert sc_even_forms(g) == sc_even_forms_by_kernel(g)
     assert conditional_form_lattice(g) == conditional_form_lattice_by_kernel(g)
+
+
+# ---------------------------------------------------------------------------
+# the form lattices from the Cartan solve against the Weyl kernel route
+
+
+def form_lattices(g):
+    return (invariant_sym_forms(g), even_invariant_forms(g), d_even_forms(g),
+            conditional_form_lattice(g))
+
+
+def assert_form_lattices_match_the_kernel_route(g, seed):
+    # in the given coordinates, then after a random change of coordinates
+    u = random_unimodular(random.Random(seed), g.cochar_rank)
+    for h in (g, in_new_coordinates(g, u)):
+        assert form_lattices(h) == form_lattices_by_kernel(h), (str(g), u)
+
+
+@pytest.mark.parametrize("name", NAMED + ["T(2)", "T(4)", "SO(10)*PGL(4)", "SL(2)*T(2)",
+                                          "PGL(2)*GL(2)", "SL(3)*GL(2)", "G2*GL(3)*T(2)"])
+def test_form_lattices_match_the_kernel_route(name):
+    assert_form_lattices_match_the_kernel_route(build_group(name), name)
+
+
+@pytest.mark.parametrize("name", ["SL(2)", "SL(3)*Sp(4)", "G2*Spin(7)", "E6sc", "SL(4)*SL(2)"])
+def test_form_lattices_match_the_kernel_route_central_torus(name):
+    assert_form_lattices_match_the_kernel_route(with_central_torus(build_group(name))[0], name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SMALL_FACTORS), min_size=1, max_size=3), st.integers(0, 2**16))
+def test_form_lattices_match_the_kernel_route_on_random_products(factors, seed):
+    assert_form_lattices_match_the_kernel_route(build_group("*".join(factors)), seed)
 
 
 # ---------------------------------------------------------------------------

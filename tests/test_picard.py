@@ -384,11 +384,22 @@ def test_reductive_positive_semisimple_cor_c():
 # cocharacter coordinates
 
 # genus 1-3 with every delta(C/S) up to 5, so delta does not divide 2g - 2
-# for some of them (families validate_family refuses; the API takes them)
+# for some of them (families validate_family refuses, and the engines too)
 IMAGE_FAMILIES = [synthetic_family(genus, delta_cs)
                   for genus in (1, 2, 3) for delta_cs in range(6)]
 IMAGE_GROUPS = ["T(1)", "T(2)", "GL(2)", "PGL(2)", "GL(3)", "SO(5)", "PSp(4)",
                 "SL(2)*PGL(2)", "GL(2)*T(1)", "PGL(3)*T(1)"]
+
+
+def divides_2g_2(fam):
+    """delta(C/S) | 2g - 2, where 0 divides only 0."""
+    return (2 * fam.genus - 2) % fam.delta == 0 if fam.delta else fam.genus == 1
+
+
+def assert_refused(compute):
+    """``compute`` raises the delta-divides-2g-2 refusal."""
+    with pytest.raises(ValueError, match="delta-divides-2g-2: delta = .* does not divide 2g-2"):
+        compute()
 
 
 def random_delta(rng, g):
@@ -404,6 +415,8 @@ def shifted_lift(rng, g, delta):
 
 @pytest.mark.parametrize("name", IMAGE_GROUPS)
 def test_divisibility_images_match_the_reference_route(name):
+    # the library imposes the condition at the basis vectors, the reference
+    # at the basis vectors and their pairwise sums
     rng = random.Random(name)
     g = build_group(name)
     for _ in range(2):
@@ -413,6 +426,13 @@ def test_divisibility_images_match_the_reference_route(name):
         members = Lattice(ns.key.rows, ns.key)
         for fam in IMAGE_FAMILIES:
             case = (name, delta.coords, lift, fam.genus, fam.delta)
+            if not divides_2g_2(fam):
+                assert_refused(lambda: reductive_picard(g, delta, fam, lift=lift))
+                assert_refused(lambda: rigidified_picard(g, delta, fam, lift=lift))
+                assert_refused(lambda: weight_cokernel(g, delta, fam, lift=lift))
+                if g.is_torus:
+                    assert_refused(lambda: torus_picard(g, lift, fam))
+                continue
             rep = reductive_picard(g, delta, fam, lift=lift)
             image = ns_image_sublattice(ns, fam.genus, fam.delta)
             assert rep.image_lattice == image, case
@@ -427,6 +447,28 @@ def test_divisibility_images_match_the_reference_route(name):
                                                      forms)
                 assert (torus_picard(g, lift, fam).image_lattice
                         == solve_congruence_sublattice(g.cochar_rank + forms.rank, conditions))
+
+
+@pytest.mark.parametrize("name,lift", [("T(3)", (1, -2, 4)), ("GL(3)", (2, 0, -1)),
+                                       ("SO(5)*GL(2)", (1, 0, 1, -1))])
+def test_divisibility_image_imposes_one_congruence_per_basis_vector(monkeypatch, name, lift):
+    from bunpic import picard
+
+    sizes = []
+
+    def counted(rank, conditions):
+        conditions = list(conditions)
+        sizes.append(len(conditions))
+        return solve_congruence_sublattice(rank, conditions)
+
+    monkeypatch.setattr(picard, "solve_congruence_sublattice", counted)
+    g = build_group(name)
+    fam = synthetic_family(3, 4)
+    if g.is_torus:
+        torus_picard(g, lift, fam)
+    else:
+        reductive_picard(g, Pi1Element.from_cocharacter(g, lift), fam, lift=lift)
+    assert sizes == [g.cochar_rank]
 
 
 @pytest.mark.parametrize("name", IMAGE_GROUPS)
@@ -480,9 +522,7 @@ def coordinate_free_outputs(g, delta, lift, family):
 def test_picard_groups_do_not_depend_on_the_coordinates(name):
     rng = random.Random(name)
     g = build_group(name)
-    # delta(C/S) | 2g - 2 in each family: the test points of the divisibility
-    # condition only suffice then, so elsewhere the images can move with the
-    # coordinates (genus 2 with delta(C/S) = 3 moves them for GL(2))
+    # delta(C/S) | 2g - 2 in each family: the engines refuse every other
     families = [synthetic_family(genus, delta_cs)
                 for genus, delta_cs in ((1, 0), (1, 3), (2, 1), (2, 2), (3, 2), (3, 4))]
     for _ in range(2):

@@ -42,7 +42,6 @@ from bunpic.invariant_forms import (
     FormLattice,
     _congruence_cut,
     _derived_quotient,
-    _invariant_coord_columns,
     conditional_form_lattice,
     invariant_sym_forms,
     ns_bun,
@@ -53,7 +52,14 @@ from bunpic.invariant_forms import (
 )
 from bunpic.picard import reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, cross_diagram, fundamental_group
-from reference import contains_lattice, det, intersection, rational_solve, solve
+from reference import (
+    contains_lattice,
+    det,
+    intersection,
+    invariant_coord_columns,
+    rational_solve,
+    solve,
+)
 from test_invariant_forms import SMALL_FACTORS
 from test_root_datum import NAMED
 
@@ -513,8 +519,9 @@ def test_torus_shapes_take_the_general_path(k):
     t = build_group(f"T({k})")
     cd = cross_diagram(t)
     assert (cd.ab_projection, cd.ab_section) == (IntMatrix.identity(k), IntMatrix.identity(k))
-    # invariant forms: no reflection leaves every Sym^2 coordinate free
-    assert _invariant_coord_columns(k, []) == IntMatrix.identity(sym2_dim(k)).columns()
+    # invariant forms: every form, as the Weyl kernel of no reflection
+    assert invariant_sym_forms(t).coords == IntMatrix.identity(sym2_dim(k))
+    assert invariant_coord_columns(k, []) == IntMatrix.identity(sym2_dim(k)).columns()
     no_forms = FormLattice(k, IntMatrix.zero(sym2_dim(k), 0))
     assert _congruence_cut(t, no_forms, ((((1,) * k, (1,) * k), 2),)) == no_forms
     forms = invariant_sym_forms(t)
@@ -678,7 +685,7 @@ def test_invariance_rows_from_nonzero_terms_match_the_dense_rows(data):
     n = data.draw(st.integers(min_value=0, max_value=5))
     roots = [(data.draw(sparse_vectors(n)), data.draw(sparse_vectors(n)))
              for _ in range(data.draw(st.integers(min_value=0, max_value=4)))]
-    assert _invariant_coord_columns(n, roots) == dense_invariant_coord_columns(n, roots)
+    assert invariant_coord_columns(n, roots) == dense_invariant_coord_columns(n, roots)
 
 
 # ---------------------------------------------------------------------------

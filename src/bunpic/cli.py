@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .exact_algebra import FGAbelianGroup
 from .family import (
@@ -43,6 +42,7 @@ from .picard import (
     torus_picard,
     torus_picard_genus0,
 )
+from .record import record
 from .root_datum import (
     InputError,
     Pi1Element,
@@ -59,7 +59,7 @@ COMPUTATIONS = ("pi1", "forms", "ns", "picard", "rigidified", "gerbe", "poincare
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     group_text: str
     delta: tuple
@@ -94,23 +94,33 @@ def _comma_ints(what: str, text: str) -> list:
         raise InputError(f"{what} must be comma-separated integers, not {text!r}") from None
 
 
-def load_group(text: str) -> ReductiveGroupData:
-    text = text.strip()
+def _parse_json(text: str):
+    """``json.loads(text)``; nesting too deep for the parser is an InputError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError("JSON nested too deeply") from None
+
+
+def _json_input(text: str):
+    """The JSON of ``text``: inline (``{...}``) or the contents of ``@file``."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return group_from_json(json.load(fh))
-    if text.startswith("{"):
-        return group_from_json(json.loads(text))
+            return _parse_json(fh.read())
+    return _parse_json(text)
+
+
+def load_group(text: str) -> ReductiveGroupData:
+    text = text.strip()
+    if text.startswith(("@", "{")):
+        return group_from_json(_json_input(text))
     return build_group(parse_group_spec(text))
 
 
 def parse_family(text: str) -> CurveFamily:
     text = text.strip()
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return CurveFamily.from_json(json.load(fh))
-    if text.startswith("{"):
-        return CurveFamily.from_json(json.loads(text))
+    if text.startswith(("@", "{")):
+        return CurveFamily.from_json(_json_input(text))
     name, _, rest = text.partition(":")
     return family_from_preset(name, *_comma_ints(f"{name} parameters", rest))
 
@@ -338,7 +348,7 @@ def _run_batch(path: str, fmt: str) -> int:
             if not line.strip():
                 continue
             try:
-                code, report = run_report(RunConfig.from_json(json.loads(line)))
+                code, report = run_report(RunConfig.from_json(_parse_json(line)))
             except INPUT_ERRORS as exc:
                 bad = True
                 print(_error_record(number, exc, fmt), flush=True)

@@ -50,15 +50,16 @@ Which normal form does which job:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+
+from .record import record
 
 
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, entries stored as a tuple of row tuples."""
 
@@ -344,7 +345,7 @@ def _int_list(values, what: str) -> list:
     return values
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """Sublattice of ``Z^ambient_rank`` with basis columns in column HNF."""
 
@@ -441,7 +442,7 @@ def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
+@record
 class FGAbelianGroup:
     """Canonical form ``Z^free_rank + Z/d_1 + ... + Z/d_k`` with ``d_1 | ... | d_k``.
 

@@ -9,9 +9,9 @@ catalog itself justifies (a section forces surjectivity of
 ``Pic(C) -> Pic_{C/S}(S)``, and so does ``delta = 1``).
 """
 
-from dataclasses import asdict, dataclass, fields, replace
 from math import gcd
 
+from .record import asdict, fields, record, replace
 from .root_datum import ReductiveGroupData, cross_diagram, json_field, json_object
 
 
@@ -27,7 +27,7 @@ class UnknownTheorem(ValueError):
     """Theorem identifier not in the supported list."""
 
 
-@dataclass(frozen=True)
+@record
 class CurveFamily:
     """Numerical record of a family of curves C/S."""
 
@@ -52,7 +52,7 @@ class CurveFamily:
                               for f in declared})
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     invariant: str
     detail: str
@@ -250,7 +250,7 @@ PRESET_NAMES = (
 # hypothesis gates
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisResult:
     theorem: str
     satisfied: bool

@@ -10,7 +10,6 @@ means exact vanishing throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .exact_algebra import (
@@ -35,6 +34,7 @@ from .invariant_forms import (
     sc_even_forms,
 )
 from .picard import PicardReport, _delta_ab_two_divisible, _divisibility_image, require_hypotheses
+from .record import record
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
@@ -45,7 +45,7 @@ from .root_datum import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GradedPieces:
     """Sub/quotient pieces of a group determined only up to extension."""
 
@@ -63,7 +63,7 @@ class GradedPieces:
                 "total_order": self.total_order}
 
 
-@dataclass(frozen=True)
+@record
 class GerbeReport:
     ev_cokernel: FGAbelianGroup
     coker_gamma_bar: FGAbelianGroup | None

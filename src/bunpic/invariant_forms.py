@@ -44,7 +44,6 @@ from one product of the coordinate matrix with their coefficient columns.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .exact_algebra import (
@@ -59,6 +58,7 @@ from .exact_algebra import (
     solve_congruence_sublattice,
     subgroup_generators,
 )
+from .record import record
 from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
@@ -103,7 +103,7 @@ def coords_to_gram(n: int, coords) -> IntMatrix:
 # forms and form lattices
 
 
-@dataclass(frozen=True)
+@record
 class BilinearForm:
     """Integer symmetric bilinear form, stored by its Gram matrix (the output
     type; computations use ``FormLattice.values``)."""
@@ -115,7 +115,7 @@ class BilinearForm:
             raise ValueError("Gram matrix must be symmetric")
 
 
-@dataclass(frozen=True)
+@record
 class FormLattice:
     """A lattice of symmetric forms on ``Z^ambient_rank``: ``coords`` is the
     column HNF basis of its Sym^2 coordinates, one column per basis form."""
@@ -327,7 +327,7 @@ def d_even_forms(g: ReductiveGroupData) -> FormLattice:
 # Neron-Severi groups
 
 
-@dataclass(frozen=True)
+@record
 class NSGroup:
     """A Neron-Severi group as integer columns in its ambient coordinates
     (character coordinates first, then form-lattice coefficients).

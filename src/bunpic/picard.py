@@ -9,7 +9,6 @@ and the completeness / splitting flags the theorems provide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .exact_algebra import (
     FGAbelianGroup,
@@ -29,6 +28,7 @@ from .invariant_forms import (
     ns_bun,
     ns_bun_p1,
 )
+from .record import record
 from .root_datum import Pi1Element, ReductiveGroupData
 
 
@@ -60,7 +60,7 @@ def require_hypotheses(f: CurveFamily, g: ReductiveGroupData, theorem: str) -> N
 # tautological classes
 
 
-@dataclass(frozen=True)
+@record
 class TautClass:
     """Formal Z-combination of determinant-of-cohomology and Deligne-pairing
     generators; line bundles on the curve enter only through their relative
@@ -192,7 +192,7 @@ def relation_3_4_check(chi, mu, deg_m: int, deg_n: int, d, genus: int,
 # reports
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionRow:
     kernel: str
     middle: str
@@ -200,7 +200,7 @@ class ExtensionRow:
     surjective: bool
 
 
-@dataclass(frozen=True)
+@record
 class PicardReport:
     theorem_applied: str
     kernel_summand: str

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import MISSING, dataclass, field
 from math import gcd
 
 from .exact_algebra import (
@@ -33,6 +32,7 @@ from .exact_algebra import (
     saturation,
     smith_normal_form,
 )
+from .record import MISSING, field, record
 
 
 class InvalidSpec(ValueError):
@@ -72,7 +72,7 @@ def int_tuple(values, what: str) -> tuple:
 _FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 
 
-@dataclass(frozen=True)
+@record
 class SimpleType:
     """Irreducible Dynkin type, e.g. A3, D4, E8."""
 
@@ -163,7 +163,7 @@ def coroot_lengths(t: SimpleType) -> tuple:
 # reductive group data
 
 
-@dataclass(frozen=True)
+@record
 class ReductiveGroupData:
     """Root datum of a (split) reductive group.
 
@@ -295,7 +295,7 @@ def _adjoint_datum(types, label) -> ReductiveGroupData:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GroupFactor:
     name: str
     param: int | None = None
@@ -304,7 +304,7 @@ class GroupFactor:
         return self.name if self.param is None else f"{self.name}({self.param})"
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """Parsed product of named factors; printing reparses to an equal value."""
 
@@ -501,6 +501,14 @@ def _kind_name(kind, plural: bool = False) -> str:
     return _KIND_NAMES[kind][plural]
 
 
+def _shown(value) -> str:
+    """``value`` as JSON text for an error message."""
+    try:
+        return json.dumps(value)
+    except RecursionError:      # parsed near the recursion limit, too deep to print
+        return "a value nested too deeply"
+
+
 def json_field(obj: dict, key: str, kind, default=MISSING):
     """``obj[key]`` if it already has the JSON type ``kind``, else InputError;
     a missing key gives ``default``, or InputError when there is none.
@@ -514,14 +522,14 @@ def json_field(obj: dict, key: str, kind, default=MISSING):
         return default
     value = obj[key]
     if not _has_kind(value, kind):
-        raise InputError(f"{key} must be {_kind_name(kind)}, not {json.dumps(value)}")
+        raise InputError(f"{key} must be {_kind_name(kind)}, not {_shown(value)}")
     return value
 
 
 def json_object(obj, what: str, keys) -> dict:
     """``obj`` if it is a JSON object with no key outside ``keys``, else InputError."""
     if type(obj) is not dict:
-        raise InputError(f"{what} must be an object, not {json.dumps(obj)}")
+        raise InputError(f"{what} must be an object, not {_shown(obj)}")
     for key in obj:
         if key not in keys:
             raise InputError(f"unknown key {key!r} in {what}; known keys: {', '.join(keys)}")
@@ -557,7 +565,7 @@ def group_to_json(g: ReductiveGroupData) -> dict:
 # fundamental group
 
 
-@dataclass(frozen=True)
+@record
 class Pi1Presentation:
     """pi_1(G) = Lambda(T_G)/Lambda_coroots with a fixed generator system:
     free generators first, then torsion generators in invariant-factor order."""
@@ -590,7 +598,7 @@ def fundamental_group(g: ReductiveGroupData) -> FGAbelianGroup:
     return group_from_relations(g.cochar_rank, g.simple_coroots)
 
 
-@dataclass(frozen=True)
+@record
 class Pi1Element:
     """Class in pi_1(G), stored as coordinates in the canonical generators.
 
@@ -636,7 +644,7 @@ class Pi1Element:
 # cross diagram
 
 
-@dataclass(frozen=True)
+@record
 class CrossDiagram:
     """Lattice-level cross diagram of a reductive group.
 

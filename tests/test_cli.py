@@ -1,14 +1,19 @@
 import collections
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bunpic.cli import RunConfig, emit, main, parse_family, run_report
 from test_invariant_forms import count_form_work
@@ -105,7 +110,7 @@ def test_cli_main_json(capsys):
     jsonschema.validate(report, SCHEMA)
 
 
-def test_cli_main_input_errors(capsys):
+def test_cli_main_input_errors(tmp_path, capsys):
     assert main(["--group", "SL(1)", "--family", "universal:2,1"]) == 1
     assert main(["--group", "SL(2)", "--family", "nope:1"]) == 1
     assert main(["--group", "SL(2)", "--family", "universal:2,1",
@@ -126,6 +131,14 @@ def test_cli_main_input_errors(capsys):
     datum["cochar_rank"] = -1
     assert main(["--group", json.dumps(datum), "--family", "universal:2,1"]) == 1
     assert capsys.readouterr().err == "error: group: cocharacter rank -1 is negative\n"
+    # JSON nested too deeply for the parser, in a file or inline
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' * 50_000 + "1" + "}" * 50_000)
+    for flags in (["--group", "SL(2)", "--family", f"@{deep}"],
+                  ["--group", f"@{deep}", "--family", "universal:2,1"],
+                  ["--group", "SL(2)", "--family", '{"a": ' + "[" * 5000]):
+        assert main(flags) == 1
+        assert capsys.readouterr().err.endswith("JSON nested too deeply\n")
     # JSON values of the wrong type, and unknown keys, are errors naming the
     # key: none is coerced into a run
     for group, family, key in MALFORMED_INPUTS:
@@ -236,6 +249,9 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     ):
         lines.append(json.dumps(line))
         keys.append(key)
+    # too deep for the JSON parser: an error record, and the next line still runs
+    lines.append("[" * 100_000)
+    keys.append("JSON nested too deeply")
     lines.append(json.dumps(good[1]))
     batch = tmp_path / "runs.jsonl"
     batch.write_text("\n".join(lines) + "\n")
@@ -259,6 +275,122 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     assert main(["--batch", str(batch), "--format", "text"]) == 1
     errors = [l for l in capsys.readouterr().out.splitlines() if l.startswith("error: ")]
     assert [e.split(": ")[1] for e in errors] == [f"line {i + 1}" for i in bad]
+
+
+def test_batch_values_nested_near_the_recursion_limit(tmp_path, capsys):
+    # depths that the parser still reads but an error message cannot print
+    # back: every line is one error record, never a traceback
+    limit = sys.getrecursionlimit()
+    lines = []
+    for depth in range(limit - 150, limit + 1):
+        nested = "[" * depth + "]" * depth
+        lines.append(nested)
+        lines.append('{"group": "SL(2)", "family": {"genus": ' + nested + ', "delta": 1}}')
+    batch = tmp_path / "deep.jsonl"
+    batch.write_text("\n".join(lines) + "\n")
+    assert main(["--batch", str(batch)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["line"] for r in records] == list(range(1, len(lines) + 1))
+    messages = {r["error"] for r in records}
+    assert "JSON nested too deeply" in messages
+    assert all(m.startswith(("JSON nested", "run config must be", "genus must be"))
+               for m in messages), messages
+
+
+# valid batch lines on groups of rank <= 4 that the fuzz test below mutates
+FUZZ_LINES = [
+    {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
+    {"group": "T(2)", "delta": [1, 3], "family": FAMILY_G2, "compute": ["ns", "gerbe"],
+     "lift_d": [1, 3]},
+    {"group": "T(1)", "delta": [3], "family": "hyperelliptic:3", "compute": ["picard"]},
+    {"group": "SL(2)*T(1)", "delta": [2], "family": "universal:3,2",
+     "compute": ["pi1", "picard", "rigidified"]},
+    {"group": json.dumps(SL2_DATUM), "delta": [], "family": FAMILY_G2, "compute": ["forms"]},
+    {"group": "PGL(2)*GL(2)", "delta": [1, 1], "family": {"genus": 3, "delta": 2},
+     "compute": ["gerbe"]},
+]
+JUNK = st.sampled_from([None, True, 2.5, -1, "x", "", [], {}, [[1]], {"genus": 2}])
+HUGE = st.integers(-10**40, 10**40)
+LINE_BUDGET_S = 5.0
+
+
+@st.composite
+def fuzzed_line(draw):
+    """A line of FUZZ_LINES with a few mutations, as text."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(FUZZ_LINES))))
+    datum = json.loads(cfg["group"]) if cfg["group"].startswith("{") else None
+    family = cfg["family"]
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["swap", "drop", "add", "nest", "huge", "huge", "too deep"]))
+        if how == "too deep":
+            return "[" * 100_000
+        if how == "huge":
+            where = draw(st.sampled_from(["delta", "lift_d", "genus", "family delta",
+                                          "cochar_rank"]))
+            if where in ("delta", "lift_d"):
+                # as many entries as before, so that a line on a torus stays valid
+                size = len(cfg[where]) if isinstance(cfg.get(where), list) else 2
+                cfg[where] = draw(st.lists(HUGE, min_size=size, max_size=size))
+            elif where == "cochar_rank":
+                datum = {**(datum or SL2_DATUM), "cochar_rank": draw(HUGE)}
+            else:
+                family = family if isinstance(family, dict) else {"genus": 3, "delta": 2}
+                family[where.split()[-1]] = draw(HUGE)
+            continue
+        options = [d for d in (cfg, datum, family) if isinstance(d, dict) and d]
+        target = draw(st.sampled_from(options))
+        key = draw(st.sampled_from(sorted(target)))
+        if how == "swap":
+            target[key] = draw(JUNK)
+        elif how == "drop":
+            del target[key]
+        elif how == "add":
+            target[draw(st.sampled_from(["extra", "Genus", "lift"]))] = draw(JUNK)
+        else:
+            depth = draw(st.integers(1, 60))
+            target[key] = json.loads("[" * depth + json.dumps(target[key]) + "]" * depth)
+    if "family" in cfg:
+        cfg["family"] = family
+    if datum is not None and "group" in cfg:
+        cfg["group"] = json.dumps(datum)
+    return json.dumps(cfg)
+
+
+class Stamped(io.StringIO):
+    """Text output that keeps the time at which each line ended."""
+
+    def __init__(self):
+        super().__init__()
+        self.ends = []
+
+    def write(self, text):
+        if text.endswith("\n"):
+            self.ends.append(time.perf_counter())
+        return super().write(text)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(fuzzed_line(), min_size=1, max_size=3))
+def test_fuzzed_batch_lines_give_one_record_each_in_order(tmp_path, lines):
+    batch = tmp_path / "fuzz.jsonl"
+    batch.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = Stamped(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--batch", str(batch)])
+    assert err.getvalue() == ""
+    records = [json.loads(text) for text in out.getvalue().splitlines()]
+    assert len(records) == len(out.ends) == len(lines)
+    assert max(b - a for a, b in zip([start] + out.ends, out.ends)) < LINE_BUDGET_S
+    bad = False
+    for number, (line, rec) in enumerate(zip(lines, records), 1):
+        if "error" in rec:
+            assert sorted(rec) == ["error", "line"] and rec["line"] == number
+            bad = True
+        else:
+            assert rec["group"]["input"] == json.loads(line)["group"]
+    assert code in (0, 1, 2) and (code == 1) == bad
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):

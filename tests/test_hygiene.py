@@ -2,9 +2,14 @@
 nothing uses, no module-level private function that nothing calls, no public
 method or unexported public function that only the tests read (a method
 counts as read only through an attribute, a static method only through its
-class), and no value read out of a JSON object coerced into a type."""
+class), no value read out of a JSON object coerced into a type, and no import
+of ``dataclasses``.  One start-up guard runs a subprocess: ``import
+bunpic.cli`` loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -121,3 +126,33 @@ def test_no_coercion_of_keyed_reads():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in coercions and any(map(is_keyed_read, node.args))]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect and compiles each generated method with its
+    # own exec, at every start: records come from bunpic.record instead
+    assert MODULES, "no module found: is SRC right?"
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(parse(path))
+             if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+             or (isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names))]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a module-set check, not a timing: what ``import bunpic.cli`` adds to the
+    # modules a bare interpreter loads.  Neither -I nor -E: both ignore
+    # PYTHONDONTWRITEBYTECODE and would write src/bunpic/__pycache__
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH")]))}
+
+    def loaded(statement):
+        code = f"import sys{statement}; print(' '.join(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded(", bunpic.cli") - loaded("")
+    assert "bunpic.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -35,6 +34,7 @@ from bunpic.picard import (
     torus_picard,
     torus_picard_genus0,
 )
+from bunpic.record import replace
 from bunpic.root_datum import Pi1Element, SimpleType, build_group
 from reference import (
     divisibility_conditions,

@@ -8,9 +8,11 @@ replaced, and empty shapes checked against the branches that once handled
 them apart; the congruence solver on a basis of its functionals, the Sym^2
 values, congruence cuts and invariance rows, and the matrix products built
 from nonzero terms checked against the unreduced and dense constructions they
-replaced; and the D(G)-simply-connected flag of the cross diagram against
-the torsion of pi_1(G)."""
+replaced; the D(G)-simply-connected flag of the cross diagram against
+the torsion of pi_1(G); and the frozen records of ``bunpic.record`` against
+``dataclasses`` twins of the library's classes."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -36,7 +38,7 @@ from bunpic.exact_algebra import (
     solve_congruence_sublattice,
     subgroup_generators,
 )
-from bunpic.family import family_from_preset
+from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel
 from bunpic.invariant_forms import (
     FormLattice,
@@ -51,7 +53,19 @@ from bunpic.invariant_forms import (
     sym2_pairs,
 )
 from bunpic.picard import reductive_picard
-from bunpic.root_datum import Pi1Element, build_group, cross_diagram, fundamental_group
+from bunpic.record import MISSING, asdict, fields, replace
+from bunpic.root_datum import (
+    GroupFactor,
+    GroupSpec,
+    InputError,
+    Pi1Element,
+    Pi1Presentation,
+    build_group,
+    cross_diagram,
+    fundamental_group,
+    json_field,
+    pi1_presentation,
+)
 from reference import (
     contains_lattice,
     det,
@@ -760,3 +774,89 @@ def test_products_of_empty_shapes(r, k, c):
         a.mul(IntMatrix.zero(k + 1, c))
     with pytest.raises(ValueError):
         a.mul_vector((0,) * (k + 1))
+
+
+# ---------------------------------------------------------------------------
+# bunpic.record against dataclasses twins
+
+
+def twin(cls, *specs):
+    """A frozen dataclass with the name and ``__post_init__`` of ``cls`` and the
+    field specs of ``dataclasses.make_dataclass``."""
+    namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, namespace=namespace)
+
+
+CURVE_FAMILY_TWIN = twin(CurveFamily, ("genus", int), ("delta", int),
+                         *((flag, bool, False) for flag in (
+                             "has_section", "zariski_locally_trivial", "end_jacobian_trivial",
+                             "rpic_surjective", "rpic0_torsion_free")),
+                         ("label", str, ""))
+GL2, T2 = build_group("GL(2)"), build_group("T(2)")
+P_GL2, P_T2 = pi1_presentation(GL2), pi1_presentation(T2)
+RECORD_TWINS = [
+    (IntMatrix, twin(IntMatrix, "rows", "cols", "entries"),
+     [(1, 2, ((1, 2),)), (1, 2, ((1, 3),)), (2, 1, ((1,), (2,))), (0, 0, ())]),
+    (CurveFamily, CURVE_FAMILY_TWIN,
+     [(2, 1), (2, 1, True), (2, 1, False), (3, 2, False, False, True, False, True, "x")]),
+    (Pi1Element, twin(Pi1Element, "group", "coords",
+                      ("presentation", object, dataclasses.field(compare=False, repr=False))),
+     [(GL2, (1,), P_GL2), (GL2, (1,), None), (GL2, (2,), P_GL2), (T2, (1, 0), P_T2)]),
+    (Pi1Presentation, twin(Pi1Presentation, "group", "gens",
+                           ("_proj", object, dataclasses.field(repr=False)),
+                           ("_orders", tuple, dataclasses.field(repr=False))),
+     [(P_GL2.group, P_GL2.gens, P_GL2._proj, P_GL2._orders),
+      (P_GL2.group, P_GL2.gens, P_GL2._proj, (5,)),
+      (P_T2.group, P_T2.gens, P_T2._proj, P_T2._orders)]),
+    (GroupSpec, twin(GroupSpec, "factors"),
+     [((GroupFactor("GL", 2),),), ((GroupFactor("GL", 3),),), ((),)]),
+]
+
+
+@pytest.mark.parametrize("cls,twin_cls,samples", RECORD_TWINS,
+                         ids=[cls.__name__ for cls, _, _ in RECORD_TWINS])
+def test_records_behave_as_their_dataclass_twins(cls, twin_cls, samples):
+    assert ([(f.name, f.default, f.compare, f.repr) for f in fields(cls)]
+            == [(f.name, MISSING if f.default is dataclasses.MISSING else f.default,
+                 f.compare, f.repr) for f in dataclasses.fields(twin_cls)])
+    for a in samples:
+        rec, dc = cls(*a), twin_cls(*a)
+        assert repr(rec) == repr(dc)
+        assert hash(rec) == hash(dc)
+        assert asdict(rec) == {f.name: getattr(dc, f.name) for f in dataclasses.fields(dc)}
+        # a record equals no object of another class, and keeps a __dict__
+        assert rec != dc and dc != rec and not rec == dc
+        assert rec.__eq__(dc) is NotImplemented and hasattr(rec, "__dict__")
+        for name in [f.name for f in fields(rec)] + ["other"]:
+            for obj in (rec, dc):
+                with pytest.raises(AttributeError) as assigned:
+                    setattr(obj, name, 0)
+                with pytest.raises(AttributeError) as deleted:
+                    delattr(obj, name)
+                assert (str(assigned.value), str(deleted.value)) == (
+                    f"cannot assign to field {name!r}", f"cannot delete field {name!r}")
+        for b in samples:
+            assert (cls(*a) == cls(*b)) == (twin_cls(*a) == twin_cls(*b))
+            assert (cls(*a) != cls(*b)) == (twin_cls(*a) != twin_cls(*b))
+
+
+def test_replace_reruns_post_init():
+    m = IntMatrix(1, 2, ((1, 2),))
+    assert replace(m, entries=((3, 4),)) == IntMatrix(1, 2, ((3, 4),))
+    with pytest.raises(ValueError, match="column count mismatch"):
+        replace(m, cols=3)
+    fam = family_from_preset("universal", 2, 1)
+    assert asdict(replace(fam, genus=3, label="x")) == dataclasses.asdict(
+        dataclasses.replace(CURVE_FAMILY_TWIN(**asdict(fam)), genus=3, label="x"))
+    with pytest.raises(TypeError):
+        replace(fam, genera=3)
+
+
+def test_curve_family_fields_give_its_json_reader_types_and_defaults():
+    assert ([(f.name, f.type, f.default) for f in fields(CurveFamily)]
+            == [(f.name, f.type, MISSING if f.default is dataclasses.MISSING else f.default)
+                for f in dataclasses.fields(CURVE_FAMILY_TWIN)])
+    assert json_field.__defaults__ == (MISSING,)
+    with pytest.raises(InputError, match="missing key 'genus'"):
+        CurveFamily.from_json({"delta": 1})
+    assert CurveFamily.from_json({"genus": 2, "delta": 1}) == CurveFamily(2, 1)

@@ -48,6 +48,7 @@ from .root_datum import (
     Pi1Element,
     ReductiveGroupData,
     build_group,
+    echo,
     group_from_json,
     group_to_json,
     json_field,
@@ -91,7 +92,8 @@ def _comma_ints(what: str, text: str) -> list:
     try:
         return [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise InputError(f"{what} must be comma-separated integers, not {text!r}") from None
+        raise InputError(
+            f"{what} must be comma-separated integers, not {echo(repr(text))}") from None
 
 
 def _parse_json(text: str):
@@ -122,7 +124,7 @@ def parse_family(text: str) -> CurveFamily:
     if text.startswith(("@", "{")):
         return CurveFamily.from_json(_json_input(text))
     name, _, rest = text.partition(":")
-    return family_from_preset(name, *_comma_ints(f"{name} parameters", rest))
+    return family_from_preset(name, *_comma_ints(f"{echo(name)} parameters", rest))
 
 
 def _form_lattice_json(fl: FormLattice) -> dict:
@@ -160,7 +162,7 @@ def run_report(cfg: RunConfig):
     lift = cfg.lift_d
     unknown = [c for c in cfg.compute if c not in COMPUTATIONS]
     if unknown:
-        raise InputError(f"unknown computations {unknown}; known: {COMPUTATIONS}")
+        raise InputError(f"unknown computations {echo(str(unknown))}; known: {COMPUTATIONS}")
 
     f = cfg.family
     results: dict = {}
@@ -291,9 +293,15 @@ def _describe(grp: dict) -> str:
 
 
 def emit(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, sort_keys=True, separators=(",", ":"))
-    return render_text(report)
+    """The report as text; one holding an integer too long for ``str`` (the
+    interpreter's guard against quadratic-time conversion) is an InputError."""
+    try:
+        if fmt == "json":
+            return json.dumps(report, sort_keys=True, separators=(",", ":"))
+        return render_text(report)
+    except ValueError:
+        raise InputError("the report holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,12 +357,13 @@ def _run_batch(path: str, fmt: str) -> int:
                 continue
             try:
                 code, report = run_report(RunConfig.from_json(_parse_json(line)))
+                text = emit(report, fmt)
             except INPUT_ERRORS as exc:
                 bad = True
                 print(_error_record(number, exc, fmt), flush=True)
                 continue
             worst = max(worst, code)
-            print(emit(report, fmt), flush=True)
+            print(text, flush=True)
     return 1 if bad else worst
 
 

@@ -18,8 +18,11 @@ results are exact and canonical:
   relations only; :func:`subgroup_generators` takes the relation columns
   themselves, because their order fixes the canonical generators;
 * rational coordinates are integer numerators over one common denominator
-  (:func:`rational_coordinates`, solved through the Smith normal form), and
-  a numerator matrix known to be divisible is divided through, checked, by
+  (:func:`rational_coordinates`, solved through the Smith normal form; the
+  engines solve one system per group, the projection C^-1 A^T to the
+  simple-coroot coordinates in ``invariant_forms._sc_projection``, and read
+  every other rational coordinate as a product with it), and a numerator
+  matrix known to be divisible is divided through, checked, by
   :func:`divide_exactly`;
 * empty shapes (0 x n, n x 0, 0 x 0, rank 0, no relations or conditions)
   take the general algorithms: :meth:`IntMatrix.from_rows` and
@@ -44,7 +47,7 @@ Which normal form does which job:
   the non-unit core of the relations' echelon form),
   :func:`canonical_generators` (generator lifts from that inverse; it also
   splits off the free quotient in ``root_datum.cross_diagram``),
-  :func:`rational_coordinates` and the glue basis of
+  :func:`rational_coordinates` (once per group) and the glue basis of
   ``root_datum.with_central_torus``.
 """
 

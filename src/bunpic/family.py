@@ -12,7 +12,7 @@ catalog itself justifies (a section forces surjectivity of
 from math import gcd
 
 from .record import asdict, fields, record, replace
-from .root_datum import ReductiveGroupData, cross_diagram, json_field, json_object
+from .root_datum import ReductiveGroupData, cross_diagram, echo, json_field, json_object
 
 
 class InvalidPreset(ValueError):
@@ -128,7 +128,8 @@ def family_from_preset(name: str, *params: int) -> CurveFamily:
     flag policy."""
     name = name.lower()
     for p in params:
-        _require(type(p) is int, f"{name} parameters must be integers, not {p!r}")
+        _require(type(p) is int,
+                 f"{echo(name)} parameters must be integers, not {echo(repr(p))}")
     if name == "universal":
         _require(len(params) == 2, "universal(g, n)")
         g, n = params
@@ -235,7 +236,7 @@ def family_from_preset(name: str, *params: int) -> CurveFamily:
         fam = CurveFamily(genus=0, delta=2, end_jacobian_trivial=True,
                           rpic0_torsion_free=True, label="genus0_nontrivial")
     else:
-        raise InvalidPreset(f"unknown preset {name!r}")
+        raise InvalidPreset(f"unknown preset {echo(repr(name))}")
     return fam
 
 

@@ -20,16 +20,15 @@ from .exact_algebra import (
     group_from_relations,
     hom_cokernel,
     preimage_lattice,
-    rational_coordinates,
     solve_congruence_sublattice,
 )
 from .family import CurveFamily
 from .invariant_forms import (
+    _conditional_coefficients,
     _derived_quotient,
     _ns_rigidified,
     _root_relations,
-    _sc_coordinates,
-    conditional_form_lattice,
+    _sc_evaluation,
     ns_rigidified,
     sc_even_forms,
 )
@@ -95,19 +94,13 @@ class GerbeReport:
 
 def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> FGAbelianGroup:
     """Cokernel of the evaluation map: conditional forms on the derived
-    lattice evaluated against (a lift of) delta^ss, landing in
-    Lambda^*(T_D)/Lambda^*(T_Gad); independent of the lift."""
-    lift = delta.lift(lift)
-    cfl = conditional_form_lattice(g)
-    cd, _, target = _derived_quotient(g)
-    # d^ss = v / denom in the images of the derived basis vectors inside Lambda(T_Gss)
-    a_d = g.simple_roots.transpose().mul(cd.derived_lattice.basis)
-    d_ad = IntMatrix.from_columns([g.adjoint_coordinates(lift)], g.ss_rank)
-    v, denom = rational_coordinates(a_d, d_ad)
-    vals = cfl.values([(e, v.column(0)) for e in IntMatrix.identity(cfl.ambient_rank).columns()])
-    return hom_cokernel(
-        divide_exactly(vals, denom, "conditional form fails integrality against delta^ss"),
-        target)
+    lattice, as coefficients on the sc even forms, evaluated against (a lift
+    of) delta^ss, landing in Lambda^*(T_D)/Lambda^*(T_Gad); independent of
+    the lift."""
+    _, (vals, denom) = _sc_evaluation(g, delta.lift(lift))
+    ev = divide_exactly(vals.mul(_conditional_coefficients(g).basis), denom,
+                        "conditional form fails integrality against delta^ss")
+    return hom_cokernel(ev, _derived_quotient(g)[2])
 
 
 def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> FGAbelianGroup:
@@ -130,18 +123,11 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
 @once_per_group
 def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
     """Domain sublattice {b on the sc lattice : b(d^ss, -) integral on the
-    derived lattice} together with the evaluation matrix into the derived
-    quotient and its cokernel, for a checked lift (kept on the group, so the
-    genus-0 rigidified and gerbe computations share it)."""
-    forms = sc_even_forms(g)
-    cd, _, target = _derived_quotient(g)
-    # d^ss (column 0) and the derived basis u_j (the other columns) in sc
-    # coordinates, as numerators over e
-    x, e = _sc_coordinates(
-        g, IntMatrix.from_columns([lift], g.cochar_rank).hstack(cd.derived_lattice.basis))
-    # b(d^ss, u_j) for b = sum_k c_k b_k is (vals c)_j / denom
-    vals = forms.values([(u, x.column(0)) for u in x.columns()[1:]])
-    denom = e * e
+    derived lattice}, cut on the evaluation into the derived quotient, with
+    that evaluation on the domain and its cokernel, for a checked lift (kept
+    on the group, so the genus-0 rigidified and gerbe computations share it)."""
+    forms, target = sc_even_forms(g), _derived_quotient(g)[2]
+    _, (vals, denom) = _sc_evaluation(g, lift)
     domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries])
     ev = divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
     return forms, domain, ev, target, hom_cokernel(ev, target)

@@ -18,9 +18,11 @@ the integral points of that span, found by one congruence solve.  A torus
 has every form.  The even and D-even lattices are cuts of the invariant
 forms.  By Cor C the even forms on the coroot lattice of G^sc are free on
 the basic inner products of the simple factors, and the conditional lattice
-is a cut of them in simple-coroot coordinates (``_sc_coordinates``).  One
-solve of the Cartan matrix per group (``_cartan_inverse``) gives both those
-coordinates and the projection.
+is a cut of them in simple-coroot coordinates.  Each such coordinate is a
+product with p = C^-1 A^T over one denominator e, solved once per group
+(``_sc_projection``): the projection of the forms, the derived basis U = p D
+and delta^ss = p d.  The sc forms at (alpha_i^vee, delta^ss) give NS
+Bun(P^1), and U^T times them ev and ev-hat (``_sc_evaluation``).
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
@@ -175,21 +177,19 @@ def _cut_coefficients(forms: FormLattice, conditions) -> Lattice:
 
 
 @once_per_group
-def _cartan_inverse(g: ReductiveGroupData):
-    """The inverse of the Cartan matrix <alpha_i, alpha_j^vee> as numerators
-    x over one denominator e, solved once per group."""
+def _sc_projection(g: ReductiveGroupData):
+    """p = C^-1 A^T as integer numerators over one denominator e, the least:
+    x in Lambda(T_G) to the simple-coroot coordinates of its projection to
+    the span of the coroots.  The one solve of the Cartan matrix per group."""
     rt = g.simple_roots.transpose()
-    return rational_coordinates(rt.mul(g.simple_coroots), IntMatrix.identity(g.ss_rank))
+    return rational_coordinates(rt.mul(g.simple_coroots), rt)
 
 
-def _sc_coordinates(g: ReductiveGroupData, cols: IntMatrix):
-    """The cocharacters ``cols`` in simple-coroot coordinates, numerators x over
-    one denominator e, the least one: their images in Lambda(T_Gad) over the
-    Cartan matrix."""
-    inv, e = _cartan_inverse(g)
-    x = inv.mul(g.simple_roots.transpose().mul(cols))
-    c = gcd(e, *(a for row in x.entries for a in row))
-    return IntMatrix(x.rows, x.cols, tuple(tuple(a // c for a in row) for row in x.entries)), e // c
+def _derived_sc_basis(g: ReductiveGroupData):
+    """The basis of Lambda(T_D) in simple-coroot coordinates, U = p D, as
+    numerators over e."""
+    p, e = _sc_projection(g)
+    return p.mul(_derived_quotient(g)[0].derived_lattice.basis), e
 
 
 def _saturated_span(cols, dim: int) -> list:
@@ -232,9 +232,8 @@ def _invariant_form_coords(g: ReductiveGroupData) -> IntMatrix:
     dim = sym2_dim(n)
     if g.is_torus:
         return IntMatrix.identity(dim)
-    inv, _ = _cartan_inverse(g)
     rt = g.simple_roots.transpose()
-    y = inv.mul(rt).entries                            # e * y, row i for coroot i
+    y = _sc_projection(g)[0].entries                   # e * y, row i for coroot i
     ell = [l for t in g.factor_types for l in coroot_lengths(t)]
     cols = [tuple(sum(ell[i] * y[i][p] * rt[i, q] for i in block) for p, q in sym2_pairs(n))
             for block in g.factor_blocks()]
@@ -292,27 +291,43 @@ def sc_even_forms(g: ReductiveGroupData) -> FormLattice:
 
 
 @once_per_group
+def _conditional_coefficients(g: ReductiveGroupData) -> Lattice:
+    """The coefficients on ``sc_even_forms`` of the forms that extend the
+    conditional forms.  With the derived basis u = p D and the images w of
+    the basis of Lambda(T_G) in Lambda(T_Gss) (the columns of p), numerators
+    over e, the conditions are b(u, u) = 0 mod 2e^2 and b(u, w) = 0 mod e^2.
+    This cut stays out of the one-slot ``_congruence_cut``, where it would
+    evict the even cut that the D-even lattice shares."""
+    (u, e), w = _derived_sc_basis(g), _sc_projection(g)[0].columns()
+    u = u.columns()
+    conditions = [((a, a), 2 * e * e) for a in u] + [((a, b), e * e) for a in u for b in w]
+    return _cut_coefficients(sc_even_forms(g), conditions)
+
+
+@once_per_group
 def conditional_form_lattice(g: ReductiveGroupData) -> FormLattice:
     """Invariant even forms on Lambda(T_D(G)) whose rational extension is
     integral on Lambda(T_D(G)) x Lambda(T_Gss); Gram matrices are on the
-    basis of Lambda(T_D(G)).
+    basis of Lambda(T_D(G)).  Such a form extends an sc even form b of
+    ``_conditional_coefficients``, with Gram entries b(u_i, u_j) / e^2."""
+    u, e = _derived_sc_basis(g)
+    m, u = u.cols, u.columns()
+    vals = sc_even_forms(g).values([(u[i], u[j]) for i, j in sym2_pairs(m)])
+    return FormLattice.from_coord_columns(m, divide_exactly(
+        vals.mul(_conditional_coefficients(g).basis), e * e,
+        "conditional form is not integral").columns())
 
-    Such a form extends an sc even form b.  In sc coordinates, as numerators
-    over one denominator e, the derived basis u and the images w of the
-    basis of Lambda(T_G) in Lambda(T_Gss) give the conditions b(u, u) = 0
-    mod 2e^2 and b(u, w) = 0 mod e^2, and the Gram entries b(u_i, u_j) / e^2.
-    This cut stays out of the one-slot ``_congruence_cut``, where it would
-    evict the even cut that the D-even lattice shares."""
-    forms = sc_even_forms(g)
-    d_basis = _derived_quotient(g)[0].derived_lattice.basis
-    m = d_basis.cols
-    x, e = _sc_coordinates(g, d_basis.hstack(IntMatrix.identity(g.cochar_rank)))
-    u, w = x.columns()[:m], x.columns()[m:]
-    conditions = [((a, a), 2 * e * e) for a in u] + [((a, b), e * e) for a in u for b in w]
-    cut = _cut_coefficients(forms, conditions)
-    vals = forms.values([(u[i], u[j]) for i, j in sym2_pairs(m)]).mul(cut.basis)
-    return FormLattice.from_coord_columns(
-        m, divide_exactly(vals, e * e, "conditional form is not integral").columns())
+
+@once_per_group
+def _sc_evaluation(g: ReductiveGroupData, d: tuple):
+    """b_k(alpha_i^vee, d^ss) for the basis forms b_k of ``sc_even_forms``
+    (row i, column k) and d^ss = p d, over e, which NS Bun(P^1) reads; and
+    U^T times it, b_k(u_j, d^ss) on the derived basis u, over e^2, which ev
+    and ev-hat read.  Kept for the latest lift."""
+    p, e = _sc_projection(g)
+    v = p.mul_vector(d)
+    vals = sc_even_forms(g).values([(a, v) for a in IntMatrix.identity(g.ss_rank).columns()])
+    return (vals, e), (_derived_sc_basis(g)[0].transpose().mul(vals), e * e)
 
 
 @once_per_group
@@ -442,15 +457,13 @@ def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
 
 @once_per_group
 def _ns_bun_p1(g: ReductiveGroupData, d: tuple) -> NSGroup:
-    n, mm = g.cochar_rank, g.ss_rank
-    forms = sc_even_forms(g)
+    n, forms = g.cochar_rank, sc_even_forms(g)
     s = forms.rank
-    v, denom = _sc_coordinates(g, IntMatrix.from_columns([d], n))   # d^ss = v / denom
-    vals = forms.values([(e, v.column(0)) for e in IntMatrix.identity(mm).columns()])
-    at = g.simple_coroots.transpose()   # chi -> (chi(a_j^vee))_j
-    rows = [tuple(denom * x for x in at.row(j)) + tuple(-x for x in vals.row(j))
-            for j in range(mm)]
-    members = kernel_basis(IntMatrix.from_rows(rows, n + s))     # already in HNF
+    (vals, denom), _ = _sc_evaluation(g, d)
+    # (chi, c) with chi(a_j^vee) = (vals c)_j / denom; the kernel is already in HNF
+    rows = [tuple(denom * x for x in a) + tuple(-x for x in v)
+            for a, v in zip(g.simple_coroots.transpose().entries, vals.entries)]
+    members = kernel_basis(IntMatrix.from_rows(rows, n + s))
     relations = _root_relations(g, s)
     group, key, gens = subgroup_generators(n + s, members.columns(), relations)
     return NSGroup(kind="bun_p1", group=group, chi_rank=n, form_basis=forms, gens=gens,

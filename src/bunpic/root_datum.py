@@ -55,13 +55,24 @@ class InputError(ValueError):
     """Outside input (a flag, a run config, a JSON file) of the wrong form."""
 
 
+ECHO_LIMIT = 200
+
+
+def echo(text: str) -> str:
+    """``text``, outside input echoed in an error message, cut to its first
+    ``ECHO_LIMIT`` characters, so one bad input gives a short message."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters cut)"
+
+
 def int_tuple(values, what: str) -> tuple:
     """``values`` as ints: an int stays, a string is read by ``int``, and any
     other entry (a float, which ``int`` would truncate) is an InputError."""
     values = tuple(values)
     for x in values:
         if type(x) not in (int, str):
-            raise InputError(f"{what} must be integers, not {x!r}")
+            raise InputError(f"{what} must be integers, not {echo(repr(x))}")
     return tuple(int(x) for x in values)
 
 
@@ -99,7 +110,7 @@ class SimpleType:
     def parse(s: str) -> "SimpleType":
         m = re.fullmatch(r"([A-G])(\d+)", s.strip())
         if not m:
-            raise InvalidSpec(f"cannot parse simple type {s!r}")
+            raise InvalidSpec(f"cannot parse simple type {echo(repr(s))}")
         return SimpleType(m.group(1), int(m.group(2)))
 
 
@@ -363,7 +374,7 @@ def parse_group_spec(s: str) -> GroupSpec:
             factors.append(GroupFactor(name))
         else:
             if name not in _PARAM_NAMES:
-                raise ParseError(f"unknown group name {name!r}", tokens[i - 1][1])
+                raise ParseError(f"unknown group name {echo(repr(name))}", tokens[i - 1][1])
             take(lambda t: t == "(", f"{name} requires a parenthesized rank")
             param = int(take(str.isdecimal, "expected an integer rank"))
             take(lambda t: t == ")", "expected ')'")
@@ -502,9 +513,9 @@ def _kind_name(kind, plural: bool = False) -> str:
 
 
 def _shown(value) -> str:
-    """``value`` as JSON text for an error message."""
+    """``value`` as JSON text for an error message, cut by ``echo``."""
     try:
-        return json.dumps(value)
+        return echo(json.dumps(value))
     except RecursionError:      # parsed near the recursion limit, too deep to print
         return "a value nested too deeply"
 
@@ -532,7 +543,8 @@ def json_object(obj, what: str, keys) -> dict:
         raise InputError(f"{what} must be an object, not {_shown(obj)}")
     for key in obj:
         if key not in keys:
-            raise InputError(f"unknown key {key!r} in {what}; known keys: {', '.join(keys)}")
+            raise InputError(f"unknown key {echo(repr(key))} in {what}; "
+                             f"known keys: {', '.join(keys)}")
     return obj
 
 

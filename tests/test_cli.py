@@ -297,6 +297,52 @@ def test_batch_values_nested_near_the_recursion_limit(tmp_path, capsys):
                for m in messages), messages
 
 
+def test_a_report_too_long_to_print_is_one_error_record(tmp_path, capsys):
+    # reports holding an integer past the interpreter's int -> str limit: the
+    # certificate's hom_order = delta^20, and the genus of 20 000 quadrics
+    cause = (f"the report holds an integer of more than {sys.get_int_max_str_digits()} "
+             "digits, too long to print")
+    family = {"genus": 10**300 // 2 + 1, "delta": 10**300, "end_jacobian_trivial": True,
+              "rpic_surjective": True}
+    quadrics = "complete_intersection:" + ",".join(["2"] * 20_000)
+    good = {"group": "T(1)", "delta": [2], "family": "hyperelliptic:3", "compute": ["poincare"]}
+    lines = [{"group": "T(20)", "delta": [0] * 20, "family": family, "compute": ["gerbe"]}, good,
+             {"group": "SL(2)", "family": quadrics}, good]
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+    assert main(["--batch", str(batch)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    _, report = run_report(RunConfig.from_json(good))
+    errors = [json.dumps({"error": cause, "line": i}, sort_keys=True, separators=(",", ":"))
+              for i in (1, 3)]
+    assert out == [errors[0], emit(report, "json"), errors[1], emit(report, "json")]
+    assert main(["--group", "SL(2)", "--family", quadrics]) == 1
+    assert capsys.readouterr() == ("", f"error: {cause}\n")
+
+
+def test_error_records_echo_a_bounded_part_of_the_input(tmp_path, capsys):
+    from bunpic.root_datum import echo
+
+    assert echo("x" * 200) == "x" * 200
+    assert echo("x" * 1000) == "x" * 200 + "... (800 more characters cut)"
+    lines = [
+        {"group": "SL(2)", "family": "universal:2,1", "delta": [0.5] * 100_000},
+        {"group": "SL(2)", "family": "universal:2,1", "k" * 10**6: 1},
+        {"group": "Q" * 10**6, "family": "universal:2,1"},
+    ]
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+    assert main(["--batch", str(batch)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    starts = ("delta must be a list of integers, not [0.5, ", "unknown key 'kkk",
+              "group: unknown group name 'QQQ")
+    assert len(out) == len(lines)
+    for i, (line, start) in enumerate(zip(out, starts, strict=True)):
+        record = json.loads(line)
+        assert record["line"] == i + 1 and record["error"].startswith(start), record
+        assert "more characters cut" in record["error"] and len(line.encode()) < 1024
+
+
 # valid batch lines on groups of rank <= 4 that the fuzz test below mutates
 FUZZ_LINES = [
     {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
@@ -652,10 +698,23 @@ def test_positive_genus_report_computes_each_ns_group_once(monkeypatch, group, d
     ("E8", (), "genus0_nontrivial"), ("GL(2)", (1,), "genus0_nontrivial"),
 ])
 def test_report_solves_the_cartan_matrix_once(monkeypatch, group, delta, family):
-    # the invariant forms and every simple-coroot coordinate read one solve
-    runs = count_body_runs(monkeypatch, [("invariant_forms", "_cartan_inverse")])
+    # the invariant forms and every simple-coroot coordinate read one
+    # projection C^-1 A^T, and the report runs no other rational solve
+    from bunpic.exact_algebra import rational_coordinates
+
+    runs = count_body_runs(monkeypatch, [("invariant_forms", "_sc_projection")])
+    solves = []
+
+    def counted(m, b):
+        solves.append((m, b))
+        return rational_coordinates(m, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bunpic" and hasattr(module, "rational_coordinates"):
+            monkeypatch.setattr(module, "rational_coordinates", counted)
     run_full_report(monkeypatch, group, delta, family)
-    assert runs == {"_cartan_inverse": 1}
+    assert runs == {"_sc_projection": 1}
+    assert len(solves) == 1
 
 
 def count_cross_diagram_builds(monkeypatch):

@@ -294,11 +294,12 @@ def _describe(grp: dict) -> str:
 
 def emit(report: dict, fmt: str) -> str:
     """The report as text; one holding an integer too long for ``str`` (the
-    interpreter's guard against quadratic-time conversion) is an InputError."""
+    interpreter's guard against quadratic-time conversion) is an InputError.
+    The JSON is always serialized, so both formats refuse the same reports:
+    the text shows only part of the report."""
     try:
-        if fmt == "json":
-            return json.dumps(report, sort_keys=True, separators=(",", ":"))
-        return render_text(report)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        return text if fmt == "json" else render_text(report)
     except ValueError:
         raise InputError("the report holds an integer of more than "
                          f"{sys.get_int_max_str_digits()} digits, too long to print") from None

@@ -40,7 +40,9 @@ Which normal form does which job:
   ``rel = diag(m)`` after each modulus's functionals are cut to an echelon
   basis of their span);
 * membership and coordinates in a lattice back-substitute along the pivot
-  rows of its HNF basis (:meth:`Lattice.coordinates`);
+  rows of its HNF basis (:meth:`Lattice.coordinates`), and the one
+  saturation, :func:`saturation`, reads the same pivot rows: one congruence
+  solve against the adjugate of their block, then one echelon;
 * one Smith normal form, :func:`smith_normal_form`, which also carries the
   inverse of its row transform, is used only where invariant factors or a
   basis adapted to them are the output: :func:`group_from_relations` (on
@@ -53,7 +55,7 @@ Which normal form does which job:
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .record import record
 
@@ -397,15 +399,35 @@ class Lattice:
 
 
 def saturation(l: Lattice) -> Lattice:
-    """Largest sublattice of the ambient with the same rational span as ``l``."""
-    # fast paths: l = 0 (tori), and l of full rank (every semisimple group)
+    """Largest sublattice of the ambient with the same rational span as ``l``.
+
+    With h the HNF basis of ``l`` and P its pivot rows, h_P is lower
+    triangular with determinant d, the product of the pivots, so a vector x
+    of the span is h h_P^-1 x_P, and x is integral iff x_P is and
+    (d h h_P^-1) x_P = 0 mod d: one congruence solve on the rank-many
+    coordinates x_P.  The adjugate d h_P^-1 comes from forward substitution,
+    each division exact.  Rank 0 and full rank need no solve, and one column
+    spans its saturation once divided by the gcd of its entries.
+    """
+    n, h = l.ambient_rank, l.basis.columns()
     if l.rank == 0:
         return l
-    perp = kernel_basis(l.basis.transpose())          # functionals vanishing on l
-    if perp.cols == 0:
-        return Lattice.full(l.ambient_rank)
-    sat = kernel_basis(perp.transpose())              # everything they vanish on
-    return Lattice.from_columns(l.ambient_rank, sat.columns())
+    if l.rank == n:
+        return Lattice.full(n)
+    if l.rank == 1:
+        c = gcd(*h[0])
+        return Lattice(n, IntMatrix.from_columns([[a // c for a in h[0]]], n))
+    pivots = [next(i for i, a in enumerate(c) if a) for c in h]
+    lower = [[c[p] for c in h] for p in pivots]                     # h_P
+    d = prod(row[i] for i, row in enumerate(lower))
+    adj = []
+    for i, row in enumerate(lower):
+        adj.append([(d * (i == j) - sum(row[b] * adj[b][j] for b in range(i))) // row[i]
+                    for j in range(len(h))])
+    a = l.basis.mul(IntMatrix.from_rows(adj, len(h)))
+    xp = solve_congruence_sublattice(len(h), [(row, d) for row in a.entries])
+    sat = divide_exactly(a.mul(xp.basis), d, "saturated vector is not integral")
+    return Lattice(n, IntMatrix.from_columns(_echelon(sat.columns(), n), n))
 
 
 def solve_congruence_sublattice(ambient_rank: int, conditions) -> Lattice:

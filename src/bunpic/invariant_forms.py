@@ -14,9 +14,9 @@ The invariant forms on Lambda(T_G) come from the root datum in closed form
 product of each simple factor, read on the simple-coroot coordinates of the
 projection to the span of the coroots, and by the forms on the radical (the
 products of two functionals that kill the coroots); the integral forms are
-the integral points of that span, found by one congruence solve.  A torus
-has every form.  The even and D-even lattices are cuts of the invariant
-forms.  By Cor C the even forms on the coroot lattice of G^sc are free on
+the integral points of that span, its ``saturation``.  A torus has every
+form.  The even and D-even lattices are cuts of the invariant forms.  By
+Cor C the even forms on the coroot lattice of G^sc are free on
 the basic inner products of the simple factors, and the conditional lattice
 is a cut of them in simple-coroot coordinates.  Each such coordinate is a
 product with p = C^-1 A^T over one denominator e, solved once per group
@@ -29,11 +29,11 @@ Each form lattice of a group, and its derived quotient, is computed once per
 the values are immutable.  The derived quotient carries the group's cross
 diagram and is the engines' only source of it, so the computations of a
 report share one (the hypothesis gates of ``family`` still build their
-own).  The even and D-even cuts share the memo ``_congruence_cut``, keyed
-by its inputs, so they are one cut when G is semisimple.  The
-lift-dependent NS groups are kept the same way, keyed by the checked lift
-(one value per function, for the latest lift), so the computations of one
-report that share a lift share one NS group.  The CLI builds one group per
+own).  When G is semisimple, Lambda(T_D) = Lambda(T_G) and the D-even
+lattice is the even one, so the two share one ``_congruence_cut``.  The
+lift-dependent NS groups are kept on the group too, keyed by the checked
+lift (one value per function, for the latest lift), so the computations of
+one report that share a lift share one NS group.  The CLI builds one group per
 report, so these values live for one report.
 
 Values are built from their nonzero terms u_i w_j only (``FormLattice.values``).
@@ -46,17 +46,16 @@ from one product of the coordinate matrix with their coefficient columns.
 from __future__ import annotations
 
 import functools
-from math import gcd, prod
 
 from .exact_algebra import (
     FGAbelianGroup,
     IntMatrix,
     Lattice,
-    _echelon,
     divide_exactly,
     kernel_basis,
     preimage_lattice,
     rational_coordinates,
+    saturation,
     solve_congruence_sublattice,
     subgroup_generators,
 )
@@ -192,32 +191,6 @@ def _derived_sc_basis(g: ReductiveGroupData):
     return p.mul(_derived_quotient(g)[0].derived_lattice.basis), e
 
 
-def _saturated_span(cols, dim: int) -> list:
-    """A basis of the integral vectors in the rational span of the linearly
-    independent columns ``cols`` of length ``dim``.
-
-    With h their echelon basis and P its pivot rows, h_P is lower triangular
-    with determinant d, the product of the pivots, so a vector x of the span
-    is h h_P^-1 x_P, and x is integral iff x_P is and (d h h_P^-1) x_P = 0
-    mod d: one congruence solve on the rank-many coordinates x_P.  The
-    adjugate d h_P^-1 comes from forward substitution, each division exact.
-    One column spans its saturation once divided by the gcd of its entries."""
-    if len(cols) == 1:
-        c = gcd(*cols[0])
-        return [[a // c for a in cols[0]]]
-    h = _echelon(cols, dim)
-    pivots = [next(i for i, a in enumerate(c) if a) for c in h]
-    lower = [[c[p] for c in h] for p in pivots]                     # h_P
-    d = prod(row[i] for i, row in enumerate(lower))
-    adj = []
-    for i, row in enumerate(lower):
-        adj.append([(d * (i == j) - sum(row[b] * adj[b][j] for b in range(i))) // row[i]
-                    for j in range(len(h))])
-    a = IntMatrix.from_columns(h, dim).mul(IntMatrix.from_rows(adj, len(h)))
-    xp = solve_congruence_sublattice(len(h), [(row, d) for row in a.entries])
-    return divide_exactly(a.mul(xp.basis), d, "saturated vector is not integral").columns()
-
-
 def _invariant_form_coords(g: ReductiveGroupData) -> IntMatrix:
     """Sym^2 coordinates of the Weyl-invariant forms on Lambda(T_G), in HNF.
 
@@ -226,7 +199,7 @@ def _invariant_form_coords(g: ReductiveGroupData) -> IntMatrix:
     coroots (C the Cartan matrix, A the roots): b_f(x, x') = sum over i in f
     of l_i y_i <alpha_i, x'>, with l the coroot lengths; and the products of
     two functionals that kill the coroots, the forms on the radical.  The
-    integral forms are the integral vectors of that span.  A torus has every
+    integral forms are the ``saturation`` of that span.  A torus has every
     form."""
     n = g.cochar_rank
     dim = sym2_dim(n)
@@ -240,17 +213,15 @@ def _invariant_form_coords(g: ReductiveGroupData) -> IntMatrix:
     perp = kernel_basis(g.simple_coroots.transpose()).columns()
     cols += [tuple(u[p] * w[q] + u[q] * w[p] for p, q in sym2_pairs(n))
              for i, u in enumerate(perp) for w in perp[i:]]
-    return IntMatrix.from_columns(_echelon(_saturated_span(cols, dim), dim), dim)
+    return saturation(Lattice.from_columns(dim, cols)).basis
 
 
 # ---------------------------------------------------------------------------
 # the form lattices of the theory
 
 
-@once_per_group
-def _congruence_cut(g: ReductiveGroupData, forms: FormLattice, conditions: tuple) -> FormLattice:
-    """The forms of ``forms`` that meet the conditions, cut once per group for
-    each distinct input (the even and D-even cuts when G is semisimple)."""
+def _congruence_cut(forms: FormLattice, conditions) -> FormLattice:
+    """The forms of ``forms`` that meet the conditions."""
     cut = _cut_coefficients(forms, conditions)
     return FormLattice.from_coord_columns(forms.ambient_rank, forms.coords.mul(cut.basis).columns())
 
@@ -264,7 +235,7 @@ def invariant_sym_forms(g: ReductiveGroupData) -> FormLattice:
 @once_per_group
 def even_invariant_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms with even diagonal (b(x,x) in 2Z)."""
-    return _congruence_cut(g, invariant_sym_forms(g), _diagonal_even_conditions(g.cochar_rank))
+    return _congruence_cut(invariant_sym_forms(g), _diagonal_even_conditions(g.cochar_rank))
 
 
 def basic_inner_product(t: SimpleType) -> BilinearForm:
@@ -295,9 +266,7 @@ def _conditional_coefficients(g: ReductiveGroupData) -> Lattice:
     """The coefficients on ``sc_even_forms`` of the forms that extend the
     conditional forms.  With the derived basis u = p D and the images w of
     the basis of Lambda(T_G) in Lambda(T_Gss) (the columns of p), numerators
-    over e, the conditions are b(u, u) = 0 mod 2e^2 and b(u, w) = 0 mod e^2.
-    This cut stays out of the one-slot ``_congruence_cut``, where it would
-    evict the even cut that the D-even lattice shares."""
+    over e, the conditions are b(u, u) = 0 mod 2e^2 and b(u, w) = 0 mod e^2."""
     (u, e), w = _derived_sc_basis(g), _sc_projection(g)[0].columns()
     u = u.columns()
     conditions = [((a, a), 2 * e * e) for a in u] + [((a, b), e * e) for a in u for b in w]
@@ -333,9 +302,12 @@ def _sc_evaluation(g: ReductiveGroupData, d: tuple):
 @once_per_group
 def d_even_forms(g: ReductiveGroupData) -> FormLattice:
     """Invariant symmetric forms on Lambda(T_G) whose restriction to the
-    derived lattice is even."""
-    conditions = tuple(((u, u), 2) for u in _derived_quotient(g)[0].derived_lattice.basis.columns())
-    return _congruence_cut(g, invariant_sym_forms(g), conditions)
+    derived lattice is even: the even forms when G is semisimple, where the
+    derived lattice is Lambda(T_G)."""
+    if g.is_semisimple:
+        return even_invariant_forms(g)
+    conditions = [((u, u), 2) for u in _derived_quotient(g)[0].derived_lattice.basis.columns()]
+    return _congruence_cut(invariant_sym_forms(g), conditions)
 
 
 # ---------------------------------------------------------------------------

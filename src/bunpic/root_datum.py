@@ -250,10 +250,9 @@ def once_per_group(fn):
     and its value: a call with the same arguments reads it, a call with
     others recomputes and replaces it.  So a caller sweeping many arguments
     over one group keeps one value per function, not one per argument
-    tuple.  The arguments are values compared with ``==``: ints, tuples of
-    ints (a lift of delta, a genus, congruence conditions) and frozen
-    ``FormLattice`` values (compared by their rank and coordinate matrix).
-    ``==``, ``hash`` and ``group_to_json`` read only the declared fields.
+    tuple.  The arguments are ints and tuples of ints (a lift of delta, a
+    genus), compared with ``==``.  ``==``, ``hash`` and ``group_to_json``
+    read only the declared fields.
     """
     key = f"{fn.__module__}.{fn.__qualname__}"
 

@@ -19,7 +19,8 @@ which the library replaces by the general connecting map on tori too.
 ``gram_to_coords`` reads a Gram matrix as Sym^2 coordinates,
 ``form_lattice`` views a ``FormLattice`` as a ``Lattice`` of those
 coordinates, ``contains_lattice`` tests lattice inclusion column by column,
-and ``lattice_sum`` and ``intersection`` compose lattices.
+``saturation_by_kernels`` saturates a lattice as the kernel of its
+annihilator, and ``lattice_sum`` and ``intersection`` compose lattices.
 ``ns_image_sublattice`` and ``gamma_bar_image`` are the divisibility images
 of Thm 3.18 and Thm 4.3 composed from those lattice operations and a second
 echelon, where the library solves each with one congruence solve in the
@@ -197,6 +198,14 @@ def contains_lattice(big: Lattice, small: Lattice) -> bool:
     """Whether ``small`` is a sublattice of ``big``: every basis column of
     ``small`` lies in ``big``."""
     return all(big.contains(c) for c in small.basis.columns())
+
+
+def saturation_by_kernels(l: Lattice) -> Lattice:
+    """The saturation of ``l`` as the vectors that every functional vanishing
+    on ``l`` kills: two integer kernels, where the library solves one
+    congruence system on the pivot rows of the HNF basis."""
+    perp = kernel_basis(l.basis.transpose())
+    return Lattice.from_columns(l.ambient_rank, kernel_basis(perp.transpose()).columns())
 
 
 def lattice_sum(a: Lattice, b: Lattice) -> Lattice:

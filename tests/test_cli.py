@@ -310,14 +310,19 @@ def test_a_report_too_long_to_print_is_one_error_record(tmp_path, capsys):
              {"group": "SL(2)", "family": quadrics}, good]
     batch = tmp_path / "runs.jsonl"
     batch.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
-    assert main(["--batch", str(batch)]) == 1
-    out = capsys.readouterr().out.splitlines()
     _, report = run_report(RunConfig.from_json(good))
-    errors = [json.dumps({"error": cause, "line": i}, sort_keys=True, separators=(",", ":"))
-              for i in (1, 3)]
-    assert out == [errors[0], emit(report, "json"), errors[1], emit(report, "json")]
-    assert main(["--group", "SL(2)", "--family", quadrics]) == 1
-    assert capsys.readouterr() == ("", f"error: {cause}\n")
+    # both formats refuse the same lines, though the text leaves the
+    # certificate out
+    errors = {"json": [json.dumps({"error": cause, "line": i}, sort_keys=True,
+                                  separators=(",", ":")) for i in (1, 3)],
+              "text": [f"error: line {i}: {cause}" for i in (1, 3)]}
+    for fmt, (first, third) in errors.items():
+        assert main(["--batch", str(batch), "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        assert out == "".join(f"{text}\n" for text in [first, emit(report, fmt), third,
+                                                        emit(report, fmt)])
+        assert main(["--group", "SL(2)", "--family", quadrics, "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"error: {cause}\n")
 
 
 def test_error_records_echo_a_bounded_part_of_the_input(tmp_path, capsys):
@@ -437,6 +442,47 @@ def test_fuzzed_batch_lines_give_one_record_each_in_order(tmp_path, lines):
         else:
             assert rec["group"]["input"] == json.loads(line)["group"]
     assert code in (0, 1, 2) and (code == 1) == bad
+
+
+def flag_values(flag, valid, junk=()):
+    """``[flag, value]``, mostly with a valid value (``None``: no flag), else
+    with junk or random text, or no flag at all."""
+    text = object()
+    value = st.sampled_from(valid * 3 + list(junk) + [None, text]).flatmap(
+        lambda v: st.text(max_size=6) if v is text else st.just(v))
+    return value.map(lambda v: [] if v is None else [flag, v])
+
+
+# small ranks only, so one example runs in milliseconds; T(10^9) must be
+# refused by the rank check before any matrix is built
+FLAG_ARGV = st.tuples(
+    flag_values("--group", ["SL(2)", "GL(2)", "PGL(2)*T(1)", "T(1)", "T(2)", json.dumps(SL2_DATUM)],
+                ["T(1000000000)", "GL(0)", "SL(2", "Q(2)", "{", '{"cochar_rank": 1}', "@"]),
+    flag_values("--delta", [None, "", "0", "1", "1,2", "1,1", "-3"], ["x", "1,,y", "9" * 50, "0.5"]),
+    flag_values("--lift-d", [None, None, None, "0", "1", "2,1", "1,0,0"], ["a", "9" * 50, "1.5"]),
+    flag_values("--family", ["universal:2,1", "genus0_trivial", "genus0_nontrivial",
+                             "hyperelliptic:3", '{"genus": 2, "delta": 1}'],
+                ["universal:2", "nope:1", '{"genus": null, "delta": 1}', "{", "@", "universal:x"]),
+    st.one_of(st.just([]), st.lists(st.sampled_from(
+        ["pi1", "forms", "ns", "picard", "rigidified", "gerbe", "poincare", "bogus", ""]),
+        max_size=4).map(lambda c: ["--compute", ",".join(c)])),
+    flag_values("--format", [None, "json", "text"], ["xml"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FLAG_ARGV)
+def test_fuzzed_flags_give_a_report_or_one_error(argv):
+    argv = [a for flag in argv for a in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse refuses a flag with exit code 2
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len([l for l in err.getvalue().splitlines() if l.startswith("error:")]) == 1
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
@@ -642,8 +688,9 @@ def assert_equals_a_fresh_group(g, group):
 ]])
 def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, cuts):
     # one build of the invariant forms per report, on Lambda(T_G), and one
-    # run of the congruence cut per distinct input; the values are kept on
-    # the group without changing it
+    # congruence cut per form lattice, the D-even lattice of a semisimple
+    # group being its even lattice; the values are kept on the group
+    # without changing it
     runs = count_form_work(monkeypatch)
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
     assert runs == {"_invariant_form_coords": 1, "_cut_coefficients": cuts}

@@ -26,6 +26,7 @@ from reference import (
     det,
     group_by_smith,
     rational_solve,
+    saturation_by_kernels,
     solve,
 )
 
@@ -263,6 +264,28 @@ def test_saturation_idempotent():
         assert saturation(s) == s
         assert contains_lattice(s, l)
         assert s.rank == l.rank
+
+
+@st.composite
+def saturation_cases(draw):
+    """A lattice in Z^n, n <= 6, of rank 0..n: columns scaled by 1..4, so
+    several are not primitive, and some columns repeated."""
+    n = draw(st.integers(0, 6))
+    cols = [[draw(st.integers(1, 4)) * draw(st.integers(-5, 5)) for _ in range(n)]
+            for _ in range(draw(st.integers(0, n)))]
+    if cols:
+        cols += [cols[i] for i in draw(st.lists(st.integers(0, len(cols) - 1), max_size=3))]
+    return Lattice.from_columns(n, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(saturation_cases())
+def test_saturation_matches_the_kernel_of_the_annihilator(l):
+    s = saturation(l)
+    assert s == saturation_by_kernels(l)
+    assert contains_lattice(s, l) and s.rank == l.rank
+    # maximal: no vector outside s has a multiple in s
+    assert quotient_group(Lattice.full(l.ambient_rank), s).torsion == ()
 
 
 def test_quotient_group():

@@ -3,7 +3,8 @@ nothing uses, no module-level private function that nothing calls, no public
 method or unexported public function that only the tests read (a method
 counts as read only through an attribute, a static method only through its
 class), no value read out of a JSON object coerced into a type, and no import
-of ``dataclasses``.  One start-up guard runs a subprocess: ``import
+of ``dataclasses``, and no private name of ``exact_algebra`` imported
+elsewhere.  One start-up guard runs a subprocess: ``import
 bunpic.cli`` loads neither ``dataclasses`` nor ``inspect``."""
 
 import ast
@@ -104,6 +105,17 @@ def test_every_public_api_has_a_reader_outside_the_tests():
     # criteria 1 and 4 call Pi1Element.zero, and the acceptance tests pin
     # the paper-facing API
     assert unread == ["Pi1Element.zero"]
+
+
+def test_no_module_imports_a_private_name_of_exact_algebra():
+    # the lattice algorithms (_echelon and its helpers) stay behind the public
+    # functions of exact_algebra, so each normal-form job has one home
+    found = [f"{path.name}:{node.lineno} {alias.name}" for path in MODULES
+             if path.name != "exact_algebra.py" for node in ast.walk(parse(path))
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[-1] == "exact_algebra"
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def is_keyed_read(node) -> bool:

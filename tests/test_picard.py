@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,9 @@ from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import evaluation_cokernel, rigidified_picard, weight_cokernel
 from bunpic.invariant_forms import (
     basic_inner_product,
+    conditional_form_lattice,
+    d_even_forms,
+    even_invariant_forms,
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
@@ -35,7 +38,13 @@ from bunpic.picard import (
     torus_picard_genus0,
 )
 from bunpic.record import replace
-from bunpic.root_datum import Pi1Element, SimpleType, build_group
+from bunpic.root_datum import (
+    Pi1Element,
+    ReductiveGroupData,
+    SimpleType,
+    build_group,
+    fundamental_group,
+)
 from reference import (
     divisibility_conditions,
     gamma_bar_image,
@@ -579,3 +588,62 @@ def test_genus0_groups_do_not_depend_on_the_coordinates(name):
         for fam in families:
             assert (genus0_coordinate_free_outputs(g, delta, lift, fam)
                     == genus0_coordinate_free_outputs(h, u_delta, u_lift, fam)), (name, u, fam)
+
+
+# ---------------------------------------------------------------------------
+# the order of the factors
+
+PERMUTED_FACTORS = ["GL(2)", "SL(3)", "PGL(2)", "Sp(4)", "SO(5)", "T(1)"]
+
+
+def with_blocks_swapped(g, first):
+    """The datum of G x H, G the group ``first``, written as H x G (the
+    cocharacter coordinates, coroots and roots of H first), and the
+    permutation ``rows``: coordinate i of H x G is coordinate rows[i]."""
+    n, m, k = first.cochar_rank, first.ss_rank, len(first.factor_types)
+    rows = list(range(n, g.cochar_rank)) + list(range(n))
+    cols = list(range(m, g.ss_rank)) + list(range(m))
+
+    def swapped(a):
+        return IntMatrix.from_rows([[a[i, j] for j in cols] for i in rows], len(cols))
+
+    return ReductiveGroupData(g.cochar_rank, swapped(g.simple_coroots), swapped(g.simple_roots),
+                              g.factor_types[k:] + g.factor_types[:k]), rows
+
+
+def factor_order_free_outputs(g, delta, lift, family):
+    """pi1, the form-lattice ranks, the NS groups, and the groups and indices
+    of the Picard and gerbe reports.  coker(wt) is left out: it can depend on
+    the lift of delta and the section (ROADMAP item 2)."""
+    def picard():
+        rep = reductive_picard(g, delta, family, lift=lift)
+        return rep.cokernel, rep.image_index
+
+    def gerbe():
+        rep = weight_cokernel(g, delta, family, lift=lift)
+        return rep.ev_cokernel, rep.coker_gamma_bar
+
+    return (fundamental_group(g),
+            [fn(g).rank for fn in (invariant_sym_forms, even_invariant_forms, d_even_forms,
+                                   conditional_form_lattice)],
+            [fn(g, delta, lift=lift).group for fn in (ns_bun, ns_rigidified, ns_bun_p1)],
+            refused_or(picard),
+            refused_or(lambda: rigidified_picard(g, delta, family, lift=lift).cokernel),
+            refused_or(gerbe))
+
+
+@pytest.mark.parametrize("first,second", list(combinations(PERMUTED_FACTORS, 2)))
+def test_outputs_do_not_depend_on_the_order_of_the_factors(first, second):
+    rng = random.Random(first + second)
+    g = build_group(f"{first}*{second}")
+    h, rows = with_blocks_swapped(g, build_group(first))
+    assert h == replace(build_group(f"{second}*{first}"), label="")
+    families = [family_from_preset("universal", 2, 1), family_from_preset("genus0_trivial"),
+                family_from_preset("genus0_nontrivial")]
+    for delta in (Pi1Element.zero(g), random_delta(rng, g), random_delta(rng, g)):
+        lift = delta.lift()
+        h_lift = tuple(lift[i] for i in rows)
+        h_delta = Pi1Element.from_cocharacter(h, h_lift)
+        for fam in families:
+            assert (factor_order_free_outputs(g, delta, lift, fam)
+                    == factor_order_free_outputs(h, h_delta, h_lift, fam)), (delta, fam)

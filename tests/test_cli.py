@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bunpic.cli import RunConfig, emit, main, parse_family, run_report
+from bunpic.cli import COMPUTATIONS, RunConfig, emit, main, parse_family, run_report
 from test_invariant_forms import count_form_work
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "schema.json").read_text())
@@ -463,9 +463,8 @@ FLAG_ARGV = st.tuples(
     flag_values("--family", ["universal:2,1", "genus0_trivial", "genus0_nontrivial",
                              "hyperelliptic:3", '{"genus": 2, "delta": 1}'],
                 ["universal:2", "nope:1", '{"genus": null, "delta": 1}', "{", "@", "universal:x"]),
-    st.one_of(st.just([]), st.lists(st.sampled_from(
-        ["pi1", "forms", "ns", "picard", "rigidified", "gerbe", "poincare", "bogus", ""]),
-        max_size=4).map(lambda c: ["--compute", ",".join(c)])),
+    st.one_of(st.just([]), st.lists(st.sampled_from(list(COMPUTATIONS) + ["bogus", ""]),
+                                    max_size=4).map(lambda c: ["--compute", ",".join(c)])),
     flag_values("--format", [None, "json", "text"], ["xml"]),
 )
 

@@ -352,11 +352,14 @@ def _run_batch(path: str, fmt: str) -> int:
     otherwise the worst report exit code."""
     worst = 0
     bad = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 pass the read as surrogates, and decoding the
+    # line again inside the guard makes them that line's error record
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8")
                 code, report = run_report(RunConfig.from_json(_parse_json(line)))
                 text = emit(report, fmt)
             except INPUT_ERRORS as exc:

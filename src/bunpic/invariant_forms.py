@@ -412,7 +412,7 @@ def _ns_rigidified(g: ReductiveGroupData, d: tuple) -> NSGroup:
         raise ArithmeticError("rigidified NS generator fails condition (zero weight)")
     return NSGroup(kind="rigidified", group=FGAbelianGroup.free(sub.rank), chi_rank=n,
                    form_basis=forms, gens=sub.basis,
-                   relations=IntMatrix.zero(n + forms.rank, 0), key=sub.basis, lift=d)
+                   relations=IntMatrix.zero(forms.rank, 0), key=sub.basis, lift=d)
 
 
 def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:

@@ -1,14 +1,13 @@
 """Frozen value records: what bunpic reads of ``dataclasses``, at a fraction of
 its import cost.  ``@record`` adds ``__init__`` (then ``__post_init__``), ``==``
-and ``hash`` over the compared fields, dataclass's repr, and ``AttributeError``
-on assignment and deletion; no ``__slots__``: ``once_per_group`` uses ``__dict__``."""
+and ``hash`` over all fields, dataclass's repr, and ``AttributeError`` on
+assignment and deletion; a field is an annotation with an optional default.  No
+``__slots__``: ``once_per_group`` uses ``__dict__``."""
 
-from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace as Field
 
 MISSING = type("MISSING", (), {"__repr__": lambda self: "MISSING"})()   # no default
-field = partial(Field, name=None, type=None, default=MISSING, compare=True, repr=True)
 fields = attrgetter("_record_fields")   # the fields of a record class or instance, in order
 
 
@@ -21,7 +20,7 @@ class _Shared:   # the methods that record puts into every record class
         return hash(self._record_key(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._record_fields if f.repr)
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._record_fields)
         return f"{self.__class__.__qualname__}({shown})"
 
     def __setattr__(self, name, *value):
@@ -31,21 +30,15 @@ class _Shared:   # the methods that record puts into every record class
 
 
 def record(cls):
-    fs = []
-    for name, kind in cls.__dict__.get("__annotations__", {}).items():
-        f = cls.__dict__.get(name, MISSING)
-        if isinstance(f, Field):
-            delattr(cls, name)      # a field() has no default
-        f = f if isinstance(f, Field) else field(default=f)
-        f.name, f.type = name, kind
-        fs.append(f)
+    fs = [Field(name=name, type=kind, default=cls.__dict__.get(name, MISSING))
+          for name, kind in cls.__dict__.get("__annotations__", {}).items()]
     args = ", ".join(f.name + ("" if f.default is MISSING else f"=_d_{f.name}") for f in fs)
     body = "".join(f"\n _set(self, {f.name!r}, {f.name})" for f in fs)
     post = "\n self.__post_init__()" * hasattr(cls, "__post_init__")
     scope = {"_set": object.__setattr__, **{f"_d_{f.name}": f.default for f in fs}}
     exec(f"def __init__(self, {args}):{body}{post}", scope)
-    get = attrgetter(*[f.name for f in fs if f.compare])
-    key = get if sum(f.compare for f in fs) > 1 else (lambda obj: (get(obj),))  # hash a tuple
+    get = attrgetter(*[f.name for f in fs])
+    key = get if len(fs) > 1 else (lambda obj: (get(obj),))  # hash a tuple
     cls.__init__, cls._record_fields, cls._record_key = scope["__init__"], tuple(fs), staticmethod(key)
     for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         setattr(cls, name, vars(_Shared)[name])

@@ -7,11 +7,11 @@ Conventions, fixed once for determinism:
   simple coroots (columns, in that basis) and the simple roots (columns, in
   the dual basis), so ``root_i . coroot_j`` is the Cartan entry
   ``<alpha_i, alpha_j^vee>``;
-* simply connected factors use the simple coroots as basis (coroots = I,
-  roots = C^T), adjoint factors use the fundamental coweights (coroots = C,
-  roots = I);
-* GL(n) uses the standard ``Z^n``; Spin/SO/PSO use the standard orthogonal
-  conventions with D-rank >= 3.
+* the isogeny of a named factor fixes its basis: simply connected factors
+  use the simple coroots (coroots = I, roots = C^T), adjoint factors the
+  fundamental coweights (coroots = C, roots = I), and GL(n), SO(2n) and
+  T(n) the standard ``Z^n`` (coroots = roots = e_i - e_{i+1}, with
+  e_{n-1} + e_n last for D_n).
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .exact_algebra import (
     Lattice,
     canonical_generators,
     divide_exactly,
-    group_from_relations,
     kernel_basis,
     saturation,
     smith_normal_form,
 )
-from .record import MISSING, field, record
+from .record import MISSING, record
 
 
 class InvalidSpec(ValueError):
@@ -266,43 +265,22 @@ def once_per_group(fn):
     return once
 
 
+def _block_diagonal(mats) -> IntMatrix:
+    """The block-diagonal matrix with blocks ``mats``, in order."""
+    cols = sum(m.cols for m in mats)
+    rows, ofs = [], 0
+    for m in mats:
+        rows += [(0,) * ofs + row + (0,) * (cols - ofs - m.cols) for row in m.entries]
+        ofs += m.cols
+    return IntMatrix(len(rows), cols, tuple(rows))
+
+
 def _block_cartan(types) -> IntMatrix:
-    m = sum(t.rank for t in types)
-    rows = [[0] * m for _ in range(m)]
-    ofs = 0
-    for t in types:
-        c = cartan_matrix(t)
-        for i in range(t.rank):
-            for j in range(t.rank):
-                rows[ofs + i][ofs + j] = c[i, j]
-        ofs += t.rank
-    return IntMatrix.from_rows(rows)
+    return _block_diagonal([cartan_matrix(t) for t in types])
 
 
 # ---------------------------------------------------------------------------
 # named constructions
-
-
-def _sc_datum(types, label) -> ReductiveGroupData:
-    m = sum(t.rank for t in types)
-    return ReductiveGroupData(
-        cochar_rank=m,
-        simple_coroots=IntMatrix.identity(m),
-        simple_roots=_block_cartan(types).transpose(),
-        factor_types=tuple(types),
-        label=label,
-    )
-
-
-def _adjoint_datum(types, label) -> ReductiveGroupData:
-    m = sum(t.rank for t in types)
-    return ReductiveGroupData(
-        cochar_rank=m,
-        simple_coroots=_block_cartan(types),
-        simple_roots=IntMatrix.identity(m),
-        factor_types=tuple(types),
-        label=label,
-    )
 
 
 @record
@@ -329,8 +307,26 @@ class GroupSpec:
 # small machine), so a larger rank fails fast instead of stalling a run.
 MAX_COCHAR_RANK = 20
 
-_PARAM_NAMES = {"SL", "GL", "PGL", "Sp", "PSp", "Spin", "SO", "PSO", "T"}
-_EXC_RANKS = {"E6sc": 6, "E6ad": 6, "E7sc": 7, "E7ad": 7, "E8": 8, "F4": 4, "G2": 2}
+# NAME(p) -> (Dynkin family, rank, cocharacter rank, isogeny), the isogeny
+# being simply connected "sc", adjoint "ad" or the standard Z^n "std" (see the
+# module docstring; in SO(2n) the index 2 of the coroot lattice realizes
+# pi_1(SO) = Z/2).  Rank 0 is no simple factor; Spin(4) and SO(4) = D2 stay
+# out as SimpleType refuses them, and Sp, PSp and PSO also refuse an odd p.
+_NAMED = {
+    "SL": lambda p: ("A", p - 1, p - 1, "sc"),
+    "GL": lambda p: ("A", p - 1, p, "std"),
+    "PGL": lambda p: ("A", p - 1, p - 1, "ad"),
+    "Sp": lambda p: ("C", p // 2, p // 2, "sc"),
+    "PSp": lambda p: ("C", p // 2, p // 2, "ad"),
+    "Spin": lambda p: ("B" if p % 2 else "D", p // 2, p // 2, "sc"),
+    "SO": lambda p: ("B", p // 2, p // 2, "ad") if p % 2 else ("D", p // 2, p // 2, "std"),
+    "PSO": lambda p: ("D", p // 2, p // 2, "ad"),
+    "T": lambda p: ("", 0, p, "std"),
+}
+_EVEN_ONLY = ("Sp", "PSp", "PSO")
+_EXCEPTIONAL = {"E6sc": ("E", 6, 6, "sc"), "E6ad": ("E", 6, 6, "ad"), "E7sc": ("E", 7, 7, "sc"),
+                "E7ad": ("E", 7, 7, "ad"), "E8": ("E", 8, 8, "sc"), "F4": ("F", 4, 4, "sc"),
+                "G2": ("G", 2, 2, "sc")}
 
 
 def _check_cochar_rank(n: int) -> None:
@@ -341,12 +337,17 @@ def _check_cochar_rank(n: int) -> None:
                           f"MAX_COCHAR_RANK = {MAX_COCHAR_RANK}")
 
 
-def _cochar_rank(f: GroupFactor) -> int:
-    """Cocharacter rank of a named factor, read off without building it."""
+def _factor_shape(f: GroupFactor):
+    """``(simple types, cocharacter rank, isogeny)`` of a named factor, read
+    off the table without building a matrix; InvalidSpec for a parameter the
+    name does not take."""
     if f.param is None:
-        return _EXC_RANKS[f.name]
-    return {"T": f.param, "GL": f.param, "SL": f.param - 1, "PGL": f.param - 1}.get(
-        f.name, f.param // 2)
+        family, rank, n, isogeny = _EXCEPTIONAL[f.name]
+    else:
+        family, rank, n, isogeny = _NAMED[f.name](f.param)
+        if n < 1 or f.param % 2 and f.name in _EVEN_ONLY:
+            raise InvalidSpec(f"invalid rank {f.param} for {f.name}")
+    return (SimpleType(family, rank),) if rank else (), n, isogeny
 
 
 def parse_group_spec(s: str) -> GroupSpec:
@@ -356,7 +357,7 @@ def parse_group_spec(s: str) -> GroupSpec:
     # integers, words and single other characters with their positions; the
     # empty token marks the end
     tokens = [(m.group(), m.start()) for m in re.finditer(r"\d+|\w+|\S", s)] + [("", len(s))]
-    factors, i = [], 0
+    factors, total, i = [], 0, 0
 
     def take(ok, message: str) -> str:
         """The next token if ``ok`` holds of it, else ParseError at it."""
@@ -369,114 +370,47 @@ def parse_group_spec(s: str) -> GroupSpec:
 
     while True:
         name = take(lambda t: re.fullmatch(r"[A-Za-z]\w*", t), "expected a group name")
-        if name in _EXC_RANKS:
-            factors.append(GroupFactor(name))
+        if name in _EXCEPTIONAL:
+            factor = GroupFactor(name)
         else:
-            if name not in _PARAM_NAMES:
+            if name not in _NAMED:
                 raise ParseError(f"unknown group name {echo(repr(name))}", tokens[i - 1][1])
             take(lambda t: t == "(", f"{name} requires a parenthesized rank")
-            param = int(take(str.isdecimal, "expected an integer rank"))
+            factor = GroupFactor(name, int(take(str.isdecimal, "expected an integer rank")))
             take(lambda t: t == ")", "expected ')'")
-            _validate_factor(name, param, tokens[i - 1][1] + 1)
-            factors.append(GroupFactor(name, param))
+        try:
+            total += _factor_shape(factor)[1]
+        except InvalidSpec:
+            raise ParseError(f"invalid rank {factor.param} for {name}",
+                             tokens[i - 1][1] + 1) from None
+        factors.append(factor)
         if not take(lambda t: t in ("*", ""), "expected '*' between factors"):
             break
-    _check_cochar_rank(sum(_cochar_rank(f) for f in factors))
+    _check_cochar_rank(total)
     return GroupSpec(tuple(factors))
 
 
-def _validate_factor(name: str, param: int, pos: int) -> None:
-    ok = {
-        "SL": param >= 2,
-        "GL": param >= 1,
-        "PGL": param >= 2,
-        "Sp": param >= 4 and param % 2 == 0,
-        "PSp": param >= 4 and param % 2 == 0,
-        "Spin": param >= 5,   # Spin(4) = D2 stays out of the named grammar
-        "SO": param >= 5,
-        "PSO": param >= 6 and param % 2 == 0,
-        "T": param >= 1,
-    }[name]
-    if not ok:
-        raise ParseError(f"invalid rank {param} for {name}", pos)
-
-
 def _factor_datum(f: GroupFactor) -> ReductiveGroupData:
-    name, p = f.name, f.param
-    if name == "T":
-        return ReductiveGroupData(p, IntMatrix.zero(p, 0), IntMatrix.zero(p, 0), (), label=str(f))
-    if name == "SL":
-        return _sc_datum([SimpleType("A", p - 1)], str(f))
-    if name == "PGL":
-        return _adjoint_datum([SimpleType("A", p - 1)], str(f))
-    if name == "GL":
-        if p == 1:
-            return ReductiveGroupData(1, IntMatrix.zero(1, 0), IntMatrix.zero(1, 0), (), label=str(f))
-        cols = [[0] * p for _ in range(p - 1)]
-        for i in range(p - 1):
-            cols[i][i] = 1
-            cols[i][i + 1] = -1
-        mat = IntMatrix.from_columns(cols, p)
-        return ReductiveGroupData(p, mat, mat, (SimpleType("A", p - 1),), label=str(f))
-    if name == "Sp":
-        return _sc_datum([SimpleType("C", p // 2)], str(f))
-    if name == "PSp":
-        return _adjoint_datum([SimpleType("C", p // 2)], str(f))
-    if name == "Spin":
-        t = SimpleType("B", (p - 1) // 2) if p % 2 else SimpleType("D", p // 2)
-        return _sc_datum([t], str(f))
-    if name == "SO":
-        if p % 2:
-            return _adjoint_datum([SimpleType("B", (p - 1) // 2)], str(f))
-        n = p // 2
-        # Lambda(T) = Z^n, coroots e_i - e_{i+1} and e_{n-1} + e_n; index 2
-        # between the coroot lattice and Z^n realizes pi_1(SO) = Z/2.
-        cols = []
-        for i in range(n - 1):
-            col = [0] * n
-            col[i], col[i + 1] = 1, -1
-            cols.append(col)
-        last = [0] * n
-        last[n - 2] = last[n - 1] = 1
-        cols.append(last)
-        mat = IntMatrix.from_columns(cols, n)
-        return ReductiveGroupData(n, mat, mat, (SimpleType("D", n),), label=str(f))
-    if name == "PSO":
-        return _adjoint_datum([SimpleType("D", p // 2)], str(f))
-    if name in ("E6sc", "E7sc"):
-        return _sc_datum([SimpleType("E", int(name[1]))], name)
-    if name in ("E6ad", "E7ad"):
-        return _adjoint_datum([SimpleType("E", int(name[1]))], name)
-    if name == "E8":
-        return _sc_datum([SimpleType("E", 8)], name)
-    if name == "F4":
-        return _sc_datum([SimpleType("F", 4)], name)
-    if name == "G2":
-        return _sc_datum([SimpleType("G", 2)], name)
-    raise InvalidSpec(f"unknown factor {name!r}")
+    types, n, isogeny = _factor_shape(f)
+    if isogeny == "sc":
+        coroots, roots = IntMatrix.identity(n), cartan_matrix(types[0]).transpose()
+    elif isogeny == "ad":
+        coroots, roots = cartan_matrix(types[0]), IntMatrix.identity(n)
+    else:
+        cols = [[(r == i) - (r == i + 1) for r in range(n)] for t in types for i in range(t.rank)]
+        if types and types[0].family == "D":
+            cols[-1] = [int(r >= n - 2) for r in range(n)]
+        coroots = roots = IntMatrix.from_columns(cols, n)
+    return ReductiveGroupData(n, coroots, roots, types, label=str(f))
 
 
 def product(*groups: ReductiveGroupData, label: str = "") -> ReductiveGroupData:
     """Block-diagonal product of root data."""
-    n = sum(g.cochar_rank for g in groups)
-    m = sum(g.ss_rank for g in groups)
-    coroots = [[0] * m for _ in range(n)]
-    roots = [[0] * m for _ in range(n)]
-    r_ofs = 0
-    c_ofs = 0
-    for g in groups:
-        for i in range(g.cochar_rank):
-            for j in range(g.ss_rank):
-                coroots[r_ofs + i][c_ofs + j] = g.simple_coroots[i, j]
-                roots[r_ofs + i][c_ofs + j] = g.simple_roots[i, j]
-        r_ofs += g.cochar_rank
-        c_ofs += g.ss_rank
-    types = tuple(t for g in groups for t in g.factor_types)
     return ReductiveGroupData(
-        n,
-        IntMatrix(n, m, tuple(tuple(r) for r in coroots)),
-        IntMatrix(n, m, tuple(tuple(r) for r in roots)),
-        types,
+        sum(g.cochar_rank for g in groups),
+        _block_diagonal([g.simple_coroots for g in groups]),
+        _block_diagonal([g.simple_roots for g in groups]),
+        tuple(t for g in groups for t in g.factor_types),
         label=label or "*".join(str(g) for g in groups),
     )
 
@@ -579,15 +513,16 @@ def group_to_json(g: ReductiveGroupData) -> dict:
 @record
 class Pi1Presentation:
     """pi_1(G) = Lambda(T_G)/Lambda_coroots with a fixed generator system:
-    free generators first, then torsion generators in invariant-factor order."""
+    free generators first, then torsion generators in invariant-factor order.
+    One per group object, from :func:`pi1_presentation`."""
 
     group: FGAbelianGroup
     gens: IntMatrix            # cochar_rank x ngens, generator lifts as columns
-    _proj: IntMatrix = field(repr=False)   # ngens x cochar_rank, coordinate map
-    _orders: tuple = field(repr=False)     # 0 for free, d for torsion
+    proj: IntMatrix            # ngens x cochar_rank, coordinate map
+    orders: tuple              # 0 for free, d for torsion
 
     def coords(self, v) -> tuple:
-        return self.reduce(self._proj.mul_vector(tuple(v)))
+        return self.reduce(self.proj.mul_vector(tuple(v)))
 
     def lift(self, coords) -> tuple:
         return self.gens.mul_vector(tuple(coords))
@@ -597,43 +532,44 @@ class Pi1Presentation:
             raise ValueError(
                 f"delta needs {self.group.ngens} coordinates for pi1 = {self.group.describe()}"
             )
-        return tuple(x % d if d else x for x, d in zip(coords, self._orders))
+        return tuple(x % d if d else x for x, d in zip(coords, self.orders))
 
 
+@once_per_group
 def pi1_presentation(g: ReductiveGroupData) -> Pi1Presentation:
+    """The canonical presentation of pi_1(G), computed once per group."""
     return Pi1Presentation(*canonical_generators(g.cochar_rank, g.simple_coroots))
 
 
 def fundamental_group(g: ReductiveGroupData) -> FGAbelianGroup:
     """Canonical form of pi_1(G) = Lambda(T_G)/Lambda_coroots."""
-    return group_from_relations(g.cochar_rank, g.simple_coroots)
+    return pi1_presentation(g).group
 
 
 @record
 class Pi1Element:
-    """Class in pi_1(G), stored as coordinates in the canonical generators.
-
-    It keeps its presentation (outside equality, hash and repr); :meth:`lift`
-    is the one lift policy, which every engine taking a lift of delta calls."""
+    """Class in pi_1(G), stored as coordinates in the canonical generators of
+    the group's :func:`pi1_presentation`; :meth:`lift` is the one lift
+    policy, which every engine taking a lift of delta calls."""
 
     group: ReductiveGroupData
     coords: tuple
-    presentation: Pi1Presentation = field(compare=False, repr=False)
+
+    @property
+    def presentation(self) -> Pi1Presentation:
+        return pi1_presentation(self.group)
 
     @staticmethod
     def from_coords(g: ReductiveGroupData, coords) -> "Pi1Element":
-        p = pi1_presentation(g)
-        return Pi1Element(g, p.reduce(int_tuple(coords, "delta coordinates")), p)
+        return Pi1Element(g, pi1_presentation(g).reduce(int_tuple(coords, "delta coordinates")))
 
     @staticmethod
     def zero(g: ReductiveGroupData) -> "Pi1Element":
-        p = pi1_presentation(g)
-        return Pi1Element(g, tuple(0 for _ in range(p.group.ngens)), p)
+        return Pi1Element(g, (0,) * pi1_presentation(g).group.ngens)
 
     @staticmethod
     def from_cocharacter(g: ReductiveGroupData, d) -> "Pi1Element":
-        p = pi1_presentation(g)
-        return Pi1Element(g, p.coords(d), p)
+        return Pi1Element(g, pi1_presentation(g).coords(d))
 
     def lift(self, lift=None, generic: bool = False) -> tuple:
         """``lift`` as ints, checked (``ValueError`` unless it has ``cochar_rank``

@@ -1,4 +1,12 @@
+import os
 import re
+import sys
+
+# a stray src/bunpic/__pycache__ changes how fast the package imports, which
+# the benchmark times, so no test run writes bytecode; the subprocess tests
+# inherit the setting through the environment
+sys.dont_write_bytecode = True
+os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

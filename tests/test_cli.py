@@ -277,6 +277,26 @@ def test_batch_bad_lines_give_one_error_record_each(tmp_path, capsys):
     assert [e.split(": ")[1] for e in errors] == [f"line {i + 1}" for i in bad]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_line_that_is_not_utf8_is_one_error_record(tmp_path, capsys, fmt):
+    # the byte 0xff on line 2 is that line's error record; lines 1 and 3 still
+    # run, and the CR LF and CR line ends split lines as before
+    good = [
+        {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
+        {"group": "T(1)", "delta": [2], "family": "hyperelliptic:3", "compute": ["poincare"]},
+    ]
+    bad = b'{"group": "SL(2)", "family": "universal:2,1", "compute": ["\xff"]}'
+    batch = tmp_path / "runs.jsonl"
+    batch.write_bytes(json.dumps(good[0]).encode() + b"\r\n" + bad + b"\r" + json.dumps(good[1]).encode())
+    assert main(["--batch", str(batch), "--format", fmt]) == 1
+    at = bad.index(b"\xff")
+    message = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    error = (json.dumps({"error": message, "line": 2}, sort_keys=True, separators=(",", ":"))
+             if fmt == "json" else f"error: line 2: {message}")
+    reports = [emit(run_report(RunConfig.from_json(obj))[1], fmt) for obj in good]
+    assert capsys.readouterr().out == "\n".join([reports[0], error, reports[1]]) + "\n"
+
+
 def test_batch_values_nested_near_the_recursion_limit(tmp_path, capsys):
     # depths that the parser still reads but an error message cannot print
     # back: every line is one error record, never a traceback

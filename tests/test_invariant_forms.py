@@ -288,6 +288,18 @@ def test_ns_rigidified_embeds_in_ns_bun():
             assert big.contains((0,) * rig.chi_rank + coeffs)
 
 
+@pytest.mark.parametrize("name,coords", [
+    ("SL(2)", ()), ("GL(2)", (0,)), ("GL(2)", (1,)), ("PGL(2)", (1,)), ("Sp(4)", ()),
+    ("T(2)", (0, 1)), ("GL(3)*T(1)", (1, 1)), ("SO(8)*PGL(2)", (1, 1)),
+])
+def test_ns_relations_share_the_ambient_of_the_key(name, coords):
+    # characters and forms for bun and bun_p1, forms alone for rigidified
+    g = build_group(name)
+    delta = Pi1Element.from_coords(g, coords)
+    for ns in (ns_bun(g, delta), ns_rigidified(g, delta), ns_bun_p1(g, delta)):
+        assert ns.relations.rows == ns.key.rows == ns.gens.rows, ns.kind
+
+
 def test_ns_bun_p1_torus():
     t = build_group("T(2)")
     ns = ns_bun_p1(t, Pi1Element.from_coords(t, (1, 1)))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -210,7 +211,7 @@ def test_pi1_element_keeps_its_presentation_and_checks_lifts():
         d = delta.lift()
         same = Pi1Element.from_cocharacter(g, d)
         assert same == delta and hash(same) == hash(delta) and repr(same) == repr(delta)
-        assert delta.presentation == p and d == p.lift(delta.coords)
+        assert delta.presentation is p is pi1_presentation(g) and d == p.lift(delta.coords)
         assert delta.lift(generic=True) == generic_lift(g, delta)
         # any lift of the class comes back as ints
         shifted = [str(a + b) for a, b in zip(d, g.coroot_lattice().basis.mul_vector(
@@ -339,3 +340,79 @@ def test_rank_limit_rejects_larger_raw_datum():
     with pytest.raises(InvalidSpec, match="MAX_COCHAR_RANK = 20"):
         group_from_json({"cochar_rank": 21, "simple_coroots": [], "simple_roots": [],
                          "factor_types": []})
+
+
+# ---------------------------------------------------------------------------
+# every named factor at every parameter, against the classical tables
+
+Z2 = FGAbelianGroup.cyclic(2)
+CLASSICAL = {   # NAME -> (p is valid, cocharacter rank, pi_1) for NAME(p)
+    "SL": lambda p: (p >= 2, p - 1, FGAbelianGroup.trivial()),
+    "PGL": lambda p: (p >= 2, p - 1, FGAbelianGroup.cyclic(p)),
+    "GL": lambda p: (p >= 1, p, FGAbelianGroup.free(1)),
+    "T": lambda p: (p >= 1, p, FGAbelianGroup.free(p)),
+    "Sp": lambda p: (p >= 4 and p % 2 == 0, p // 2, FGAbelianGroup.trivial()),
+    "PSp": lambda p: (p >= 4 and p % 2 == 0, p // 2, Z2),
+    "Spin": lambda p: (p >= 5, p // 2, FGAbelianGroup.trivial()),
+    "SO": lambda p: (p >= 5, p // 2, Z2),
+    "PSO": lambda p: (p >= 6 and p % 2 == 0, p // 2,
+                      FGAbelianGroup.cyclic(4) if p // 2 % 2 else FGAbelianGroup(0, (2, 2))),
+}
+EXCEPTIONAL_PI1 = {"E6sc": FGAbelianGroup.trivial(), "E6ad": FGAbelianGroup.cyclic(3),
+                   "E7sc": FGAbelianGroup.trivial(), "E7ad": Z2, "E8": FGAbelianGroup.trivial(),
+                   "F4": FGAbelianGroup.trivial(), "G2": FGAbelianGroup.trivial()}
+
+
+NAMED_PARAMS = [(name, p) for name in CLASSICAL for p in range(45)]
+
+
+@pytest.mark.parametrize("name,p", NAMED_PARAMS, ids=[f"{n}({p})" for n, p in NAMED_PARAMS])
+def test_every_named_factor_at_every_parameter(name, p):
+    valid, rank, pi1 = CLASSICAL[name](p)
+    spec = f"{name}({p})"
+    if not valid:
+        with pytest.raises(ParseError, match=re.escape(f"invalid rank {p} for {name}")) as err:
+            parse_group_spec(spec)
+        assert err.value.position == len(spec)
+    elif rank > MAX_COCHAR_RANK:
+        with pytest.raises(InvalidSpec, match="MAX_COCHAR_RANK = 20"):
+            parse_group_spec(spec)
+    else:
+        g = build_group(spec)
+        assert (g.cochar_rank, g.label, fundamental_group(g)) == (rank, spec, pi1)
+
+
+@pytest.mark.parametrize("name", EXCEPTIONAL_PI1)
+def test_every_exceptional_name(name):
+    g = build_group(name)
+    assert (g.label, str(g.factor_types[0])) == (name, name[:2])
+    assert fundamental_group(g) == EXCEPTIONAL_PI1[name]
+
+
+# strings joined from grammar tokens: names, brackets, stars, spaces, small
+# and huge integers and junk; a factor's tokens often come in order, so that
+# some of the strings parse (about one in twelve)
+NUMBERS = st.one_of(st.integers(0, 8), st.integers(0, 8), st.integers(9, 45),
+                    st.sampled_from([10 ** 9, 2 ** 64, 10 ** 40])).map(str)
+TOKENS = st.one_of(
+    st.sampled_from([*CLASSICAL, *EXCEPTIONAL_PI1, "(", ")", "*", " ", "Q", "x", "+"]), NUMBERS)
+NAMED_FACTORS = st.builds("{}({})".format, st.sampled_from(list(CLASSICAL)), NUMBERS)
+FACTORS = st.one_of(NAMED_FACTORS, NAMED_FACTORS, NAMED_FACTORS,
+                    st.sampled_from(list(EXCEPTIONAL_PI1)), st.lists(TOKENS, max_size=5).map("".join))
+SEPARATORS = st.one_of(st.just("*"), st.sampled_from([" * ", "", " ", "+", "x"]))
+SPECS = st.builds(lambda first, rest: first + "".join(sep + f for sep, f in rest), FACTORS,
+                  st.lists(st.tuples(SEPARATORS, FACTORS), max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(SPECS)
+def test_fuzzed_group_specs_parse_or_fail_with_a_spec_error(text):
+    # a spec either fails as a spec, or reprints to itself and builds a group
+    # within the rank limit
+    try:
+        spec = parse_group_spec(text)
+    except (ParseError, InvalidSpec):
+        return
+    assert parse_group_spec(str(spec)) == spec
+    g = build_group(spec)
+    assert g.cochar_rank <= MAX_COCHAR_RANK and g.label == str(spec)

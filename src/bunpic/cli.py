@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .exact_algebra import FGAbelianGroup
@@ -87,21 +88,37 @@ class RunConfig:
 INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 
+def _too_many_digits(what: str) -> InputError:
+    """The error for an integer past the interpreter's int -> str limit."""
+    return InputError(f"{what} holds an integer of more than "
+                      f"{sys.get_int_max_str_digits()} digits")
+
+
 def _comma_ints(what: str, text: str) -> list:
     """The integers of a comma-separated list; blank items are skipped."""
+    items = [x for x in text.split(",") if x.strip()]
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in items]
     except ValueError:
+        # int() refuses a signed run of digits only when it is too long to read
+        if all(re.fullmatch(r"\s*[+-]?\d+\s*", x) for x in items):
+            raise _too_many_digits(what) from None
         raise InputError(
             f"{what} must be comma-separated integers, not {echo(repr(text))}") from None
 
 
 def _parse_json(text: str):
-    """``json.loads(text)``; nesting too deep for the parser is an InputError."""
+    """``json.loads(text)``; nesting too deep for the parser, or an integer
+    too long to read, is an InputError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise InputError("JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the parser's one other refusal: a number past the int -> str limit
+        raise _too_many_digits("JSON") from None
 
 
 def _json_input(text: str):

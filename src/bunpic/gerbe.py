@@ -30,7 +30,6 @@ from .invariant_forms import (
     _root_relations,
     _sc_evaluation,
     ns_rigidified,
-    sc_even_forms,
 )
 from .picard import PicardReport, _delta_ab_two_divisible, _divisibility_image, require_hypotheses
 from .record import record
@@ -96,8 +95,9 @@ def evaluation_cokernel(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> 
     """Cokernel of the evaluation map: conditional forms on the derived
     lattice, as coefficients on the sc even forms, evaluated against (a lift
     of) delta^ss, landing in Lambda^*(T_D)/Lambda^*(T_Gad); independent of
-    the lift."""
-    _, (vals, denom) = _sc_evaluation(g, delta.lift(lift))
+    the lift.  Without a lift it evaluates at the generic one, as NS
+    Bun(P^1) and ev-hat do, so a report evaluates the sc forms once."""
+    _, (vals, denom) = _sc_evaluation(g, delta.lift(lift, generic=True))
     ev = divide_exactly(vals.mul(_conditional_coefficients(g).basis), denom,
                         "conditional form fails integrality against delta^ss")
     return hom_cokernel(ev, _derived_quotient(g)[2])
@@ -121,16 +121,15 @@ def evaluation_cokernel_table(sc_group: ReductiveGroupData, delta_ad_coords) -> 
 
 
 @once_per_group
-def _ev_hat_data(g: ReductiveGroupData, lift: tuple):
-    """Domain sublattice {b on the sc lattice : b(d^ss, -) integral on the
-    derived lattice}, cut on the evaluation into the derived quotient, with
-    that evaluation on the domain and its cokernel, for a checked lift (kept
-    on the group, so the genus-0 rigidified and gerbe computations share it)."""
-    forms, target = sc_even_forms(g), _derived_quotient(g)[2]
+def _ev_hat_data(g: ReductiveGroupData, lift: tuple) -> FGAbelianGroup:
+    """coker(ev-hat) for a checked lift: ev-hat evaluates the forms of the
+    domain {b on the sc lattice : b(d^ss, -) integral on the derived
+    lattice} into the derived quotient (kept on the group, so the genus-0
+    rigidified and gerbe computations share it)."""
     _, (vals, denom) = _sc_evaluation(g, lift)
-    domain = solve_congruence_sublattice(forms.rank, [(row, denom) for row in vals.entries])
+    domain = solve_congruence_sublattice(vals.cols, [(row, denom) for row in vals.entries])
     ev = divide_exactly(vals.mul(domain.basis), denom, "evaluation of a domain form is not integral")
-    return forms, domain, ev, target, hom_cokernel(ev, target)
+    return hom_cokernel(ev, _derived_quotient(g)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +183,10 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     if f.genus == 0:
         return _weight_cokernel_genus0(g, delta, f, lift)
     require_hypotheses(f, g, "Thm4.4")
+    ev_cok = evaluation_cokernel(g, delta, lift=lift)    # the caller's lift: one sc evaluation
     lift = delta.lift(lift)
     notes = []
     delta_cs = f.delta
-    ev_cok = evaluation_cokernel(g, delta, lift=lift)
     rig = ns_rigidified(g, delta, lift=lift)
     _, coker_gamma = _gamma_bar(g, lift, f.genus, delta_cs)
     pmat = _partial_matrix(g, rig, lift, f.genus)
@@ -289,7 +288,7 @@ def _gamma_bar(g: ReductiveGroupData, lift: tuple, genus: int, delta_cs: int):
 def _weight_cokernel_genus0(g, delta, f, lift):
     require_hypotheses(f, g, "Thm4.6")
     lift = delta.lift(lift, generic=True)
-    *_, ev_cok = _ev_hat_data(g, lift)
+    ev_cok = _ev_hat_data(g, lift)
     two_div = _delta_ab_two_divisible(g, delta)
     kernel_piece = (FGAbelianGroup.trivial()
                     if f.delta == 1 or two_div else FGAbelianGroup.cyclic(2))
@@ -317,7 +316,10 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
                       lift=None) -> PicardReport:
     """Relative Picard group of the rigidified stack: in positive genus the
     image of the connecting map inside the rigidified NS group, in genus zero
-    the kernel of the hatted evaluation map."""
+    the kernel of the hatted evaluation map.  That kernel is one preimage:
+    the sc forms b whose evaluation at (u_j, d^ss), e^2 ev-hat(b) in the
+    integer numerators of ``_sc_evaluation``, lies in e^2 times the
+    restricted roots, which also puts b in the domain of ev-hat."""
     if f.genus > 0:
         require_hypotheses(f, g, "Thm4.3")
         image, cok = _gamma_bar(g, delta.lift(lift), f.genus, f.delta)
@@ -335,16 +337,19 @@ def rigidified_picard(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
         )
     require_hypotheses(f, g, "Thm4.6")
     lift = delta.lift(lift, generic=True)
-    forms, domain, ev, target, ev_cok = _ev_hat_data(g, lift)
-    kernel = preimage_lattice(ev, target)
-    kernel_cols = [domain.basis.mul_vector(c) for c in kernel.basis.columns()]
-    kernel_in_forms = Lattice.from_columns(forms.rank, kernel_cols)
+    ev_cok = _ev_hat_data(g, lift)
+    _, (vals, denom) = _sc_evaluation(g, lift)
+    target = _derived_quotient(g)[2]
+    # a positive multiple of an HNF basis is the HNF basis of the multiple
+    scaled = [[denom * a for a in c] for c in target.basis.columns()]
+    kernel = preimage_lattice(vals, Lattice(target.ambient_rank,
+                                            IntMatrix.from_columns(scaled, target.ambient_rank)))
     return PicardReport(
         theorem_applied="Thm4.6",
         kernel_summand="0",
-        image_lattice=kernel_in_forms,
+        image_lattice=kernel,
         image_ambient="coefficients on the even invariant sc forms",
-        cokernel=FGAbelianGroup.free(kernel_in_forms.rank),
+        cokernel=FGAbelianGroup.free(kernel.rank),
         image_index=None,
         splitting_known=None,
         notes=(f"RPic(rigidified) = ker(ev-hat), coker(ev-hat) = {ev_cok.describe()}",),

@@ -22,7 +22,15 @@ is a cut of them in simple-coroot coordinates.  Each such coordinate is a
 product with p = C^-1 A^T over one denominator e, solved once per group
 (``_sc_projection``): the projection of the forms, the derived basis U = p D
 and delta^ss = p d.  The sc forms at (alpha_i^vee, delta^ss) give NS
-Bun(P^1), and U^T times them ev and ev-hat (``_sc_evaluation``).
+Bun(P^1), and U^T times them ev and ev-hat (``_sc_evaluation``).  That sc
+side evaluates at one lift, the caller's or else the generic one, so a
+report evaluates the sc forms once.
+
+NS(Bun) and NS(rigidified) share one compatible lattice per lift
+(``_ns_compatible``): the pairs (chi, b) that m = [res | -res B_d] sends
+into the restricted roots, B_d = b_k(d, e_i) the D-even forms at d, in HNF.
+NS(Bun) presents it modulo the roots; NS(rigidified) = {b : (0, b) in it},
+the part with no character, is read off its HNF basis.
 
 Each form lattice of a group, and its derived quotient, is computed once per
 ``ReductiveGroupData`` object (``once_per_group``) and shared by every caller:
@@ -379,15 +387,27 @@ def ns_bun(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
 
 
 @once_per_group
+def _ns_compatible(g: ReductiveGroupData, d: tuple):
+    """The compatibility map m = [res | -res B_d], (chi, b) -> res(chi - b(d, -))
+    with B_d = b_k(d, e_i) on the D-even forms, and the lattice C of the pairs
+    it sends into the restricted roots, in HNF: the one evaluation at d and
+    the one preimage that NS(Bun) and NS(rigidified) share, for a checked
+    lift (kept for the latest lift)."""
+    n = g.cochar_rank
+    _, res, target = _derived_quotient(g)
+    pair_d = d_even_forms(g).values([(d, e) for e in IntMatrix.identity(n).columns()])
+    m = res.hstack(res.mul(pair_d).neg())
+    return m, preimage_lattice(m, target)
+
+
+@once_per_group
 def _ns_bun(g: ReductiveGroupData, d: tuple) -> NSGroup:
     n = g.cochar_rank
     forms = d_even_forms(g)
-    _, res, target = _derived_quotient(g)
-    pair_d = forms.values([(d, e) for e in IntMatrix.identity(n).columns()])   # b_k(d, -)
-    m = res.hstack(res.mul(pair_d).neg())          # (chi, b) -> res(chi - b(d, -))
+    target = _derived_quotient(g)[2]
+    m, compatible = _ns_compatible(g, d)
     relations = _root_relations(g, forms.rank)
-    compatible = preimage_lattice(m, target).basis.columns()
-    group, key, gens = subgroup_generators(n + forms.rank, compatible, relations)
+    group, key, gens = subgroup_generators(n + forms.rank, compatible.basis.columns(), relations)
     # certificate check: the defining compatibility res(chi - b(d, -)) = 0 holds exactly
     if not all(target.contains(c) for c in m.mul(gens).columns()):
         raise ArithmeticError("NS generator fails the compatibility condition")
@@ -397,22 +417,28 @@ def _ns_bun(g: ReductiveGroupData, d: tuple) -> NSGroup:
 
 def ns_rigidified(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:
     """NS of the rigidification: D-even invariant forms b on Lambda(T_G) with
-    b(d x -) restricting to zero in Lambda^*(T_D)/Lambda^*(T_Gad)."""
+    b(d x -) restricting to zero in Lambda^*(T_D)/Lambda^*(T_Gad), that is the
+    pairs (0, b) of NS(Bun)'s compatible lattice."""
     return _ns_rigidified(g, delta.lift(lift))
 
 
 @once_per_group
 def _ns_rigidified(g: ReductiveGroupData, d: tuple) -> NSGroup:
+    """{b : (0, b) in C}, read off the HNF basis of the compatible lattice C:
+    its columns with no character part come last and, cut to their form rows,
+    still meet every HNF condition, so they are the lattice's HNF basis."""
     n = g.cochar_rank
     forms = d_even_forms(g)
-    _, res, target = _derived_quotient(g)
-    m = res.mul(forms.values([(d, e) for e in IntMatrix.identity(n).columns()]))
-    sub = preimage_lattice(m, target)
-    if not all(target.contains(c) for c in m.mul(sub.basis).columns()):
+    target = _derived_quotient(g)[2]
+    m, compatible = _ns_compatible(g, d)
+    zero_chi = IntMatrix.from_columns([c for c in compatible.basis.columns() if not any(c[:n])],
+                                      m.cols)
+    if not all(target.contains(c) for c in m.mul(zero_chi).columns()):
         raise ArithmeticError("rigidified NS generator fails condition (zero weight)")
-    return NSGroup(kind="rigidified", group=FGAbelianGroup.free(sub.rank), chi_rank=n,
-                   form_basis=forms, gens=sub.basis,
-                   relations=IntMatrix.zero(forms.rank, 0), key=sub.basis, lift=d)
+    basis = IntMatrix.from_columns([c[n:] for c in zero_chi.columns()], forms.rank)
+    return NSGroup(kind="rigidified", group=FGAbelianGroup.free(basis.cols), chi_rank=n,
+                   form_basis=forms, gens=basis,
+                   relations=IntMatrix.zero(forms.rank, 0), key=basis, lift=d)
 
 
 def ns_bun_p1(g: ReductiveGroupData, delta: Pi1Element, lift=None) -> NSGroup:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from math import gcd
 
 from .exact_algebra import (
@@ -110,7 +111,7 @@ class SimpleType:
         m = re.fullmatch(r"([A-G])(\d+)", s.strip())
         if not m:
             raise InvalidSpec(f"cannot parse simple type {echo(repr(s))}")
-        return SimpleType(m.group(1), int(m.group(2)))
+        return SimpleType(m.group(1), _rank_int(m.group(2)))
 
 
 def cartan_matrix(t: SimpleType) -> IntMatrix:
@@ -337,6 +338,19 @@ def _check_cochar_rank(n: int) -> None:
                           f"MAX_COCHAR_RANK = {MAX_COCHAR_RANK}")
 
 
+def _rank_int(digits: str) -> int:
+    """A rank written in decimal digits, as an int.  Past the interpreter's
+    int -> str limit (``sys.get_int_max_str_digits``, leading zeros aside)
+    it is far above ``MAX_COCHAR_RANK``: InvalidSpec says so without
+    echoing it."""
+    digits = digits.lstrip("0") or "0"
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise InvalidSpec(f"a rank of more than {limit} digits exceeds the limit "
+                          f"MAX_COCHAR_RANK = {MAX_COCHAR_RANK}")
+    return int(digits)
+
+
 def _factor_shape(f: GroupFactor):
     """``(simple types, cocharacter rank, isogeny)`` of a named factor, read
     off the table without building a matrix; InvalidSpec for a parameter the
@@ -376,7 +390,11 @@ def parse_group_spec(s: str) -> GroupSpec:
             if name not in _NAMED:
                 raise ParseError(f"unknown group name {echo(repr(name))}", tokens[i - 1][1])
             take(lambda t: t == "(", f"{name} requires a parenthesized rank")
-            factor = GroupFactor(name, int(take(str.isdecimal, "expected an integer rank")))
+            rank = take(str.isdecimal, "expected an integer rank")
+            try:
+                factor = GroupFactor(name, _rank_int(rank))
+            except InvalidSpec as exc:
+                raise ParseError(str(exc), tokens[i - 1][1]) from None
             take(lambda t: t == ")", "expected ')'")
         try:
             total += _factor_shape(factor)[1]

@@ -368,6 +368,56 @@ def test_error_records_echo_a_bounded_part_of_the_input(tmp_path, capsys):
         assert "more characters cut" in record["error"] and len(line.encode()) < 1024
 
 
+# an integer past the interpreter's int -> str limit, on each surface of
+# outside input: (id, single-run flags, batch line, start of the message)
+OVERLONG = "9" * (sys.get_int_max_str_digits() + 700)
+TOO_LONG = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+RANK_TOO_LONG = (f"a rank of more than {sys.get_int_max_str_digits()} digits exceeds the "
+                 "limit MAX_COCHAR_RANK = 20")
+OVERLONG_DATUM = json.dumps({**SL2_DATUM, "factor_types": ["A" + OVERLONG]})
+OVERLONG_INPUTS = [
+    ("group rank", ["--group", f"SL(2)*T({OVERLONG})", "--family", "universal:2,1"],
+     json.dumps({"group": f"SL(2)*T({OVERLONG})", "family": "universal:2,1"}),
+     f"group: {RANK_TOO_LONG} (at position 8)"),
+    ("factor type", ["--group", OVERLONG_DATUM, "--family", "universal:2,1"],
+     json.dumps({"group": OVERLONG_DATUM, "family": "universal:2,1"}),
+     f"group: {RANK_TOO_LONG}"),
+    ("JSON number", ["--group", "SL(2)", "--family", '{"genus": %s, "delta": 1}' % OVERLONG],
+     '{"group": "SL(2)", "family": "universal:2,1", "delta": [%s]}' % OVERLONG,
+     f"JSON holds {TOO_LONG}"),
+    ("delta", ["--group", "T(1)", "--delta", f"1,-{OVERLONG}", "--family", "universal:2,1"],
+     '{"group": "T(1)", "family": "universal:2,1", "delta": [-%s]}' % OVERLONG,
+     TOO_LONG),
+    ("lift", ["--group", "T(1)", "--delta", "1", "--lift-d", f" +{OVERLONG}",
+              "--family", "universal:2,1"],
+     '{"group": "T(1)", "family": "universal:2,1", "delta": [1], "lift_d": [%s]}' % OVERLONG,
+     TOO_LONG),
+    ("preset parameter", ["--group", "T(1)", "--family", f"universal:{OVERLONG},1"],
+     json.dumps({"group": "T(1)", "family": f"universal:{OVERLONG},1"}),
+     f"universal parameters holds {TOO_LONG}"),
+]
+
+
+@pytest.mark.parametrize("flags,line,message",
+                         [pytest.param(*case[1:], id=case[0]) for case in OVERLONG_INPUTS])
+def test_an_integer_too_long_to_read_is_one_short_error(tmp_path, capsys, flags, line, message):
+    # the single run exits 1 with one short error line naming the limit, and
+    # in a batch the line is one error record while the others still run
+    assert main(flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and len(err.encode()) < 1024, err[:300]
+    good = {"group": "T(1)", "delta": [2], "family": "hyperelliptic:3", "compute": ["poincare"]}
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join([json.dumps(good), line, json.dumps(good)]) + "\n")
+    assert main(["--batch", str(batch)]) == 1
+    first, record, last = capsys.readouterr().out.splitlines()
+    assert first == last == emit(run_report(RunConfig.from_json(good))[1], "json")
+    assert len(record.encode()) < 1024
+    record = json.loads(record)
+    assert record["line"] == 2 and message in record["error"], record
+
+
 # valid batch lines on groups of rank <= 4 that the fuzz test below mutates
 FUZZ_LINES = [
     {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
@@ -392,9 +442,17 @@ def fuzzed_line(draw):
     datum = json.loads(cfg["group"]) if cfg["group"].startswith("{") else None
     family = cfg["family"]
     for _ in range(draw(st.integers(0, 2))):
-        how = draw(st.sampled_from(["swap", "drop", "add", "nest", "huge", "huge", "too deep"]))
+        how = draw(st.sampled_from(["swap", "drop", "add", "nest", "huge", "huge", "too deep",
+                                    "too long"]))
         if how == "too deep":
             return "[" * 100_000
+        if how == "too long":
+            where = draw(st.sampled_from(["delta", "lift_d", "group rank"]))
+            if where == "group rank":
+                cfg["group"], datum = f"T({OVERLONG})", None
+            else:
+                cfg[where] = ["OVERLONG"]       # written as a bare token below
+            continue
         if how == "huge":
             where = draw(st.sampled_from(["delta", "lift_d", "genus", "family delta",
                                           "cochar_rank"]))
@@ -424,7 +482,8 @@ def fuzzed_line(draw):
         cfg["family"] = family
     if datum is not None and "group" in cfg:
         cfg["group"] = json.dumps(datum)
-    return json.dumps(cfg)
+    # an integer past the int -> str limit, which json.dumps cannot write
+    return json.dumps(cfg).replace('"OVERLONG"', OVERLONG)
 
 
 class Stamped(io.StringIO):
@@ -477,12 +536,16 @@ def flag_values(flag, valid, junk=()):
 # refused by the rank check before any matrix is built
 FLAG_ARGV = st.tuples(
     flag_values("--group", ["SL(2)", "GL(2)", "PGL(2)*T(1)", "T(1)", "T(2)", json.dumps(SL2_DATUM)],
-                ["T(1000000000)", "GL(0)", "SL(2", "Q(2)", "{", '{"cochar_rank": 1}', "@"]),
-    flag_values("--delta", [None, "", "0", "1", "1,2", "1,1", "-3"], ["x", "1,,y", "9" * 50, "0.5"]),
-    flag_values("--lift-d", [None, None, None, "0", "1", "2,1", "1,0,0"], ["a", "9" * 50, "1.5"]),
+                ["T(1000000000)", "GL(0)", "SL(2", "Q(2)", "{", '{"cochar_rank": 1}', "@",
+                 f"T({OVERLONG})", OVERLONG_DATUM]),
+    flag_values("--delta", [None, "", "0", "1", "1,2", "1,1", "-3"],
+                ["x", "1,,y", "9" * 50, "0.5", OVERLONG]),
+    flag_values("--lift-d", [None, None, None, "0", "1", "2,1", "1,0,0"],
+                ["a", "9" * 50, "1.5", OVERLONG]),
     flag_values("--family", ["universal:2,1", "genus0_trivial", "genus0_nontrivial",
                              "hyperelliptic:3", '{"genus": 2, "delta": 1}'],
-                ["universal:2", "nope:1", '{"genus": null, "delta": 1}', "{", "@", "universal:x"]),
+                ["universal:2", "nope:1", '{"genus": null, "delta": 1}', "{", "@", "universal:x",
+                 f"universal:{OVERLONG}", '{"genus": %s, "delta": 1}' % OVERLONG]),
     st.one_of(st.just([]), st.lists(st.sampled_from(list(COMPUTATIONS) + ["bogus", ""]),
                                     max_size=4).map(lambda c: ["--compute", ",".join(c)])),
     flag_values("--format", [None, "json", "text"], ["xml"]),
@@ -502,6 +565,7 @@ def test_fuzzed_flags_give_a_report_or_one_error(argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert len([l for l in err.getvalue().splitlines() if l.startswith("error:")]) == 1
+        assert len(err.getvalue().encode()) < 1024
 
 
 def test_batch_without_bad_lines_returns_worst_report_code(tmp_path, capsys):
@@ -718,8 +782,9 @@ def test_report_computes_each_form_lattice_once(monkeypatch, group, delta, cuts)
 
 # the memoized bodies of the lift-dependent results, by the module that
 # defines them
-LIFT_MEMOS = (("invariant_forms", "_ns_bun"), ("invariant_forms", "_ns_rigidified"),
-              ("invariant_forms", "_ns_bun_p1"), ("gerbe", "_gamma_bar"),
+LIFT_MEMOS = (("invariant_forms", "_ns_compatible"), ("invariant_forms", "_ns_bun"),
+              ("invariant_forms", "_ns_rigidified"), ("invariant_forms", "_ns_bun_p1"),
+              ("invariant_forms", "_sc_evaluation"), ("gerbe", "_gamma_bar"),
               ("gerbe", "_ev_hat_data"))
 
 
@@ -747,15 +812,47 @@ def count_body_runs(monkeypatch, memos=LIFT_MEMOS):
 
 
 @pytest.mark.parametrize("group,delta", [
-    ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)),
+    ("E8", ()), ("SO(10)*PGL(4)", (1, 1)), ("GL(3)*T(1)", (1, 1)), ("GL(3)", (0,)),
 ])
 def test_positive_genus_report_computes_each_ns_group_once(monkeypatch, group, delta):
     # the ns, picard, rigidified and gerbe computations share one lift, so one
-    # NS(Bun), one NS(rigidified) and one Im(gamma-bar) with its cokernel
+    # compatible lattice for NS(Bun) and NS(rigidified), and one Im(gamma-bar)
+    # with its cokernel; NS Bun(P^1) and ev evaluate the sc forms at one
+    # generic lift, though the canonical lift of E8's and GL(3)'s delta = 0
+    # is not generic
     runs = count_body_runs(monkeypatch)
     g = run_full_report(monkeypatch, group, delta, "universal:2,1")
-    assert runs == {"_ns_bun": 1, "_ns_rigidified": 1, "_ns_bun_p1": 1, "_gamma_bar": 1}
+    assert runs == {"_ns_compatible": 1, "_ns_bun": 1, "_ns_rigidified": 1, "_ns_bun_p1": 1,
+                    "_sc_evaluation": 1, "_gamma_bar": 1}
     assert_equals_a_fresh_group(g, group)
+
+
+@pytest.mark.parametrize("group,delta,family", [
+    ("E8", (), "universal:2,1"), ("GL(3)", (1,), "universal:2,1"),
+    ("GL(3)*T(1)", (1, 1), "universal:3,2"), ("T(2)", (1, 2), "universal:2,1"),
+    ("GL(3)", (1,), "genus0_nontrivial"),
+])
+def test_ns_rigidified_reads_the_compatible_lattice_of_ns_bun(monkeypatch, group, delta, family):
+    # NS(rigidified) is cut from the compatible lattice that NS(Bun) solves:
+    # it evaluates no form and solves no preimage of its own
+    from bunpic import invariant_forms
+
+    callers = collections.Counter()
+
+    def by_caller(name, fn):
+        def counted(*args):
+            callers[name, sys._getframe(1).f_code.co_name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(invariant_forms, "preimage_lattice",
+                        by_caller("preimage_lattice", invariant_forms.preimage_lattice))
+    monkeypatch.setattr(invariant_forms.FormLattice, "values",
+                        by_caller("values", invariant_forms.FormLattice.values))
+    run_full_report(monkeypatch, group, delta, family)
+    assert not [c for c in callers if c[1] == "_ns_rigidified"], callers
+    assert callers["preimage_lattice", "_ns_compatible"] == 1
+    assert callers["values", "_ns_compatible"] == 1
 
 
 @pytest.mark.parametrize("group,delta,family", [
@@ -816,12 +913,16 @@ def test_report_engines_build_one_cross_diagram(monkeypatch, group, delta, famil
     assert engines == {"bunpic.invariant_forms": 1}
 
 
-@pytest.mark.parametrize("group,delta", [("E8", ()), ("GL(3)*T(1)", (1, 1)), ("GL(2)", (1,))])
+@pytest.mark.parametrize("group,delta", [("E8", ()), ("GL(3)*T(1)", (1, 1)), ("GL(2)", (1,)),
+                                         ("GL(3)", (0,))])
 def test_genus0_report_computes_each_ns_group_once(monkeypatch, group, delta):
     # ns and picard share the generic lift of NS Bun(P^1); rigidified and gerbe
-    # share the hatted evaluation data
+    # share coker(ev-hat), and all three one sc evaluation; NS(Bun) and
+    # NS(rigidified) share one compatible lattice
     runs = count_body_runs(monkeypatch)
     g = run_full_report(monkeypatch, group, delta, "genus0_nontrivial")
     assert runs["_ns_bun_p1"] == 1
     assert runs["_ev_hat_data"] == 1
+    assert runs["_sc_evaluation"] == 1
+    assert runs["_ns_compatible"] == 1
     assert_equals_a_fresh_group(g, group)

@@ -18,6 +18,7 @@ lies in the lattice of restricted roots.  The restricted roots are a rational
 basis of Lambda^*(T_D), and the coroots one of Lambda(T_D), so that holds iff
 the rational n with sum_j n_j <alpha_j, alpha_i^vee> = chi(alpha_i^vee) -
 b(d, alpha_i^vee) for every i is integral (``reference.rational_solve``).
+NS(rigidified) membership of c is the same test with chi = 0.
 
 The conditional lattice is decided on the Gram matrices B on the basis D of
 Lambda(T_D(G)) that the library writes it in: B is Weyl invariant at the
@@ -28,13 +29,19 @@ c on the sc basis forms, asks that l + b(d^ss, -) be integral for the class
 l of chi modulo the roots: with d^ss solving C y = A^T d over Q (C the
 Cartan matrix), the rational n with sum_j n_j <alpha_j, alpha_i^vee> =
 b(alpha_i^vee, d^ss) - chi(alpha_i^vee) is integral.
+
+One literature oracle goes through the gerbe engine: for GL(n) over a
+family with delta(C/S) = 1, coker(wt) = Z/gcd(n, d) (Ramanan).
 """
 
 from itertools import product
+from math import gcd
 
 import pytest
 
-from bunpic.exact_algebra import IntMatrix, Lattice
+from bunpic.exact_algebra import FGAbelianGroup, IntMatrix, Lattice
+from bunpic.family import family_from_preset
+from bunpic.gerbe import weight_cokernel
 from bunpic.invariant_forms import (
     conditional_form_lattice,
     d_even_forms,
@@ -42,6 +49,7 @@ from bunpic.invariant_forms import (
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
+    ns_rigidified,
     sc_even_forms,
     sym2_pairs,
 )
@@ -246,3 +254,49 @@ def assert_ns_bun_p1_matches_the_oracle(g):
 @pytest.mark.parametrize("name", SMALL_FACTORS + SMALL_PRODUCTS + list(GLUED_GROUPS))
 def test_ns_bun_p1_matches_the_brute_force_oracle(name):
     assert_ns_bun_p1_matches_the_oracle(oracle_group(name))
+
+
+def assert_ns_rigidified_matches_the_oracle(g):
+    grams = [f.gram.to_lists() for f in d_even_forms(g).basis_forms]
+    coroots = g.simple_coroots.columns()
+    cartan_t = g.simple_coroots.transpose().mul(g.simple_roots)    # <alpha_j, alpha_i^vee>
+    bound = 3 if len(grams) <= 3 else 2
+    integral = {}   # b(d, -) on the coroots -> whether it is a root-lattice restriction
+    for delta in pi1_classes(g):
+        lifts = _coroot_shifts(g, delta.lift(), 2) if coroots else [delta.lift()]
+        for d in lifts:
+            key = ns_rigidified(g, delta, lift=d).key
+            members = Lattice(key.rows, key)
+            pair_d = [[form(gram, d, c) for c in coroots] for gram in grams]   # b_k(d, a_i^vee)
+            for coeffs in product(range(-bound, bound + 1), repeat=len(grams)):
+                v = tuple(sum(c * p[i] for c, p in zip(coeffs, pair_d))
+                          for i in range(len(coroots)))
+                if v not in integral:
+                    integral[v] = all(x.denominator == 1 for x in rational_solve(cartan_t, v))
+                assert members.contains(coeffs) == integral[v], (g, delta, d, coeffs)
+
+
+# groups with a radical beyond the small factors' GL(2) and GL(3)
+RADICAL_GROUPS = ["GL(2)*T(1)"]
+
+
+@pytest.mark.parametrize("name", SMALL_FACTORS + SMALL_PRODUCTS + list(GLUED_GROUPS)
+                         + RADICAL_GROUPS)
+def test_ns_rigidified_matches_the_brute_force_oracle(name):
+    assert_ns_rigidified_matches_the_oracle(oracle_group(name))
+
+
+@pytest.mark.parametrize("genus", range(4))
+def test_weight_cokernel_of_gl_n_is_ramanans_gcd(genus):
+    # GL(n) over universal:g,1, every class d in two full sets of residues mod
+    # n, at the default lift and at one shifted by a coroot: coker(wt) =
+    # Z/gcd(n, d); delta(C/S) = 1 makes the sub piece trivial
+    family = family_from_preset("universal", genus, 1)
+    for n in range(1, 7):
+        g = build_group(f"GL({n})")
+        for d in range(-n, n):
+            delta = Pi1Element.from_coords(g, (d,))
+            lifts = [None] if n == 1 else [None, _coroot_shifts(g, delta.lift(), 2)[1]]
+            for lift in lifts:
+                rep = weight_cokernel(g, delta, family, lift=lift)
+                assert rep.coker_wt == FGAbelianGroup.cyclic(gcd(n, d)), (genus, n, d, lift)

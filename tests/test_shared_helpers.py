@@ -43,12 +43,11 @@ from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel
 from bunpic.invariant_forms import (
     FormLattice,
     _congruence_cut,
-    _derived_quotient,
+    _sc_evaluation,
     conditional_form_lattice,
     invariant_sym_forms,
     ns_bun,
     ns_bun_p1,
-    sc_even_forms,
     sym2_dim,
     sym2_pairs,
 )
@@ -541,11 +540,10 @@ def test_torus_shapes_take_the_general_path(k):
     forms = invariant_sym_forms(t)
     assert forms.values([]) == IntMatrix.zero(0, forms.rank)
     assert conditional_form_lattice(t) == FormLattice(0, IntMatrix.zero(0, 0))
-    # the genus-0 evaluation has a rank-0 domain and an empty matrix
-    _, _, target = _derived_quotient(t)
-    assert (_ev_hat_data(t, (1,) * k)
-            == (sc_even_forms(t), Lattice.full(0), IntMatrix.zero(0, 0), target,
-                FGAbelianGroup.trivial()))
+    # the genus-0 evaluation is an empty matrix, with a trivial cokernel
+    _, (vals, _) = _sc_evaluation(t, (1,) * k)
+    assert vals == IntMatrix.zero(0, 0)
+    assert _ev_hat_data(t, (1,) * k) == FGAbelianGroup.trivial()
     # every pair (chi, b) is an NS Bun(P^1) member
     ns = ns_bun_p1(t, Pi1Element.from_coords(t, (1,) * k))
     assert ns.certificates == IntMatrix.identity(k + ns.form_basis.rank)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .exact_algebra import FGAbelianGroup
@@ -52,9 +51,11 @@ from .root_datum import (
     echo,
     group_from_json,
     group_to_json,
+    int_tuple,
     json_field,
     json_object,
     parse_group_spec,
+    too_many_digits,
 )
 
 COMPUTATIONS = ("pi1", "forms", "ns", "picard", "rigidified", "gerbe", "poincare")
@@ -88,23 +89,10 @@ class RunConfig:
 INPUT_ERRORS = (ValueError, OSError, KeyError, TypeError)
 
 
-def _too_many_digits(what: str) -> InputError:
-    """The error for an integer past the interpreter's int -> str limit."""
-    return InputError(f"{what} holds an integer of more than "
-                      f"{sys.get_int_max_str_digits()} digits")
-
-
 def _comma_ints(what: str, text: str) -> list:
-    """The integers of a comma-separated list; blank items are skipped."""
-    items = [x for x in text.split(",") if x.strip()]
-    try:
-        return [int(x) for x in items]
-    except ValueError:
-        # int() refuses a signed run of digits only when it is too long to read
-        if all(re.fullmatch(r"\s*[+-]?\d+\s*", x) for x in items):
-            raise _too_many_digits(what) from None
-        raise InputError(
-            f"{what} must be comma-separated integers, not {echo(repr(text))}") from None
+    """The integers of a comma-separated list, each read by ``int_tuple``;
+    blank items are skipped."""
+    return list(int_tuple([x for x in text.split(",") if x.strip()], what))
 
 
 def _parse_json(text: str):
@@ -118,7 +106,7 @@ def _parse_json(text: str):
         raise
     except ValueError:
         # the parser's one other refusal: a number past the int -> str limit
-        raise _too_many_digits("JSON") from None
+        raise too_many_digits("JSON") from None
 
 
 def _json_input(text: str):

@@ -7,9 +7,19 @@ non-locally-projective case), and boolean hypothesis flags.  Flags are data,
 not inferences; the only derivations applied are the implication rules the
 catalog itself justifies (a section forces surjectivity of
 ``Pic(C) -> Pic_{C/S}(S)``, and so does ``delta = 1``).
+
+The preset catalog is one table, ``_PRESETS``: each name maps to its
+parameter names, which give the arity check and its message, and to the
+builder of its record; ``family_from_preset`` writes every label, as
+``name(p1,p2,...)`` or the bare name.  Presets share builders:
+``plane_curve(d)`` is the one-degree ``complete_intersection(d)``,
+``genus0_trivial`` is ``universal(0, 1)`` and ``genus0_nontrivial`` is
+``universal(0, 0)``, labels aside; ``hurwitz`` and ``severi`` are the
+linear-series builder with r = 1 and r = 2.
 """
 
-from math import gcd
+from functools import partial
+from math import gcd, prod
 
 from .record import asdict, fields, record, replace
 from .root_datum import ReductiveGroupData, cross_diagram, echo, json_field, json_object
@@ -123,128 +133,102 @@ def _require(cond: bool, exc: str) -> None:
         raise InvalidParams(exc)
 
 
+def _universal(g: int, n: int) -> CurveFamily:
+    """The universal curve over M_{g,n}: n > 0 marked points give a section."""
+    _require(g >= 0 and n >= 0, "universal needs g, n >= 0")
+    return CurveFamily(
+        genus=g,
+        delta=abs(2 * g - 2) if n == 0 else 1,
+        has_section=n > 0,
+        zariski_locally_trivial=(g == 0 and n > 0),
+        end_jacobian_trivial=True,
+        rpic_surjective=(n > 0 or g >= 2),
+        rpic0_torsion_free=True,
+    )
+
+
+def _complete_intersection(*degrees: int) -> CurveFamily:
+    """Complete intersections of the given degrees in P^r, r = len(degrees) + 1,
+    with delta the degree of the hyperplane class.  A genus-0 one is a line
+    (degree 1, which has a section) or a conic (degree 2)."""
+    _require(all(d >= 1 for d in degrees), "degrees must be >= 1")
+    deg = prod(degrees)
+    twog2 = deg * (sum(degrees) - len(degrees) - 2)
+    _require(twog2 % 2 == 0 and twog2 >= -2, "not a curve type")
+    g = (twog2 + 2) // 2
+    return CurveFamily(
+        genus=g,
+        delta=deg,
+        has_section=(deg == 1),
+        zariski_locally_trivial=(deg == 1),
+        end_jacobian_trivial=True,
+        rpic_surjective=(deg == 1),
+        rpic0_torsion_free=(g == 0),
+    )
+
+
+def _k3_hyperplane(g: int) -> CurveFamily:
+    _require(g >= 3, "k3_hyperplane needs g >= 3")
+    return CurveFamily(genus=g, delta=2 * g - 2, end_jacobian_trivial=False)
+
+
+def _hyperelliptic(g: int) -> CurveFamily:
+    _require(g >= 2, "hyperelliptic needs g >= 2")
+    return CurveFamily(genus=g, delta=4 if g % 2 else 2, end_jacobian_trivial=True)
+
+
+def _linear_series(name: str, r: int, g: int, d: int) -> CurveFamily:
+    """Curves of genus g with a g^r_d: r = 1 (hurwitz) or r = 2 (severi)."""
+    rho = g - (r + 1) * (g + r - d)
+    _require(rho >= 2, f"{name} needs rho = g - (r+1)(g+r-d) >= 2 (got {rho})")
+    delta = gcd(2 * g - 2, d)
+    return CurveFamily(genus=g, delta=delta, end_jacobian_trivial=True,
+                       rpic_surjective=(delta == 1))
+
+
+def _fixed_curve(g: int) -> CurveFamily:
+    _require(g >= 0, "fixed_curve needs g >= 0")
+    return CurveFamily(
+        genus=g,
+        delta=1,
+        has_section=True,
+        zariski_locally_trivial=(g == 0),
+        end_jacobian_trivial=False,
+        rpic_surjective=True,       # Br(k) = 0 over an algebraically closed field
+        rpic0_torsion_free=False,   # the Picard variety of a curve is divisible
+    )
+
+
+# name -> (parameter names, builder); "..." stands for any further parameters
+_PRESETS = {
+    "universal": (("g", "n"), _universal),
+    "plane_curve": (("d",), _complete_intersection),
+    "complete_intersection": (("d1", "...", "d_{r-1}"), _complete_intersection),
+    "k3_hyperplane": (("g",), _k3_hyperplane),
+    "hyperelliptic": (("g",), _hyperelliptic),
+    "hurwitz": (("g", "d"), partial(_linear_series, "hurwitz", 1)),
+    "severi": (("g", "d"), partial(_linear_series, "severi", 2)),
+    "fixed_curve": (("g",), _fixed_curve),
+    "genus0_trivial": ((), partial(_universal, 0, 1)),
+    "genus0_nontrivial": ((), partial(_universal, 0, 0)),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def family_from_preset(name: str, *params: int) -> CurveFamily:
     """Catalog of families with known delta; see the module docstring for the
-    flag policy."""
+    flag policy.  The label is ``name(p1,p2,...)``, or ``name`` alone."""
     name = name.lower()
     for p in params:
         _require(type(p) is int,
                  f"{echo(name)} parameters must be integers, not {echo(repr(p))}")
-    if name == "universal":
-        _require(len(params) == 2, "universal(g, n)")
-        g, n = params
-        _require(g >= 0 and n >= 0, "universal needs g, n >= 0")
-        fam = CurveFamily(
-            genus=g,
-            delta=abs(2 * g - 2) if n == 0 else 1,
-            has_section=n > 0,
-            zariski_locally_trivial=(g == 0 and n > 0),
-            end_jacobian_trivial=True,
-            rpic_surjective=(n > 0 or g >= 2),
-            rpic0_torsion_free=True,
-            label=f"universal({g},{n})",
-        )
-    elif name == "plane_curve":
-        _require(len(params) == 1, "plane_curve(d)")
-        (d,) = params
-        _require(d >= 1, "plane_curve needs d >= 1")
-        g = (d - 1) * (d - 2) // 2
-        fam = CurveFamily(
-            genus=g,
-            delta=d,
-            has_section=(d == 1),
-            zariski_locally_trivial=(g == 0 and d == 1),
-            end_jacobian_trivial=True,
-            rpic_surjective=(d == 1),
-            rpic0_torsion_free=(g == 0),
-            label=f"plane_curve({d})",
-        )
-    elif name == "complete_intersection":
-        _require(len(params) >= 1, "complete_intersection(d1, ..., d_{r-1})")
-        _require(all(d >= 1 for d in params), "degrees must be >= 1")
-        deg = 1
-        for d in params:
-            deg *= d
-        r = len(params) + 1
-        twog2 = deg * (sum(params) - r - 1)
-        _require(twog2 % 2 == 0 and twog2 >= -2, "not a curve type")
-        g = (twog2 + 2) // 2
-        fam = CurveFamily(
-            genus=g,
-            delta=deg if g != 0 else (1 if deg % 2 else 2),
-            end_jacobian_trivial=True,
-            rpic_surjective=(deg == 1),
-            rpic0_torsion_free=(g == 0),
-            label="complete_intersection(" + ",".join(map(str, params)) + ")",
-        )
-        if g == 0:
-            fam = replace(fam, zariski_locally_trivial=fam.delta == 1,
-                          has_section=fam.delta == 1,
-                          rpic_surjective=fam.delta == 1)
-    elif name == "k3_hyperplane":
-        _require(len(params) == 1, "k3_hyperplane(g)")
-        (g,) = params
-        _require(g >= 3, "k3_hyperplane needs g >= 3")
-        fam = CurveFamily(genus=g, delta=2 * g - 2, end_jacobian_trivial=False,
-                          label=f"k3_hyperplane({g})")
-    elif name == "hyperelliptic":
-        _require(len(params) == 1, "hyperelliptic(g)")
-        (g,) = params
-        _require(g >= 2, "hyperelliptic needs g >= 2")
-        fam = CurveFamily(
-            genus=g,
-            delta=4 if g % 2 else 2,
-            end_jacobian_trivial=True,
-            label=f"hyperelliptic({g})",
-        )
-    elif name in ("hurwitz", "severi"):
-        _require(len(params) == 2, f"{name}(g, d)")
-        g, d = params
-        r = 1 if name == "hurwitz" else 2
-        rho = g - (r + 1) * (g + r - d)
-        _require(rho >= 2, f"{name} needs rho = g - (r+1)(g+r-d) >= 2 (got {rho})")
-        fam = CurveFamily(
-            genus=g,
-            delta=gcd(2 * g - 2, d),
-            end_jacobian_trivial=True,
-            label=f"{name}({g},{d})",
-        )
-        if fam.delta == 1:
-            fam = replace(fam, rpic_surjective=True)
-    elif name == "fixed_curve":
-        _require(len(params) == 1, "fixed_curve(g)")
-        (g,) = params
-        _require(g >= 0, "fixed_curve needs g >= 0")
-        fam = CurveFamily(
-            genus=g,
-            delta=1,
-            has_section=True,
-            zariski_locally_trivial=(g == 0),
-            end_jacobian_trivial=False,
-            rpic_surjective=True,       # Br(k) = 0 over an algebraically closed field
-            rpic0_torsion_free=False,   # the Picard variety of a curve is divisible
-            label=f"fixed_curve({g})",
-        )
-    elif name == "genus0_trivial":
-        _require(len(params) == 0, "genus0_trivial takes no parameters")
-        fam = CurveFamily(genus=0, delta=1, has_section=True,
-                          zariski_locally_trivial=True, end_jacobian_trivial=True,
-                          rpic_surjective=True, rpic0_torsion_free=True,
-                          label="genus0_trivial")
-    elif name == "genus0_nontrivial":
-        _require(len(params) == 0, "genus0_nontrivial takes no parameters")
-        fam = CurveFamily(genus=0, delta=2, end_jacobian_trivial=True,
-                          rpic0_torsion_free=True, label="genus0_nontrivial")
-    else:
+    if name not in _PRESETS:
         raise InvalidPreset(f"unknown preset {echo(repr(name))}")
-    return fam
-
-
-PRESET_NAMES = (
-    "universal", "plane_curve", "complete_intersection", "k3_hyperplane",
-    "hyperelliptic", "hurwitz", "severi", "fixed_curve", "genus0_trivial",
-    "genus0_nontrivial",
-)
+    names, build = _PRESETS[name]
+    _require(len(params) >= 1 if "..." in names else len(params) == len(names),
+             f"{name}({', '.join(names)})" if names else f"{name} takes no parameters")
+    label = f"{name}({','.join(map(str, params))})" if params else name
+    return replace(build(*params), label=label)
 
 
 # ---------------------------------------------------------------------------

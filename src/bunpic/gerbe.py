@@ -152,14 +152,6 @@ def _partial_matrix(g: ReductiveGroupData, rig, lift, genus: int) -> IntMatrix:
     return rig.form_basis.values(pairs).mul(rig.key)
 
 
-def _mod_delta_cokernel(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
-    """(Z/delta)^rows divided by the column span of m: relations m and delta * I
-    (delta = 0 gives Z^rows)."""
-    n = m.rows
-    return group_from_relations(n, m.hstack(IntMatrix.from_rows(
-        [[delta_cs if i == j else 0 for j in range(n)] for i in range(n)], n)))
-
-
 def torus_weight_cokernel_closed_form(genus: int, delta_cs: int, div: int, dim: int):
     """The printed closed form: Z/gcd(delta, div+1-g) + [Z/gcd(delta, g-1, div)]^(dim-1)."""
     parts = [FGAbelianGroup.cyclic(gcd(delta_cs, div + 1 - genus))]
@@ -191,7 +183,12 @@ def weight_cokernel(g: ReductiveGroupData, delta: Pi1Element, f: CurveFamily,
     _, coker_gamma = _gamma_bar(g, lift, f.genus, delta_cs)
     pmat = _partial_matrix(g, rig, lift, f.genus)
     ab_rank = pmat.rows
-    sub = _mod_delta_cokernel(pmat, delta_cs)      # Hom(Lambda(G^ab), Z/delta)/Im(partial)
+    # Hom(Lambda(G^ab), Z/delta)/Im(partial): Z^ab_rank modulo Im(partial) and
+    # delta * Z^ab_rank (the zero lattice for delta = 0)
+    delta_lattice = Lattice(ab_rank, IntMatrix.from_columns(
+        [[delta_cs * (i == j) for i in range(ab_rank)] for j in range(ab_rank) if delta_cs],
+        ab_rank))
+    sub = hom_cokernel(pmat, delta_lattice)
     # coker(ev) is trivial for a torus, so there coker(wt) is the sub piece
     certificate = _bookkeeping(coker_gamma, sub if g.is_torus else None, delta_cs, ab_rank,
                                ev_cok)

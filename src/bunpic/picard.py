@@ -207,7 +207,6 @@ class PicardReport:
     image_lattice: Lattice | None = None
     image_ambient: str = ""
     cokernel: FGAbelianGroup | None = None
-    cokernel_generators: tuple = ()
     image_index: int | None = None
     splitting_known: bool | None = None
     complete: bool | None = None
@@ -357,8 +356,7 @@ def _reductive_picard_positive(g, delta, f, lift):
     require_hypotheses(f, g, "ThmB")
     lift = delta.lift(lift)     # checked even where the NS-level image is skipped
     cd = _derived_quotient(g)[0]
-    cfl = conditional_form_lattice(g)
-    s = cfl.rank
+    s = conditional_form_lattice(g).rank
     theorem = "Thm3.14" if cd.derived_simply_connected else "Thm3.16"
     notes = []
     if g.is_semisimple:
@@ -397,7 +395,6 @@ def _reductive_picard_positive(g, delta, f, lift):
         image_lattice=image,
         image_ambient=ambient,
         cokernel=cok,
-        cokernel_generators=tuple(cfl.basis_forms),
         image_index=index,
         splitting_known=cd.derived_simply_connected,
         complete=None,

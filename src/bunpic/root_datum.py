@@ -66,14 +66,31 @@ def echo(text: str) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text) - ECHO_LIMIT} more characters cut)"
 
 
+# an integer in outside text: optional surrounding whitespace, an optional
+# sign, then ASCII digits; ``int`` alone would also read "1_0" and the
+# digits of other scripts
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def too_many_digits(what: str) -> InputError:
+    """The error for an integer past the interpreter's int -> str limit."""
+    return InputError(f"{what} holds an integer of more than "
+                      f"{sys.get_int_max_str_digits()} digits")
+
+
 def int_tuple(values, what: str) -> tuple:
-    """``values`` as ints: an int stays, a string is read by ``int``, and any
-    other entry (a float, which ``int`` would truncate) is an InputError."""
+    """``values`` as ints: an int stays, a string of the ``_INTEGER`` grammar
+    is read, and any other entry (a float, which ``int`` would truncate, or
+    a string such as "1_0") is an InputError, as is a string of more digits
+    than the interpreter reads."""
     values = tuple(values)
     for x in values:
-        if type(x) not in (int, str):
+        if not (type(x) is int or type(x) is str and _INTEGER.fullmatch(x)):
             raise InputError(f"{what} must be integers, not {echo(repr(x))}")
-    return tuple(int(x) for x in values)
+    try:
+        return tuple(int(x) for x in values)
+    except ValueError:
+        raise too_many_digits(what) from None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +125,7 @@ class SimpleType:
 
     @staticmethod
     def parse(s: str) -> "SimpleType":
-        m = re.fullmatch(r"([A-G])(\d+)", s.strip())
+        m = re.fullmatch(r"([A-G])([0-9]+)", s.strip())
         if not m:
             raise InvalidSpec(f"cannot parse simple type {echo(repr(s))}")
         return SimpleType(m.group(1), _rank_int(m.group(2)))
@@ -339,7 +356,7 @@ def _check_cochar_rank(n: int) -> None:
 
 
 def _rank_int(digits: str) -> int:
-    """A rank written in decimal digits, as an int.  Past the interpreter's
+    """A rank written in ASCII digits, as an int.  Past the interpreter's
     int -> str limit (``sys.get_int_max_str_digits``, leading zeros aside)
     it is far above ``MAX_COCHAR_RANK``: InvalidSpec says so without
     echoing it."""
@@ -370,7 +387,7 @@ def parse_group_spec(s: str) -> GroupSpec:
     and a total cocharacter rank above ``MAX_COCHAR_RANK`` raises InvalidSpec."""
     # integers, words and single other characters with their positions; the
     # empty token marks the end
-    tokens = [(m.group(), m.start()) for m in re.finditer(r"\d+|\w+|\S", s)] + [("", len(s))]
+    tokens = [(m.group(), m.start()) for m in re.finditer(r"[0-9]+|\w+|\S", s)] + [("", len(s))]
     factors, total, i = [], 0, 0
 
     def take(ok, message: str) -> str:
@@ -390,7 +407,7 @@ def parse_group_spec(s: str) -> GroupSpec:
             if name not in _NAMED:
                 raise ParseError(f"unknown group name {echo(repr(name))}", tokens[i - 1][1])
             take(lambda t: t == "(", f"{name} requires a parenthesized rank")
-            rank = take(str.isdecimal, "expected an integer rank")
+            rank = take(lambda t: re.fullmatch("[0-9]+", t), "expected an integer rank")
             try:
                 factor = GroupFactor(name, _rank_int(rank))
             except InvalidSpec as exc:

@@ -298,6 +298,16 @@ def torus_partial_bar(t, d, genus: int):
     return IntMatrix.from_columns(cols, r)
 
 
+def mod_delta_cokernel(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
+    """(Z/delta)^rows divided by the column span of m: the relations m and
+    delta * I written out (delta = 0 gives Z^rows / m)."""
+    rel = m
+    if delta_cs:
+        rel = m.hstack(IntMatrix.from_columns(
+            [[delta_cs if i == j else 0 for i in range(m.rows)] for j in range(m.rows)], m.rows))
+    return group_from_relations(m.rows, rel)
+
+
 def mod_delta_image(m: IntMatrix, delta_cs: int) -> FGAbelianGroup:
     """Subgroup of (Z/delta)^rows generated by the columns of m."""
     rel = [tuple(delta_cs if i == j else 0 for i in range(m.rows)) for j in range(m.rows)]

@@ -418,6 +418,55 @@ def test_an_integer_too_long_to_read_is_one_short_error(tmp_path, capsys, flags,
     assert record["line"] == 2 and message in record["error"], record
 
 
+# integers that int() reads but the grammar of outside text (optional
+# surrounding whitespace, an optional sign, ASCII digits) does not: "1_0",
+# which was 10, and an Arabic-Indic three, which was 3.  (id, single-run
+# flags, batch line or None where JSON cannot write it, message)
+ARABIC_3 = "\u0663"
+NOT_ASCII_INPUTS = [
+    ("group rank", ["--group", f"T({ARABIC_3})", "--family", "universal:2,1"],
+     json.dumps({"group": f"T({ARABIC_3})", "family": "universal:2,1"}),
+     "group: expected an integer rank (at position 2)"),
+    ("factor type", ["--group", json.dumps({**SL2_DATUM, "factor_types": ["A" + ARABIC_3]}),
+                     "--family", "universal:2,1"],
+     json.dumps({"group": json.dumps({**SL2_DATUM, "factor_types": ["A" + ARABIC_3]}),
+                 "family": "universal:2,1"}),
+     "cannot parse simple type 'A\u0663'"),
+    ("delta", ["--group", "T(1)", "--delta", "1_0", "--family", "hyperelliptic:3"], None,
+     "--delta must be integers, not '1_0'"),
+    ("lift", ["--group", "T(1)", "--delta", "1", "--lift-d", ARABIC_3,
+              "--family", "hyperelliptic:3"], None,
+     "--lift-d must be integers, not '\u0663'"),
+    ("preset parameter", ["--group", "T(1)", "--family", "hyperelliptic:1_0"],
+     json.dumps({"group": "T(1)", "family": "hyperelliptic:1_0"}),
+     "hyperelliptic parameters must be integers, not '1_0'"),
+]
+
+
+@pytest.mark.parametrize("flags,line,message",
+                         [pytest.param(*case[1:], id=case[0]) for case in NOT_ASCII_INPUTS])
+def test_an_integer_outside_the_ascii_grammar_is_one_short_error(tmp_path, capsys, flags, line,
+                                                                  message):
+    # each used to run as the integer int() read; now the single run exits 1
+    # with one error line, and in a batch the line is one error record while
+    # the others still run
+    assert main(flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err, err
+    if line is None:
+        return
+    good = {"group": "T(1)", "delta": [2], "family": "hyperelliptic:3", "compute": ["poincare"]}
+    batch = tmp_path / "runs.jsonl"
+    batch.write_text("\n".join([json.dumps(good), line, json.dumps(good)]) + "\n",
+                     encoding="utf-8")
+    assert main(["--batch", str(batch)]) == 1
+    first, record, last = capsys.readouterr().out.splitlines()
+    assert first == last == emit(run_report(RunConfig.from_json(good))[1], "json")
+    record = json.loads(record)
+    assert record["line"] == 2 and message in record["error"], record
+
+
 # valid batch lines on groups of rank <= 4 that the fuzz test below mutates
 FUZZ_LINES = [
     {"group": "GL(2)", "delta": [1], "family": "genus0_nontrivial", "compute": ["picard"]},
@@ -443,9 +492,16 @@ def fuzzed_line(draw):
     family = cfg["family"]
     for _ in range(draw(st.integers(0, 2))):
         how = draw(st.sampled_from(["swap", "drop", "add", "nest", "huge", "huge", "too deep",
-                                    "too long"]))
+                                    "too long", "not ascii"]))
         if how == "too deep":
             return "[" * 100_000
+        if how == "not ascii":
+            token = draw(st.sampled_from(["1_0", ARABIC_3]))
+            if draw(st.booleans()):
+                cfg["group"], datum = f"T({token})", None
+            else:
+                family = f"universal:{token},1"
+            continue
         if how == "too long":
             where = draw(st.sampled_from(["delta", "lift_d", "group rank"]))
             if where == "group rank":
@@ -537,15 +593,16 @@ def flag_values(flag, valid, junk=()):
 FLAG_ARGV = st.tuples(
     flag_values("--group", ["SL(2)", "GL(2)", "PGL(2)*T(1)", "T(1)", "T(2)", json.dumps(SL2_DATUM)],
                 ["T(1000000000)", "GL(0)", "SL(2", "Q(2)", "{", '{"cochar_rank": 1}', "@",
-                 f"T({OVERLONG})", OVERLONG_DATUM]),
+                 f"T({OVERLONG})", OVERLONG_DATUM, "T(1_0)", f"T({ARABIC_3})"]),
     flag_values("--delta", [None, "", "0", "1", "1,2", "1,1", "-3"],
-                ["x", "1,,y", "9" * 50, "0.5", OVERLONG]),
+                ["x", "1,,y", "9" * 50, "0.5", OVERLONG, "1_0", ARABIC_3]),
     flag_values("--lift-d", [None, None, None, "0", "1", "2,1", "1,0,0"],
-                ["a", "9" * 50, "1.5", OVERLONG]),
+                ["a", "9" * 50, "1.5", OVERLONG, "1_0", ARABIC_3]),
     flag_values("--family", ["universal:2,1", "genus0_trivial", "genus0_nontrivial",
                              "hyperelliptic:3", '{"genus": 2, "delta": 1}'],
                 ["universal:2", "nope:1", '{"genus": null, "delta": 1}', "{", "@", "universal:x",
-                 f"universal:{OVERLONG}", '{"genus": %s, "delta": 1}' % OVERLONG]),
+                 f"universal:{OVERLONG}", '{"genus": %s, "delta": 1}' % OVERLONG,
+                 "universal:1_0,1", f"hyperelliptic:{ARABIC_3}"]),
     st.one_of(st.just([]), st.lists(st.sampled_from(list(COMPUTATIONS) + ["bogus", ""]),
                                     max_size=4).map(lambda c: ["--compute", ",".join(c)])),
     flag_values("--format", [None, "json", "text"], ["xml"]),

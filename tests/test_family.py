@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from bunpic.family import (
@@ -10,6 +14,7 @@ from bunpic.family import (
     hypothesis_check,
     validate_family,
 )
+from bunpic.record import replace
 from bunpic.root_datum import build_group
 
 ALL_PRESETS = [
@@ -160,3 +165,57 @@ def test_unknown_theorem():
 
 def test_preset_names_catalog():
     assert set(p for p, _ in ALL_PRESETS) <= set(PRESET_NAMES)
+
+
+def catalog_grid():
+    """(name, params) inputs around every preset's valid range."""
+    yield from (("universal", (g, n)) for g in range(-1, 7) for n in range(-1, 4))
+    yield from (("plane_curve", (d,)) for d in range(-1, 12))
+    for k in (1, 2, 3):
+        yield from (("complete_intersection", ds) for ds in itertools.product(range(5), repeat=k))
+    for name in ("k3_hyperplane", "hyperelliptic"):
+        yield from ((name, (g,)) for g in range(9))
+    yield from (("hurwitz", (g, d)) for g in range(8) for d in range(12))
+    yield from (("severi", (g, d)) for g in range(8) for d in range(14))
+    yield from (("fixed_curve", (g,)) for g in range(-1, 6))
+    for name in ("genus0_trivial", "genus0_nontrivial"):
+        yield name, ()
+        yield name, (1,)
+
+
+def test_the_catalog_is_pinned():
+    # SHA-256 of every valid family on the grid, recorded from the catalog
+    # that wrote each preset's record out in full: a rewrite of the catalog
+    # must keep every field and label
+    rows = []
+    for name, params in catalog_grid():
+        try:
+            fam = family_from_preset(name, *params)
+        except InvalidParams:
+            continue
+        rows.append([name, list(params), fam.to_json()])
+    assert len(rows) == 277
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "0b4ca1d55dc90b896cbee572530f8a00ded9fe7aa4d43ce9a7c875590656773e"
+
+
+def test_each_shared_family_equals_its_twin_labels_aside():
+    def unlabelled(name, *params):
+        return replace(family_from_preset(name, *params), label="")
+
+    for d in range(1, 40):
+        assert unlabelled("plane_curve", d) == unlabelled("complete_intersection", d), d
+        assert family_from_preset("plane_curve", d).label == f"plane_curve({d})"
+    for n in range(1, 6):
+        assert unlabelled("genus0_trivial") == unlabelled("universal", 0, n), n
+    assert unlabelled("genus0_nontrivial") == unlabelled("universal", 0, 0)
+    assert family_from_preset("genus0_trivial").label == "genus0_trivial"
+
+
+def test_preset_names_keep_their_order():
+    # the CLI epilog and the README list the presets in this order
+    assert PRESET_NAMES == (
+        "universal", "plane_curve", "complete_intersection", "k3_hyperplane",
+        "hyperelliptic", "hurwitz", "severi", "fixed_curve", "genus0_trivial",
+        "genus0_nontrivial",
+    )

@@ -10,7 +10,6 @@ from bunpic.family import CurveFamily, family_from_preset
 from bunpic.gerbe import (
     GradedPieces,
     _extension,
-    _mod_delta_cokernel,
     evaluation_cokernel,
     evaluation_cokernel_table,
     poincare_bundle_exists,
@@ -21,7 +20,7 @@ from bunpic.gerbe import (
 from bunpic.invariant_forms import ns_bun, ns_bun_p1, ns_rigidified
 from bunpic.picard import HypothesisNotSatisfied, reductive_picard
 from bunpic.root_datum import Pi1Element, build_group, pi1_presentation, product
-from reference import det, mod_delta_image, torus_partial_bar
+from reference import det, mod_delta_cokernel, mod_delta_image, torus_partial_bar
 
 
 def synthetic(genus, delta):
@@ -243,7 +242,7 @@ def test_torus_partial_matrix_agrees_with_general_connecting_map():
             for g_, delta_cs in cases:
                 rep = weight_cokernel(t, delta, synthetic(g_, delta_cs))
                 pb = torus_partial_bar(t, d, g_)
-                assert rep.coker_wt == _mod_delta_cokernel(pb, delta_cs), (r, g_, delta_cs, d)
+                assert rep.coker_wt == mod_delta_cokernel(pb, delta_cs), (r, g_, delta_cs, d)
                 assert rep.coker_gamma_bar == mod_delta_image(pb, delta_cs), (r, g_, delta_cs, d)
 
 

@@ -140,6 +140,18 @@ def test_no_coercion_of_keyed_reads():
     assert found == []
 
 
+def test_integers_are_read_by_one_ascii_grammar():
+    # \d and str.isdecimal, isdigit and isnumeric accept the digits of every
+    # script, which int() then reads: outside text is matched against
+    # root_datum._INTEGER, or [0-9] for a rank, instead
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(parse(path))
+             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and "\\d" in node.value)
+             or (isinstance(node, ast.Attribute)
+                 and node.attr in ("isdecimal", "isdigit", "isnumeric"))]
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses imports inspect and compiles each generated method with its
     # own exec, at every start: records come from bunpic.record instead

@@ -225,9 +225,10 @@ def test_pi1_element_keeps_its_presentation_and_checks_lifts():
                 delta.lift(other.lift())
 
 
-@pytest.mark.parametrize("bad", [1.7, 1.0, True, None])
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, None, "1_0", "\u0663"])
 def test_pi1_element_refuses_entries_that_are_not_integers(bad):
-    # from_coords and lift used to truncate with int(): [1.7] gave (1,)
+    # from_coords and lift used to truncate with int(): [1.7] gave (1,), and
+    # int() read the string "1_0" as 10 and an Arabic-Indic three as 3
     t = build_group("T(1)")
     with pytest.raises(ValueError, match=repr(bad)):
         Pi1Element.from_coords(t, [bad])

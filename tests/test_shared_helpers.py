@@ -39,7 +39,7 @@ from bunpic.exact_algebra import (
     subgroup_generators,
 )
 from bunpic.family import CurveFamily, family_from_preset
-from bunpic.gerbe import _ev_hat_data, _mod_delta_cokernel
+from bunpic.gerbe import _ev_hat_data
 from bunpic.invariant_forms import (
     FormLattice,
     _congruence_cut,
@@ -70,6 +70,7 @@ from reference import (
     det,
     intersection,
     invariant_coord_columns,
+    mod_delta_cokernel,
     rational_solve,
     solve,
 )
@@ -549,18 +550,14 @@ def test_torus_shapes_take_the_general_path(k):
     assert ns.certificates == IntMatrix.identity(k + ns.form_basis.rank)
 
 
-def reference_mod_delta_cokernel(m, delta_cs):
-    rel = m
-    if delta_cs:
-        rel = m.hstack(IntMatrix.from_columns(
-            [[delta_cs if i == j else 0 for i in range(m.rows)] for j in range(m.rows)], m.rows))
-    return group_from_relations(m.rows, rel)
-
-
 @SETTINGS
 @given(integer_matrices(), st.integers(min_value=0, max_value=4))
 def test_mod_delta_groups_match_the_reference(m, delta_cs):
-    assert _mod_delta_cokernel(m, delta_cs) == reference_mod_delta_cokernel(m, delta_cs)
+    # weight_cokernel's sub piece: hom_cokernel over the lattice delta * Z^rows
+    # (the zero lattice for delta = 0) against the relations [m | delta I]
+    delta_lattice = Lattice.from_columns(
+        m.rows, [[delta_cs * (i == j) for i in range(m.rows)] for j in range(m.rows)])
+    assert hom_cokernel(m, delta_lattice) == mod_delta_cokernel(m, delta_cs)
 
 
 # ---------------------------------------------------------------------------
